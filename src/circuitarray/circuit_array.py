@@ -7,9 +7,12 @@ side of the diagonal-j triangle:
     entry (i, j) = label of side (L if i even, R if i odd) of triangle
                    (2j-1, j - floor((i+1)/2)) after j reductions,
 
-for i = 0..2(j-1).  The starting grid size is 4j by default, which places
-the read row deep enough that every entry is independent of the start size
-(grow the grid and the entries do not change; tests audit this).
+for i = 0..2(j-1).  Any start grid of size 4j or more places the read row
+deep enough that every entry is independent of the start size (grow the
+grid and the entries do not change; tests audit this).  ``build_array(C)``
+therefore reads all C columns from one reduction chain on the all-one
+4C-grid, column j after j steps; ``build_column(j, n)`` reduces an n-grid
+for one column alone and is the per-column reference.
 
 Row 0 is 1 - 3/9^j, row 1 is 1 + (2/3)/(9^(j-1) - 1), and row 2 also has a
 closed form; beyond that the array is best described recursively: each row
@@ -22,39 +25,18 @@ is the package's central sequence; see circuitarray.sequences.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import as_fraction, format_rational
 from .grid import all_one_grid
-from .reduction import delta, reduce_diagonal, reduce_k, reduce_window, wye
+from .reduction import (delta, reduce_array, reduce_diagonal, reduce_k,
+                        reduce_window, wye)
 from .reports import Report
 
 
 class ArrayError(ValueError):
     pass
-
-
-def worker_count() -> int:
-    """Worker processes for column builds (CIRCUITARRAY_WORKERS, default 1).
-
-    Columns are independent, so builds parallelize trivially; assembly is
-    always in column order, so output is identical for any worker count.
-    """
-    try:
-        return max(1, int(os.environ.get("CIRCUITARRAY_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_columns(fn, jobs: list[tuple]) -> list:
-    workers = worker_count()
-    if workers == 1 or len(jobs) < 4:
-        return [fn(*job) for job in jobs]
-    from multiprocessing import Pool
-    with Pool(min(workers, len(jobs))) as pool:
-        return pool.starmap(fn, jobs)
 
 
 def entry_position(i: int, j: int) -> tuple[int, str]:
@@ -141,11 +123,8 @@ def default_column_grid_size(j: int) -> int:
     return 4 * j
 
 
-def build_column(j: int, n: int | None = None) -> tuple[list[Fraction], list[Provenance]]:
-    """Entries of column j read from the j-times-reduced all-one n-grid."""
-    if n is None:
-        n = default_column_grid_size(j)
-    triples = reduce_window(j, n, j)
+def _read_column(j: int, triples: dict, n: int) -> tuple[list[Fraction], list[Provenance]]:
+    """Entries of column j from its row-(2j-1) triples {d: (L, R, B)}."""
     row = 2 * j - 1
     entries, prov = [], []
     for i in range(2 * j - 1):
@@ -156,12 +135,24 @@ def build_column(j: int, n: int | None = None) -> tuple[list[Fraction], list[Pro
     return entries, prov
 
 
-def build_array(C: int, n_for=default_column_grid_size) -> CircuitArray:
-    """Build columns 1..C, each from its own all-one start grid."""
+def build_column(j: int, n: int | None = None) -> tuple[list[Fraction], list[Provenance]]:
+    """Entries of column j read from the j-times-reduced all-one n-grid."""
+    if n is None:
+        n = default_column_grid_size(j)
+    return _read_column(j, reduce_window(j, n, j), n)
+
+
+def build_array(C: int) -> CircuitArray:
+    """Build columns 1..C from one reduction chain (``reduce_array``).
+
+    Column j is read after j steps of the chain on the all-one 4C-grid; its
+    entries equal those of the j-times-reduced all-one 4j-grid, which is
+    what the provenance records.
+    """
     if C < 1:
         raise ArrayError(f"need at least one column, got C={C}")
-    results = _map_columns(build_column,
-                           [(j, n_for(j)) for j in range(1, C + 1)])
+    results = [_read_column(j, triples, default_column_grid_size(j))
+               for j, triples in enumerate(reduce_array(C), start=1)]
     arr = CircuitArray([entries for entries, _ in results],
                        [prov for _, prov in results])
     arr.validate()

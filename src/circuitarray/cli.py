@@ -7,9 +7,8 @@ deterministic for a given invocation; fractions are printed exactly
 fixed 4-decimal rendering.
 
 Exit status: 0 on success, 1 when any verification finding failed, 2 on
-usage errors.  The CIRCUITARRAY_WORKERS environment variable sets the
-worker-process count for array column builds (default 1); the leftmost
-diagonal is a single reduction chain and always runs in one process.
+usage errors.  The array columns and the leftmost diagonal are each one
+reduction chain in one process.
 """
 
 from __future__ import annotations
@@ -165,17 +164,18 @@ def cmd_diag(args) -> int:
 
 
 def cmd_hankel(args) -> int:
-    seq = sequences.nprime_sequence(2 * args.max_k)
+    diag = ca.diagonal_sequence(2 * (args.max_k + 1))
+    seq = sequences.nprime_sequence(2 * args.max_k, diag)
     conjecture = sequences.verify_determinant_conjecture(args.max_k, seq)
-    exclusion = sequences.lhrcc_ruled_out(args.max_k,
-                                          sequences.nprime_sequence(
-                                              2 * (args.max_k + 1)))
+    exclusion = sequences.lhrcc_ruled_out(
+        args.max_k, sequences.nprime_sequence(2 * (args.max_k + 1), diag))
     return _emit_reports([conjecture, exclusion], args.verbose)
 
 
 def cmd_symbolic(args) -> int:
-    report = sequences.verify_symbolic_patterns(args.max_s)
+    sequences.check_reference_range(args.max_s)
     formulas = sequences.symbolic_diagonal(args.max_s)
+    report = sequences.verify_symbolic_patterns(args.max_s, formulas=formulas)
     for s, f in enumerate(formulas, start=1):
         print(f"L_{s}(x) = {f}")
     return _emit_reports([report], args.verbose)

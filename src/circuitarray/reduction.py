@@ -19,11 +19,14 @@ series sum of the two legs meeting there (boundary edges).
 field: the same code reduces grids of exact rationals and grids of rational
 functions.
 
-``reduce_window`` (one array column) and ``reduce_diagonal`` (the whole
-leftmost diagonal in one chain) compute exactly the same labels as repeated
+``reduce_array`` (all array columns) and ``reduce_diagonal`` (the leftmost
+diagonal) run one reduction chain from one all-one start grid, reading
+column j after j steps; they differ only in how many diagonals each column
+reads.  ``reduce_window`` reduces for one column alone and is the per-column
+reference.  All three compute exactly the same labels as repeated
 ``reduce_once`` but restrict work to the triangles that can influence the
 requested reads, and memoize on label values so the large uniform interior
-of a reduced grid costs almost nothing.  Both run the same step function,
+of a reduced grid costs almost nothing.  They run the same step function,
 ``_reduce_step``; ``reduce_once`` keeps its own loop and, through
 ``reduce_k``, serves as the oracle the windowed paths are tested against.
 The windowed paths key their memos on numerators and denominators, so they
@@ -237,38 +240,64 @@ def reduce_window(j: int, n: int, read_dmax: int,
     return {d: labels[(lo, d)] for d in range(1, read_dmax + 1)}
 
 
+def reduce_array(C: int, field: FieldContract | None = None) -> list[dict]:
+    """Row-(2j-1) label triples after j reductions, for columns j = 1..C.
+
+    One reduction chain from the all-one 4C-grid (see ``_reduce_chain``).
+    Entry j-1 of the result is {d: (L, R, B)} for d = 1..j and equals
+    ``reduce_window(j, 4*j, j)``: the cone of row 2j-1 never reaches the
+    bottom boundary row, so a larger start grid gives the same labels by the
+    same formulas.  ``field`` is an exact rational field and defaults to the
+    fastest available backend.
+    """
+    return _reduce_chain(C, C, field)
+
+
 def reduce_diagonal(S: int, field: FieldContract | None = None) -> list:
     """Left labels of triangle (2s-1, 1) after s reductions, for s = 1..S.
 
-    One reduction chain from the all-one 4S-grid.  After c reductions it
-    keeps only the union of the per-s dependency cones still open: row r
-    (2c-1 <= r <= 4S-2c-1) out to diagonal 1 + min(S, (r+1)//2) - c, the
-    widest cone of any s <= S with 2s-1 <= r.  The read for s happens after
-    s steps, at the top row of the cone, which the next step drops.
-
-    Each value equals ``reduce_window(s, 4*s, 1)[1][0]``: the cone of row
-    2s-1 never reaches the bottom boundary row of a 4s-grid, so a larger
-    start grid gives the same labels by the same formulas.  ``field`` is an
-    exact rational field and defaults to the fastest available backend.
+    The same chain as ``reduce_array`` on the all-one 4S-grid, reading only
+    diagonal 1 of each column.  Each value equals
+    ``reduce_window(s, 4*s, 1)[1][0]``.  ``field`` is an exact rational
+    field and defaults to the fastest available backend.
     """
-    if S < 1:
-        raise GridError(f"need S >= 1, got {S}")
+    return [reads[1][0] for reads in _reduce_chain(S, 1, field)]
+
+
+def _reduce_chain(C: int, width: int, field) -> list[dict]:
+    """Diagonals 1..min(j, width) of row 2j-1 after j reductions, j = 1..C.
+
+    One reduction chain from the all-one 4C-grid.  Column j's read needs,
+    c steps into the chain, rows 2j-1 .. 4j-2c-1 out to diagonal
+    min(j, width) + j - c.  After c reductions the chain keeps only the
+    union of the cones of the columns still open (j >= c): row r
+    (2c-1 <= r <= 4C-2c-1) out to diagonal min(width, k) + k - c with
+    k = min(C, (r+1)//2), the widest cone of any j <= C with 2j-1 <= r.
+    Column c is read after c steps, at the top row of the cone, which the
+    next step drops.
+    """
+    if C < 1:
+        raise GridError(f"need at least one column, got {C}")
     if field is None:
         field = fast_rationals()
-    n = 4 * S
+    n = 4 * C
 
     def cone(c):
-        return [(r, min(r, 1 + min(S, (r + 1) // 2) - c))
-                for r in range(max(1, 2 * c - 1), n - 2 * c)]
+        rows = []
+        for r in range(max(1, 2 * c - 1), n - 2 * c):
+            k = min(C, (r + 1) // 2)
+            rows.append((r, min(r, min(width, k) + k - c)))
+        return rows
 
     labels = _all_one(cone(0), field)
     leg_memo: dict = {}
     wye_memo: dict = {}
-    values = []
-    for c in range(1, S + 1):
+    columns = []
+    for c in range(1, C + 1):
         labels = _reduce_step(labels, n - c + 1, cone(c), leg_memo, wye_memo)
-        values.append(labels[(2 * c - 1, 1)][0])
-    return values
+        columns.append({d: labels[(2 * c - 1, d)]
+                        for d in range(1, min(width, c) + 1)})
+    return columns
 
 
 def _all_one(rows, field) -> dict:
@@ -284,14 +313,18 @@ def _reduce_step(labels: dict, m: int, rows: list, leg_memo: dict,
     ``rows`` lists (r, dmax) pairs: the child triangles (r, 1..dmax) to
     compute.  ``labels`` maps parent (r, d) to (L, R, B) and must hold every
     parent triangle those children read: (r, d-1..d+1), (r+1, d..d+1) and
-    (r+2, d+1).  The formulas are those of ``child_edge``.
+    (r+2, d+1); it is consumed (its values are overwritten).  The formulas
+    are those of ``child_edge``.
 
     ``leg_memo`` and ``wye_memo`` persist across the steps of one chain.
     They are keyed on integer (numerator, denominator) pairs, which hash
     far faster than the scalars themselves (``Fraction.__hash__`` computes
     a modular inverse).
     """
-    legs = {}
+    # Each parent triple is read only here, so its slot takes the triangle's
+    # star legs: a second dict of the cone's size would raise the chain's
+    # peak memory by about a third.
+    legs = labels
     for pos, (L, R, B) in labels.items():
         key = (L.numerator, L.denominator, R.numerator, R.denominator,
                B.numerator, B.denominator)

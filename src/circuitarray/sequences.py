@@ -306,8 +306,16 @@ def reference_diagonal_formula(s: int) -> RationalFunction:
     raise SequenceError(f"no reference formula for s = {s}")
 
 
+def check_reference_range(S: int) -> None:
+    """Reject S outside 1..7, the range the reference formulas cover."""
+    if not 1 <= S <= 7:
+        raise SequenceError(f"reference formulas cover 1 <= S <= 7, got {S}")
+
+
 def verify_symbolic_patterns(S: int = 7,
-                             diagonal: list[Fraction] | None = None) -> Report:
+                             diagonal: list[Fraction] | None = None,
+                             formulas: list[RationalFunction] | None = None
+                             ) -> Report:
     """Symbolic diagonal vs reference formulas, constants, and x = 9 values.
 
     Checks, for s = 1..S (S <= 7): canonical equality with the reference
@@ -315,11 +323,12 @@ def verify_symbolic_patterns(S: int = 7,
     reference presentation for s >= 3, and evaluation at x = 9 against the
     exact diagonal.  Also records the s = 1 finding: the plausible-looking
     variant (x-3)/(x-1) evaluates to 3/4 at x = 9, not 2/3; only the
-    relabeled boundary (x-3)/x reproduces L_1.
+    relabeled boundary (x-3)/x reproduces L_1.  ``formulas`` and
+    ``diagonal``, when given, are the precomputed symbolic and exact
+    diagonals to at least S.
     """
-    if not 1 <= S <= 7:
-        raise SequenceError(f"reference formulas cover 1 <= S <= 7, got {S}")
-    computed = symbolic_diagonal(S)
+    check_reference_range(S)
+    computed = formulas if formulas is not None else symbolic_diagonal(S)
     exact = diagonal if diagonal is not None else diagonal_sequence(S)
     report = Report("symbolic-diagonal")
     for s in range(1, S + 1):

@@ -16,7 +16,8 @@ from circuitarray.circuit_array import (ArrayError, array_position,
                                         verify_uniform_center)
 from circuitarray.fields import RATIONALS
 from circuitarray.grid import GridError
-from circuitarray.reduction import delta, reduce_diagonal, reduce_window, wye
+from circuitarray.reduction import (delta, reduce_array, reduce_diagonal,
+                                    reduce_window, wye)
 
 # frozen expected values: columns 1..6, rows 0..2(j-1)
 EXPECTED_COLUMNS = {
@@ -187,6 +188,26 @@ def test_diagonal_chain_matches_window_reads_and_oracle():
     assert build_array_direct(6).diagonal() == chain[:6]
     with pytest.raises(GridError):
         reduce_diagonal(0)
+
+
+def test_array_chain_matches_window_reads_and_oracle():
+    chain = reduce_array(12, field=RATIONALS)
+    assert len(chain) == 12
+    for j in range(1, 13):
+        assert chain[j - 1] == reduce_window(j, 4 * j, j, field=RATIONALS), j
+    for j, col in enumerate(build_array_direct(6).columns, start=1):
+        for i, want in enumerate(col):
+            d, side = entry_position(i, j)
+            assert chain[j - 1][d][0 if side == "L" else 1] == want, (i, j)
+    arr = build_array(12)
+    columns = [build_column(j) for j in range(1, 13)]
+    assert arr.columns == [entries for entries, _ in columns]
+    assert arr.provenance == [prov for _, prov in columns]
+    assert [t[1][0] for t in chain] == reduce_diagonal(12, field=RATIONALS)
+    with pytest.raises(GridError):
+        reduce_array(0)
+    with pytest.raises(ArrayError):
+        build_array(0)
 
 
 def test_validate_rejects_corrupt_columns():

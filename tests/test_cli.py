@@ -82,6 +82,35 @@ def test_symbolic(capsys):
     assert "L_3(x)" in out
 
 
+def count_calls(monkeypatch, module, name):
+    """Arguments of every call to module.name from now on."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_symbolic_computes_the_diagonal_once(capsys, monkeypatch):
+    from circuitarray import sequences
+    calls = count_calls(monkeypatch, sequences, "symbolic_diagonal")
+    code, out = run(capsys, "symbolic", "--max-s", "3")
+    assert code == 0 and "L_3(x)" in out
+    assert calls == [(3,)]
+
+
+def test_hankel_builds_the_diagonal_once(capsys, monkeypatch):
+    from circuitarray import circuit_array
+    calls = count_calls(monkeypatch, circuit_array, "reduce_diagonal")
+    code, out = run(capsys, "hankel", "--max-k", "3")
+    assert code == 0 and "lhrcc" in out
+    assert calls == [(8,)]
+
+
 def test_asymptotics_rows_spec(capsys):
     code, out = run(capsys, "asymptotics", "--rows", "1,2..3", "--format", "csv")
     assert code == 0

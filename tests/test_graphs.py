@@ -170,14 +170,3 @@ def test_symmetric_grid_graph_invariant_under_reflection():
         mu = (u[0], u[0] - u[1])
         mv = (v[0], v[0] - v[1])
         assert graph.resistance_of(mu, mv) == r
-
-
-def test_worker_env_var_gives_identical_columns(monkeypatch):
-    from circuitarray.circuit_array import build_array, worker_count
-    serial = build_array(5)
-    monkeypatch.setenv("CIRCUITARRAY_WORKERS", "3")
-    assert worker_count() == 3
-    parallel = build_array(5)
-    assert parallel.columns == serial.columns
-    monkeypatch.setenv("CIRCUITARRAY_WORKERS", "junk")
-    assert worker_count() == 1
