@@ -249,7 +249,7 @@ def cmd_verify(args) -> int:
         ca.verify_closed_forms(arr),
         ca.verify_row01_recurrences(arr),
         _uniform_center_all(4),
-        ca.verify_composition_spotchecks(args.max_k, None),
+        ca.verify_composition_spotchecks(args.max_k, arr),
         sequences.verify_determinant_conjecture(args.max_k, seq),
         sequences.lhrcc_ruled_out(args.max_k, seq),
         sequences.verify_denominator_divisibility(min(smax, 20), diag),

@@ -55,10 +55,7 @@ class Polynomial:
 
     def content(self) -> int:
         """Positive gcd of all coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = int_gcd(g, c)
-        return g
+        return int_gcd(*self.coeffs)
 
     def primitive(self) -> "Polynomial":
         """Divide out the content; sign is kept on the leading coefficient."""
@@ -118,29 +115,31 @@ class Polynomial:
         return Polynomial((0,) * k + self.coeffs)
 
     def divide_exact(self, divisor: "Polynomial") -> "Polynomial":
-        """Exact division; raises ValueError if the division leaves a remainder."""
+        """Exact division in integer arithmetic.
+
+        Raises ValueError as soon as a quotient coefficient is not an
+        integer, or if the division leaves a remainder.
+        """
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = [Fraction(c) for c in self.coeffs]
+        rem = list(self.coeffs)
         dc = divisor.coeffs
-        lead = Fraction(dc[-1])
-        qdeg = len(rem) - len(dc)
-        if qdeg < 0:
-            if any(rem):
-                raise ValueError("inexact polynomial division")
-            return Polynomial()
-        quot = [Fraction(0)] * (qdeg + 1)
+        n = len(dc)
+        lead = dc[-1]
+        qdeg = len(rem) - n
+        quot = [0] * max(qdeg + 1, 0)
         for i in range(qdeg, -1, -1):
-            q = rem[i + len(dc) - 1] / lead
+            q, r = divmod(rem[i + n - 1], lead)
+            if r:
+                raise ValueError(
+                    "inexact polynomial division (non-integer quotient)")
             quot[i] = q
             if q:
                 for j, c in enumerate(dc):
                     rem[i + j] -= q * c
         if any(rem):
             raise ValueError("inexact polynomial division")
-        if any(q.denominator != 1 for q in quot):
-            raise ValueError("inexact polynomial division (non-integer quotient)")
-        return Polynomial(int(q) for q in quot)
+        return Polynomial(quot)
 
     # -- gcd ----------------------------------------------------------------
 

@@ -134,6 +134,16 @@ class RationalFunction:
     # -- structure ----------------------------------------------------------
 
     @property
+    def numerator(self) -> Polynomial:
+        """Canonical numerator (the attribute name ``Fraction`` uses)."""
+        return self.numer
+
+    @property
+    def denominator(self) -> Polynomial:
+        """Canonical denominator (the attribute name ``Fraction`` uses)."""
+        return self.denom
+
+    @property
     def is_zero(self) -> bool:
         return self.numer.is_zero
 

@@ -29,8 +29,11 @@ requested reads, and memoize on label values so the large uniform interior
 of a reduced grid costs almost nothing.  They run the same step function,
 ``_reduce_step``; ``reduce_once`` keeps its own loop and, through
 ``reduce_k``, serves as the oracle the windowed paths are tested against.
-The windowed paths key their memos on numerators and denominators, so they
-take rational fields only.
+The windowed paths key their memos on each label's ``numerator`` and
+``denominator``: integers for exact rationals, hashable polynomials for
+rational functions, so they run over both fields.  ``_reduce_chain`` can
+also start one step in, from the once-reduced all-one grid with its
+boundary relabelled; the symbolic diagonal L_s(x) is read that way.
 """
 
 from __future__ import annotations
@@ -264,7 +267,7 @@ def reduce_diagonal(S: int, field: FieldContract | None = None) -> list:
     return [reads[1][0] for reads in _reduce_chain(S, 1, field)]
 
 
-def _reduce_chain(C: int, width: int, field) -> list[dict]:
+def _reduce_chain(C: int, width: int, field, boundary=None) -> list[dict]:
     """Diagonals 1..min(j, width) of row 2j-1 after j reductions, j = 1..C.
 
     One reduction chain from the all-one 4C-grid.  Column j's read needs,
@@ -275,6 +278,13 @@ def _reduce_chain(C: int, width: int, field) -> list[dict]:
     k = min(C, (r+1)//2), the widest cone of any j <= C with 2j-1 <= r.
     Column c is read after c steps, at the top row of the cone, which the
     next step drops.
+
+    With ``boundary`` given, the chain starts after step 1, from the
+    once-reduced all-one grid (2/3 on its boundary, 1 inside) with each
+    boundary label replaced by ``boundary``.  Its bottom row lies below
+    the cone, so only left labels at d = 1 and right labels at d = r are
+    relabelled.  ``field`` is any field whose labels expose hashable
+    ``numerator`` and ``denominator`` (see ``_reduce_step``).
     """
     if C < 1:
         raise GridError(f"need at least one column, got {C}")
@@ -289,14 +299,25 @@ def _reduce_chain(C: int, width: int, field) -> list[dict]:
             rows.append((r, min(r, min(width, k) + k - c)))
         return rows
 
-    labels = _all_one(cone(0), field)
+    def read(c):
+        return {d: labels[(2 * c - 1, d)] for d in range(1, min(width, c) + 1)}
+
+    columns = []
+    if boundary is None:
+        first = 1
+        labels = _all_one(cone(0), field)
+    else:
+        first = 2
+        one = field.one
+        labels = {(r, d): (boundary if d == 1 else one,
+                           boundary if d == r else one, one)
+                  for r, dmax in cone(1) for d in range(1, dmax + 1)}
+        columns.append(read(1))
     leg_memo: dict = {}
     wye_memo: dict = {}
-    columns = []
-    for c in range(1, C + 1):
+    for c in range(first, C + 1):
         labels = _reduce_step(labels, n - c + 1, cone(c), leg_memo, wye_memo)
-        columns.append({d: labels[(2 * c - 1, d)]
-                        for d in range(1, min(width, c) + 1)})
+        columns.append(read(c))
     return columns
 
 
@@ -317,9 +338,10 @@ def _reduce_step(labels: dict, m: int, rows: list, leg_memo: dict,
     are those of ``child_edge``.
 
     ``leg_memo`` and ``wye_memo`` persist across the steps of one chain.
-    They are keyed on integer (numerator, denominator) pairs, which hash
-    far faster than the scalars themselves (``Fraction.__hash__`` computes
-    a modular inverse).
+    They are keyed on each label's (numerator, denominator) pair: integers
+    for exact rationals, which hash far faster than the scalars themselves
+    (``Fraction.__hash__`` computes a modular inverse), and canonical
+    polynomials for rational functions, which compare structurally.
     """
     # Each parent triple is read only here, so its slot takes the triangle's
     # star legs: a second dict of the cone's size would raise the chain's

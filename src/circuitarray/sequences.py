@@ -12,7 +12,9 @@ coefficients (LHRCC) of any order covered by the computed windows.
 The symbolic pipeline replays the grid reduction over the rational-function
 field: relabel the boundary of a once-reduced all-one grid as 1 - 3/x
 (2/3 corresponds to x = 9), keep reducing, and read the diagonal as closed
-forms L_s(x).  Substituting x = 9 must reproduce the exact diagonal.
+forms L_s(x).  It runs the same one reduction chain as the exact diagonal,
+restricted to the dependency cone of the reads and memoized on canonical
+rational functions.  Substituting x = 9 must reproduce the exact diagonal.
 
 Asymptotically, L_s tracks the product A_s = (2/3) * prod_{i=2..s}
 (1 - 1/(2i-1)), which Stirling's formula in turn ties to P_s =
@@ -33,7 +35,8 @@ from .fields import format_rational
 from .grid import Grid
 from .polynomial import Polynomial
 from .ratfunc import RATFUNCS, RationalFunction
-from .reduction import reduce_once
+# perfbench/tracing.py wraps reduce_once at this lookup site; keep the import.
+from .reduction import _reduce_chain, reduce_once  # noqa: F401
 from .reports import Report
 
 
@@ -243,22 +246,19 @@ def symbolic_start_grid(m: int, boundary: RationalFunction | None = None) -> Gri
     return Grid(m, tri, field=RATFUNCS, reductions=1)
 
 
-def symbolic_diagonal(S: int, start_size: int | None = None) -> list[RationalFunction]:
+def symbolic_diagonal(S: int) -> list[RationalFunction]:
     """L_1(x)..L_S(x): the diagonal of the symbolic pipeline.
 
     L_1 is the relabeled boundary itself; each later L_s is read at
-    (2s-1, 1, L) after one further reduction.  The start grid defaults to
-    size 4S - 1 so every read row sits in the stable region.
+    (2s-1, 1, L) after one further reduction.  One reduction chain does all
+    the reads: the diagonal chain of the all-one 4S-grid, started after its
+    first step with the boundary 2/3 relabeled as 1 - 3/x, so it equals
+    reducing ``symbolic_start_grid(4S - 1)`` with ``reduce_once``.
     """
     if S < 1:
         raise SequenceError(f"need S >= 1, got {S}")
-    m = (4 * S - 1) if start_size is None else start_size
-    g = symbolic_start_grid(m)
-    out = [g.label(1, 1, "L")]
-    for s in range(2, S + 1):
-        g = reduce_once(g)
-        out.append(g.label(2 * s - 1, 1, "L"))
-    return out
+    boundary = 1 - 3 / RationalFunction.x()
+    return [reads[1][0] for reads in _reduce_chain(S, 1, RATFUNCS, boundary)]
 
 
 def _poly(*coeffs: int) -> Polynomial:

@@ -111,6 +111,14 @@ def test_hankel_builds_the_diagonal_once(capsys, monkeypatch):
     assert calls == [(8,)]
 
 
+def test_verify_builds_the_array_once(capsys, monkeypatch):
+    from circuitarray import circuit_array
+    calls = count_calls(monkeypatch, circuit_array, "build_array")
+    code, out = run(capsys, "verify", "--max-cols", "4", "--max-k", "2")
+    assert code == 0 and "composition-spotchecks" in out
+    assert calls == [(5,)]
+
+
 def test_asymptotics_rows_spec(capsys):
     code, out = run(capsys, "asymptotics", "--rows", "1,2..3", "--format", "csv")
     assert code == 0

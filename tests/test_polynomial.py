@@ -46,6 +46,25 @@ class TestPolynomial:
         with pytest.raises(ValueError):
             poly(1, 1).divide_exact(poly(0, 1))
 
+    def test_exact_division_by_non_monic_divisor(self):
+        a = poly(-1, 3) * poly(5, 2)                 # (3x-1)(2x+5)
+        assert a.divide_exact(poly(-1, 3)) == poly(5, 2)
+        assert (a * -4).divide_exact(poly(5, 2)) == poly(4, -12)
+        assert Polynomial().divide_exact(poly(-1, 3)).is_zero
+
+    def test_inexact_division_raises(self):
+        # x / 2x = 1/2: the quotient is not an integer polynomial
+        with pytest.raises(ValueError, match="non-integer quotient"):
+            poly(0, 1).divide_exact(poly(0, 2))
+        # (x^2 + 1) / (x - 1) = x + 1 remainder 2
+        with pytest.raises(ValueError, match=r"^inexact polynomial division$"):
+            poly(1, 0, 1).divide_exact(poly(-1, 1))
+        # a divisor of higher degree leaves the dividend as remainder
+        with pytest.raises(ValueError, match=r"^inexact polynomial division$"):
+            poly(3).divide_exact(poly(-1, 1))
+        with pytest.raises(ZeroDivisionError):
+            poly(1, 1).divide_exact(Polynomial())
+
     def test_eval_horner(self):
         p = poly(-3, 0, 1)  # x^2 - 3
         assert p.eval(F(2)) == 1
@@ -72,6 +91,14 @@ class TestRationalFunction:
         f = F(2, 3) * ((X - 3) / (X - 1))
         assert f.numer == poly(-6, 2)
         assert f.denom == poly(-3, 3)
+
+    def test_numerator_denominator_are_the_canonical_parts(self):
+        # the names Fraction uses, so memo keys built from them work for both
+        f = F(2, 3) * ((X - 3) / (X - 1))
+        assert (f.numerator, f.denominator) == (poly(-6, 2), poly(-3, 3))
+        assert hash(f.numerator) == hash(poly(-6, 2))
+        with pytest.raises(AttributeError):
+            f.numerator = poly(1)
 
     def test_canonical_sign(self):
         f = RationalFunction(poly(1), poly(2, -1))  # 1/(2-x) -> -1/(x-2)

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from circuitarray.circuit_array import diagonal_sequence
+from circuitarray.polynomial import Polynomial
+from circuitarray.reduction import reduce_once
 from circuitarray.sequences import (SequenceError,
                                     asymptotics_table, bareiss_determinant,
                                     cofactor_determinant, hankel_determinant,
@@ -14,6 +16,7 @@ from circuitarray.sequences import (SequenceError,
                                     reference_diagonal_formula, render_4dp,
                                     row0_numerator_contrast,
                                     sqrt_pi_approximation, symbolic_diagonal,
+                                    symbolic_start_grid,
                                     verify_denominator_divisibility,
                                     verify_determinant_conjecture,
                                     verify_monotonicity,
@@ -109,6 +112,32 @@ def test_symbolic_diagonal_small():
     assert forms[1] == reference_diagonal_formula(2)
     assert forms[2] == reference_diagonal_formula(3)
     assert [f.eval(9) for f in forms] == [F(2, 3), F(1, 2), F(13, 32)]
+
+
+def full_grid_symbolic_diagonal(S):
+    """Oracle: reduce the whole symbolic start grid with reduce_once."""
+    g = symbolic_start_grid(4 * S - 1)
+    out = [g.label(1, 1, "L")]
+    for s in range(2, S + 1):
+        g = reduce_once(g)
+        out.append(g.label(2 * s - 1, 1, "L"))
+    return out
+
+
+def test_symbolic_chain_matches_full_grid_reduction():
+    for S in range(1, 7):
+        assert symbolic_diagonal(S) == full_grid_symbolic_diagonal(S), S
+
+
+def test_symbolic_diagonal_pinned_at_x9_through_s12():
+    forms = symbolic_diagonal(12)
+    assert [f.eval(9) for f in forms] == diagonal_sequence(12)
+    x1 = Polynomial((-1, 1))
+    for s, f in enumerate(forms[1:], start=2):
+        c = f.denominator_constant()
+        assert f.denominator == c * x1 ** (s - 1), s
+    with pytest.raises(SequenceError):
+        symbolic_diagonal(0)
 
 
 def test_symbolic_patterns_report():
