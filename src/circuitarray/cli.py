@@ -216,8 +216,13 @@ def cmd_asymptotics(args) -> int:
 
 def cmd_resistance(args) -> int:
     with open(args.graph) as fh:
-        g = graphs.WeightedGraph.from_json(fh.read())
-    r = graphs.effective_resistance(g, args.u, args.v)
+        text = fh.read()
+    try:
+        g = graphs.WeightedGraph.from_json(text)
+        r = graphs.effective_resistance(g, args.u, args.v)
+    except graphs.GraphError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(format_rational(r))
     return 0
 

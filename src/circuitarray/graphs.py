@@ -141,13 +141,55 @@ class WeightedGraph:
 
     @staticmethod
     def from_json(text: str) -> "WeightedGraph":
+        """Parse ``{"n": N, "edges": [{"u": .., "v": .., "r": ..}, ...]}``.
+
+        Vertices are 0..N-1 and each ``r`` is an exact positive rational,
+        an integer or a string such as ``"5/3"`` (a JSON float is not
+        exact).  Any other shape raises a one-line ``GraphError`` that names
+        the bad field.
+        """
         import json
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise GraphError(f"graph is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise GraphError('graph JSON must be an object with "n" and '
+                             '"edges"')
+        for key in ("n", "edges"):
+            if key not in data:
+                raise GraphError(f'graph JSON has no "{key}" field')
+        n = data["n"]
+        if type(n) is not int or n < 0:
+            raise GraphError(f'"n" must be a non-negative integer, got {n!r}')
+        edges = data["edges"]
+        if not isinstance(edges, list):
+            raise GraphError(f'"edges" must be a list, got {edges!r}')
         g = WeightedGraph()
-        for i in range(data["n"]):
+        for i in range(n):
             g.add_vertex(i)
-        for e in data["edges"]:
-            g.add_edge(e["u"], e["v"], Fraction(e["r"]))
+        for i, e in enumerate(edges):
+            where = f"edges[{i}]"
+            if not isinstance(e, dict):
+                raise GraphError(f'{where} must be an object with "u", "v" '
+                                 f'and "r", got {e!r}')
+            for key in ("u", "v"):
+                w = e.get(key)
+                if type(w) is not int or not 0 <= w < n:
+                    raise GraphError(f"{where}.{key} must be a vertex "
+                                     f"0..{n - 1}, got {w!r}")
+            r = e.get("r")
+            try:
+                if type(r) not in (int, str):
+                    raise ValueError
+                r = Fraction(r)
+            except (ValueError, ZeroDivisionError):
+                raise GraphError(f"{where}.r must be an exact rational, "
+                                 f"got {r!r}") from None
+            try:
+                g.add_edge(e["u"], e["v"], r)
+            except GraphError as exc:
+                raise GraphError(f"{where}: {exc}") from None
         return g
 
 
@@ -218,8 +260,40 @@ def delta_to_wye(g: WeightedGraph, triangle, center=None) -> WeightedGraph:
     """Replace the 3-edge loop on the given vertices by a star.
 
     External effective resistances are preserved.  ``center`` names the new
-    star vertex; when omitted an unused integer id is chosen.
+    star vertex; when omitted an unused integer id is chosen.  Returns a new
+    graph; ``g`` is left unchanged.
     """
+    out = g.copy()
+    _delta_to_wye(out, triangle, center)
+    return out
+
+
+def wye_to_delta(g: WeightedGraph, center) -> WeightedGraph:
+    """Replace the degree-3 star at ``center`` by a triangle on its leaves.
+
+    Returns a new graph; ``g`` is left unchanged.
+    """
+    out = g.copy()
+    _wye_to_delta(out, center)
+    return out
+
+
+def series(g: WeightedGraph, through) -> WeightedGraph:
+    """Merge the two edges at a degree-2 vertex into one series edge.
+
+    Returns a new graph; ``g`` is left unchanged.
+    """
+    out = g.copy()
+    _series(out, through)
+    return out
+
+
+# The in-place forms below check the site before they change anything, so a
+# rejected site leaves the graph as it was.  ``graph_level_reduce`` applies
+# them to one graph: copying per transform would make it quadratic in the
+# number of triangles.
+
+def _delta_to_wye(g: WeightedGraph, triangle, center) -> None:
     x, y, z = triangle
     for (p, q) in ((x, y), (y, z), (x, z)):
         if not g.has_edge(p, q):
@@ -234,18 +308,15 @@ def delta_to_wye(g: WeightedGraph, triangle, center=None) -> WeightedGraph:
     c_yz = g.resistance_of(y, z)
     c_xz = g.resistance_of(x, z)
     s = c_xy + c_yz + c_xz
-    out = g.copy()
-    out.remove_edge(x, y)
-    out.remove_edge(y, z)
-    out.remove_edge(x, z)
-    out.add_edge(center, x, c_xy * c_xz / s)
-    out.add_edge(center, y, c_xy * c_yz / s)
-    out.add_edge(center, z, c_xz * c_yz / s)
-    return out
+    g.remove_edge(x, y)
+    g.remove_edge(y, z)
+    g.remove_edge(x, z)
+    g.add_edge(center, x, c_xy * c_xz / s)
+    g.add_edge(center, y, c_xy * c_yz / s)
+    g.add_edge(center, z, c_xz * c_yz / s)
 
 
-def wye_to_delta(g: WeightedGraph, center) -> WeightedGraph:
-    """Replace the degree-3 star at ``center`` by a triangle on its leaves."""
+def _wye_to_delta(g: WeightedGraph, center) -> None:
     if center not in g._adj:
         raise GraphError(f"no vertex {center!r}")
     nbrs = g.neighbors(center)
@@ -257,16 +328,13 @@ def wye_to_delta(g: WeightedGraph, center) -> WeightedGraph:
     q = g.resistance_of(center, y)
     t = g.resistance_of(center, z)
     cross = p * q + q * t + t * p
-    out = g.copy()
-    out.remove_vertex(center)
-    out.add_edge(y, z, cross / p)
-    out.add_edge(x, z, cross / q)
-    out.add_edge(x, y, cross / t)
-    return out
+    g.remove_vertex(center)
+    g.add_edge(y, z, cross / p)
+    g.add_edge(x, z, cross / q)
+    g.add_edge(x, y, cross / t)
 
 
-def series(g: WeightedGraph, through) -> WeightedGraph:
-    """Merge the two edges at a degree-2 vertex into one series edge."""
+def _series(g: WeightedGraph, through) -> None:
     if through not in g._adj:
         raise GraphError(f"no vertex {through!r}")
     nbrs = g.neighbors(through)
@@ -275,10 +343,8 @@ def series(g: WeightedGraph, through) -> WeightedGraph:
                          f"got degree {len(nbrs)} at {through!r}")
     x, y = nbrs
     r = g.resistance_of(through, x) + g.resistance_of(through, y)
-    out = g.copy()
-    out.remove_vertex(through)
-    out.add_edge(x, y, r)
-    return out
+    g.remove_vertex(through)
+    g.add_edge(x, y, r)
 
 
 def graph_transform(g: WeightedGraph, kind: str, site) -> WeightedGraph:
@@ -327,7 +393,7 @@ def graph_level_reduce(grid: Grid) -> Grid:
             apex = (r - 1, d - 1)
             bl = (r, d - 1)
             br = (r, d)
-            g = delta_to_wye(g, (apex, bl, br), center=("c", r, d))
+            _delta_to_wye(g, (apex, bl, br), ("c", r, d))
 
     corners = {(0, 0), (m, 0), (m, m)}
     tails = [v for v in g.vertices if g.degree(v) == 1]
@@ -338,14 +404,14 @@ def graph_level_reduce(grid: Grid) -> Grid:
 
     for v in list(g.vertices):
         if isinstance(v, tuple) and len(v) == 2 and g.degree(v) == 2:
-            g = series(g, v)
+            _series(g, v)
 
     for v in list(g.vertices):
         if isinstance(v, tuple) and len(v) == 2:
             if g.degree(v) != 3:
                 raise GraphError(f"interior vertex {v} has degree {g.degree(v)}, "
                                  "expected 3")
-            g = wye_to_delta(g, v)
+            _wye_to_delta(g, v)
 
     if g.vertex_count() != m * (m + 1) // 2:
         raise GraphError("reduction left an unexpected vertex set")

@@ -25,20 +25,23 @@ column j after j steps; they differ only in how many diagonals each column
 reads.  ``reduce_window`` reduces for one column alone and is the per-column
 reference.  All three compute exactly the same labels as repeated
 ``reduce_once`` but restrict work to the triangles that can influence the
-requested reads, and memoize on label values so the large uniform interior
-of a reduced grid costs almost nothing.  They run the same step function,
-``_reduce_step``; ``reduce_once`` keeps its own loop and, through
-``reduce_k``, serves as the oracle the windowed paths are tested against.
-The windowed paths key their memos on each label's ``numerator`` and
+requested reads, and memoize star legs and wye results on label values.
+The chain stores each diagonal of its cone as runs of equal label triples
+along the rows and reduces it run by run (``_band_step``), so a step costs
+per run instead of per triangle; ``reduce_window`` runs the dense
+per-triangle step (``_reduce_step``) that the chain is tested against.
+``reduce_once`` keeps its own loop and, through ``reduce_k``, serves as the
+oracle for both.  The memos are keyed on each label's ``numerator`` and
 ``denominator``: integers for exact rationals, hashable polynomials for
-rational functions, so they run over both fields.  ``_reduce_chain`` can
-also start one step in, from the once-reduced all-one grid with its
+rational functions, so the chain runs over both fields.  ``_reduce_chain``
+can also start one step in, from the once-reduced all-one grid with its
 boundary relabelled; the symbolic diagonal L_s(x) is read that way.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 
 from .fields import FieldContract, fast_rationals
 from .grid import (SIDES, EdgeRef, Grid, GridError, determining_triangles,
@@ -216,6 +219,11 @@ def reduce_window(j: int, n: int, read_dmax: int,
     memoized by label value, which collapses the uniform interior bands of
     reduced grids to near-constant work.
 
+    This is the per-column reference: it runs the dense step
+    (``_reduce_step``), one entry per cone triangle, with no run-length
+    bookkeeping, and the band chain behind ``reduce_array`` and
+    ``reduce_diagonal`` is tested against its reads.
+
     Returns {d: (L, R, B)} for d = 1..read_dmax.  ``field`` is an exact
     rational field and defaults to the fastest available backend.
     """
@@ -279,6 +287,15 @@ def _reduce_chain(C: int, width: int, field, boundary=None) -> list[dict]:
     Column c is read after c steps, at the top row of the cone, which the
     next step drops.
 
+    That bound never decreases as r grows, so diagonal d of the cone is the
+    row interval from its first row (``_cone_starts``) to the cone's last
+    row.  The chain stores each diagonal as maximal runs of equal (L, R, B)
+    triples along r and reduces it run by run (``_band_step``), so a step
+    costs per run, not per triangle: deep in the chain almost every
+    diagonal is one run.  Runs are found by comparing values, not assumed,
+    so the labels are exactly those of the dense per-triangle step that
+    ``reduce_window`` runs, which serves as the per-column reference.
+
     With ``boundary`` given, the chain starts after step 1, from the
     once-reduced all-one grid (2/3 on its boundary, 1 inside) with each
     boundary label replaced by ``boundary``.  Its bottom row lies below
@@ -291,34 +308,110 @@ def _reduce_chain(C: int, width: int, field, boundary=None) -> list[dict]:
     if field is None:
         field = fast_rationals()
     n = 4 * C
-
-    def cone(c):
-        rows = []
-        for r in range(max(1, 2 * c - 1), n - 2 * c):
-            k = min(C, (r + 1) // 2)
-            rows.append((r, min(r, min(width, k) + k - c)))
-        return rows
+    one = field.one
 
     def read(c):
-        return {d: labels[(2 * c - 1, d)] for d in range(1, min(width, c) + 1)}
+        return {d: _run_at(band[d - 1], 2 * c - 1)
+                for d in range(1, min(width, c) + 1)}
 
     columns = []
     if boundary is None:
         first = 1
-        labels = _all_one(cone(0), field)
+        starts, _ = _cone_starts(C, width, 0)
+        band = [([a], [(one, one, one)]) for a in starts]
     else:
         first = 2
-        one = field.one
-        labels = {(r, d): (boundary if d == 1 else one,
-                           boundary if d == r else one, one)
-                  for r, dmax in cone(1) for d in range(1, dmax + 1)}
+        starts, last = _cone_starts(C, width, 1)
+        band = []
+        for d, a in enumerate(starts, start=1):
+            left = boundary if d == 1 else one
+            rows, triples = [a], [(left, boundary if a == d else one, one)]
+            if a == d and a < last:
+                rows.append(a + 1)
+                triples.append((left, one, one))
+            band.append((rows, triples))
         columns.append(read(1))
     leg_memo: dict = {}
     wye_memo: dict = {}
     for c in range(first, C + 1):
-        labels = _reduce_step(labels, n - c + 1, cone(c), leg_memo, wye_memo)
+        band = _band_step(band, n - c + 1, *_cone_starts(C, width, c),
+                          leg_memo, wye_memo)
         columns.append(read(c))
     return columns
+
+
+def _cone_starts(C: int, width: int, c: int) -> tuple[list, int]:
+    """First row of each diagonal d = 1, 2, ... of the chain's cone after c
+    reductions (see ``_reduce_chain``), and the cone's last row.
+
+    Row r reaches diagonal min(r, g(k) - c) with g(k) = min(width, k) + k and
+    k = min(C, (r+1)//2).  g increases strictly with k, so with k the least
+    value for which g(k) >= d + c, diagonal d starts at row
+    max(top, d, 2k-1); the cone has no diagonal d once k exceeds C or that
+    row passes the cone's last row 4C-2c-1.
+    """
+    top, last = max(1, 2 * c - 1), 4 * C - 2 * c - 1
+    starts = []
+    d = 1
+    while True:
+        t = d + c
+        # g(k) = 2k while k <= width, width + k after
+        k = (t + 1) // 2 if (t + 1) // 2 <= width else t - width
+        r = max(top, d, 2 * k - 1)
+        if k > C or r > last:
+            return starts, last
+        starts.append(r)
+        d += 1
+
+
+def _run_at(runs, r):
+    """The value a diagonal stored as (run start rows, values) holds at row r."""
+    rows, values = runs
+    return values[bisect_right(rows, r) - 1]
+
+
+def _band_step(band: list, m: int, starts: list, last: int, leg_memo: dict,
+               wye_memo: dict) -> list:
+    """``_reduce_step`` on diagonals stored as runs of equal triples.
+
+    ``band[d-1]`` is (rows, triples): parent diagonal d holds triples[i]
+    from row rows[i] up to the next run's start, the last run up to the
+    parent cone's last row.  The child cone's diagonal d runs from row
+    ``starts[d-1]`` to row ``last``.  Child (r, d) reads parent diagonals
+    d-1 at row r, d at rows r..r+1 and d+1 at rows r..r+2, and its formula
+    changes only at r = d and r = m-1; so between two cut rows, the run
+    starts of those sources shifted up by their row offset and the two
+    special rows, every child triple is the same.  Each such segment is
+    evaluated once, star legs once per parent run, both through the same
+    value-keyed memos as ``_reduce_step``, and equal neighbouring results
+    are merged by their (numerator, denominator) keys.
+    """
+    legs = [(rows, [_star_legs(t, leg_memo) for t in triples])
+            for rows, triples in band]
+
+    def leg(r, d):
+        return _run_at(legs[d - 1], r)
+
+    wye3 = _memo_wye(wye_memo)
+    mc = m - 1
+    child = []
+    for d, a in enumerate(starts, start=1):
+        cuts = {a, d + 1, mc, mc + 1}
+        for source, span in ((d - 1, 1), (d, 2), (d + 1, 3)):
+            if source:
+                for p in legs[source - 1][0]:
+                    cuts.update(range(p - span + 1, p + 1))
+        rows, triples, prev = [], [], None
+        for r in sorted(q for q in cuts if a <= q <= last):
+            Lv, Rv, Bv = _child_triple(leg, wye3, r, d, m)
+            key = (Lv.numerator, Lv.denominator, Rv.numerator, Rv.denominator,
+                   Bv.numerator, Bv.denominator)
+            if key != prev:
+                rows.append(r)
+                triples.append((Lv, Rv, Bv))
+                prev = key
+        child.append((rows, triples))
+    return child
 
 
 def _all_one(rows, field) -> dict:
@@ -346,16 +439,34 @@ def _reduce_step(labels: dict, m: int, rows: list, leg_memo: dict,
     # Each parent triple is read only here, so its slot takes the triangle's
     # star legs: a second dict of the cone's size would raise the chain's
     # peak memory by about a third.
-    legs = labels
-    for pos, (L, R, B) in labels.items():
-        key = (L.numerator, L.denominator, R.numerator, R.denominator,
-               B.numerator, B.denominator)
-        v = leg_memo.get(key)
-        if v is None:
-            s = L + R + B
-            v = leg_memo[key] = (L * R / s, B * L / s, R * B / s)
-        legs[pos] = v
+    for pos, triple in labels.items():
+        labels[pos] = _star_legs(triple, leg_memo)
 
+    def leg(r, d):
+        return labels[r, d]
+
+    wye3 = _memo_wye(wye_memo)
+    child = {}
+    for r, dmax in rows:
+        for d in range(1, dmax + 1):
+            child[(r, d)] = _child_triple(leg, wye3, r, d, m)
+    return child
+
+
+def _star_legs(triple, leg_memo):
+    """Star legs of one parent triple, memoized on its label values."""
+    L, R, B = triple
+    key = (L.numerator, L.denominator, R.numerator, R.denominator,
+           B.numerator, B.denominator)
+    v = leg_memo.get(key)
+    if v is None:
+        s = L + R + B
+        v = leg_memo[key] = (L * R / s, B * L / s, R * B / s)
+    return v
+
+
+def _memo_wye(wye_memo):
+    """The wye formula memoized on its three legs' values."""
     def wye3(a, b, c):
         key = (a.numerator, a.denominator, b.numerator, b.denominator,
                c.numerator, c.denominator)
@@ -363,24 +474,25 @@ def _reduce_step(labels: dict, m: int, rows: list, leg_memo: dict,
         if v is None:
             v = wye_memo[key] = b + c + b * c / a
         return v
+    return wye3
 
-    mc = m - 1
-    child = {}
-    for r, dmax in rows:
-        for d in range(1, dmax + 1):
-            if d == 1:
-                Lv = legs[r, 1][1] + legs[r + 1, 1][0]
-            else:
-                Lv = wye3(legs[r, d - 1][2], legs[r, d][1], legs[r + 1, d][0])
-            if d == r:
-                Rv = legs[r, r][2] + legs[r + 1, r + 1][0]
-            else:
-                Rv = wye3(legs[r, d + 1][1], legs[r, d][2],
-                          legs[r + 1, d + 1][0])
-            if r == mc:
-                Bv = legs[m, d][2] + legs[m, d + 1][1]
-            else:
-                Bv = wye3(legs[r + 2, d + 1][0], legs[r + 1, d][2],
-                          legs[r + 1, d + 1][1])
-            child[(r, d)] = (Lv, Rv, Bv)
-    return child
+
+def _child_triple(leg, wye3, r, d, m):
+    """Child (L, R, B) at (r, d) of one reduction of an m-grid.
+
+    The formulas of ``child_edge``, with ``leg(r, d)`` the star legs of
+    parent triangle (r, d) and ``wye3`` the wye formula.
+    """
+    if d == 1:
+        Lv = leg(r, 1)[1] + leg(r + 1, 1)[0]
+    else:
+        Lv = wye3(leg(r, d - 1)[2], leg(r, d)[1], leg(r + 1, d)[0])
+    if d == r:
+        Rv = leg(r, r)[2] + leg(r + 1, r + 1)[0]
+    else:
+        Rv = wye3(leg(r, d + 1)[1], leg(r, d)[2], leg(r + 1, d + 1)[0])
+    if r == m - 1:
+        Bv = leg(m, d)[2] + leg(m, d + 1)[1]
+    else:
+        Bv = wye3(leg(r + 2, d + 1)[0], leg(r + 1, d)[2], leg(r + 1, d + 1)[1])
+    return Lv, Rv, Bv

@@ -181,10 +181,10 @@ def test_diagonal_sequence():
 
 
 def test_diagonal_chain_matches_window_reads_and_oracle():
-    chain = reduce_diagonal(20, field=RATIONALS)
-    for s in range(1, 21):
+    chain = reduce_diagonal(40, field=RATIONALS)
+    for s in range(1, 41):
         assert chain[s - 1] == reduce_window(s, 4 * s, 1, field=RATIONALS)[1][0], s
-    assert diagonal_sequence(20) == chain
+    assert diagonal_sequence(20) == chain[:20]
     assert build_array_direct(6).diagonal() == chain[:6]
     with pytest.raises(GridError):
         reduce_diagonal(0)

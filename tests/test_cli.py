@@ -165,6 +165,24 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("text, field", [
+    ('{"n": 3}', '"edges"'),
+    ('{"n": 2, "edges": [{"u": 0, "v": 1, "r": "1/0"}]}', "edges[0].r"),
+    ('{"n": 2, "edges": [{"u": 0, "v": 7, "r": "1"}]}', "edges[0].v"),
+    ('{"n": -1, "edges": []}', '"n"'),
+    ("not json", "JSON"),
+])
+def test_malformed_graph_json_is_a_usage_error(tmp_path, capsys, text, field):
+    path = tmp_path / "graph.json"
+    path.write_text(text)
+    code = main(["resistance", "--graph", str(path), "--u", "0", "--v", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+
+
 def test_runtime_error_exit_1(capsys):
     code = main(["resistance", "--graph", "/nonexistent.json",
                  "--u", "0", "--v", "1"])

@@ -72,6 +72,22 @@ def test_series_example():
         graph_transform(g, "frobnicate", 0)
 
 
+def test_public_transforms_leave_their_input_unchanged():
+    g = unit_triangle()
+    before = g.to_json()
+    star = delta_to_wye(g, (0, 1, 2), center="c")
+    assert g.to_json() == before
+    before = star.to_json()
+    wye_to_delta(star, "c")
+    assert star.to_json() == before
+    path = WeightedGraph()
+    path.add_edge(0, 1, F(1))
+    path.add_edge(1, 2, F(2))
+    before = path.to_json()
+    series(path, 1)
+    assert path.to_json() == before
+
+
 def test_transforms_preserve_resistance_on_fixed_graph():
     g = WeightedGraph()
     edges = [(0, 1, F(1)), (1, 2, F(2)), (0, 2, F(3, 2)), (2, 3, F(1, 3)),

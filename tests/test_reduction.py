@@ -1,5 +1,6 @@
 """Transformation functions, one-step reduction, windowed column reads."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,10 +8,10 @@ import pytest
 from circuitarray.fields import RATIONALS
 from circuitarray.grid import Grid, GridError, all_one_grid
 from circuitarray.ratfunc import RATFUNCS, RationalFunction
-from circuitarray.reduction import (TransformKind, child_edge, delta,
-                                    reduce_k, reduce_once, reduce_window,
-                                    series_merge, transform_kind,
-                                    triangle_legs, wye)
+from circuitarray.reduction import (TransformKind, _band_step, _cone_starts,
+                                    child_edge, delta, reduce_k, reduce_once,
+                                    reduce_window, series_merge,
+                                    transform_kind, triangle_legs, wye)
 
 
 def test_delta_values():
@@ -153,6 +154,52 @@ def test_window_validates_inputs():
         reduce_window(0, 10, 1)
     with pytest.raises(GridError):
         reduce_window(3, 12, 4)
+
+
+def test_band_step_matches_reduce_once_on_arbitrary_runs():
+    # Labels drawn from a small set make runs of equal triples that start
+    # and stop irregularly along each diagonal; the whole grid also reaches
+    # the special rows r = d and r = m-1.
+    rng = random.Random(3)
+    values = (F(1), F(2), F(1, 2))
+    for m in range(2, 10):
+        tri, band = {}, []
+        for d in range(1, m + 1):
+            rows, triples = [], []
+            for r in range(d, m + 1):
+                if r == d or rng.random() < 0.4:
+                    tri[(r, d)] = tuple(rng.choice(values) for _ in range(3))
+                else:
+                    tri[(r, d)] = tri[(r - 1, d)]
+                if not triples or tri[(r, d)] != triples[-1]:
+                    rows.append(r)
+                    triples.append(tri[(r, d)])
+            band.append((rows, triples))
+        want = reduce_once(Grid(m, tri, field=RATIONALS))
+        child = _band_step(band, m, list(range(1, m)), m - 1, {}, {})
+        assert len(child) == m - 1
+        for d, (rows, triples) in enumerate(child, start=1):
+            assert rows[0] == d
+            assert all(a != b for a, b in zip(triples, triples[1:])), (m, d)
+            ends = rows[1:] + [m]
+            for start, end, t in zip(rows, ends, triples):
+                for r in range(start, end):
+                    assert t == want.triangle(r, d), (m, r, d)
+
+
+def test_cone_starts_follow_the_row_bound():
+    # diagonal d of the chain's cone starts at the first row r whose bound
+    # min(r, min(width, k) + k - c), k = min(C, (r+1)//2), reaches d
+    for C in range(1, 9):
+        for width in (1, 2, C):
+            for c in range(C + 1):
+                top, last = max(1, 2 * c - 1), 4 * C - 2 * c - 1
+                want = []
+                for r in range(top, last + 1):
+                    k = min(C, (r + 1) // 2)
+                    while len(want) < min(r, min(width, k) + k - c):
+                        want.append(r)
+                assert _cone_starts(C, width, c) == (want, last), (C, width, c)
 
 
 def test_reduction_generic_over_symbolic_field():
