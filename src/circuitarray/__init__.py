@@ -11,19 +11,16 @@ rational functions).
 """
 
 from .circuit_array import (CircuitArray, Provenance, array_position,
-                            build_array, build_array_direct, build_column,
-                            closed_form_row, diagonal_sequence,
-                            entry_position, row_recursion,
+                            build_array, build_array_direct, closed_form_row,
+                            diagonal_sequence, entry_position, row_recursion,
                             verify_closed_forms, verify_composition_spotchecks,
                             verify_row01_recurrences, verify_row_recursions,
                             verify_uniform_center)
-from .fields import (RATIONALS, FieldContract, Rational, as_fraction,
-                     fast_rationals, format_rational, parse_rational,
-                     rational_arith)
-from .graphs import (FibPair, WeightedGraph, delta_to_wye,
-                     effective_resistance, fib_pair, fibonacci,
-                     graph_level_reduce, graph_transform, grid_to_graph,
-                     lucas, r_formula_straight, series, straight_2tree,
+from .fields import (RATIONALS, FieldContract, as_fraction, fast_rationals,
+                     format_rational, parse_rational)
+from .graphs import (WeightedGraph, delta_to_wye, effective_resistance,
+                     fibonacci, graph_level_reduce, grid_to_graph, lucas,
+                     r_formula_straight, series, straight_2tree,
                      verify_2tree_formula, verify_fib_identities, wye_to_delta)
 from .grid import (EdgeRef, Grid, GridError, all_one_grid, corner_distances,
                    determining_edges, determining_triangles, edge_orbit,
@@ -31,9 +28,8 @@ from .grid import (EdgeRef, Grid, GridError, all_one_grid, corner_distances,
                    rotate_edge, symmetry_complete)
 from .polynomial import Polynomial
 from .ratfunc import RATFUNCS, RationalFunction, parse_ratfunc
-from .reduction import (TransformKind, child_edge, delta, reduce_k,
-                        reduce_once, reduce_window, series_merge,
-                        transform_kind, triangle_legs, wye)
+from .reduction import (child_edge, delta, reduce_k, reduce_once,
+                        reduce_window, series_merge, triangle_legs, wye)
 from .reports import Check, Report
 from .sequences import (AsymptoticRow, NumeratorSequence, asymptotics_table,
                         bareiss_determinant, cofactor_determinant,

@@ -11,8 +11,8 @@ for i = 0..2(j-1).  Any start grid of size 4j or more places the read row
 deep enough that every entry is independent of the start size (grow the
 grid and the entries do not change; tests audit this).  ``build_array(C)``
 therefore reads all C columns from one reduction chain on the all-one
-4C-grid, column j after j steps; ``build_column(j, n)`` reduces an n-grid
-for one column alone and is the per-column reference.
+4C-grid, column j after j steps; ``build_array_direct(C)`` rebuilds them
+from full grid reductions and is the slow reference.
 
 Row 0 is 1 - 3/9^j, row 1 is 1 + (2/3)/(9^(j-1) - 1), and row 2 also has a
 closed form; beyond that the array is best described recursively: each row
@@ -30,8 +30,9 @@ from fractions import Fraction
 
 from .fields import as_fraction, format_rational
 from .grid import all_one_grid
-from .reduction import (delta, reduce_array, reduce_diagonal, reduce_k,
-                        reduce_window, wye)
+# perfbench/tracing.py wraps reduce_window at this lookup site; keep the import.
+from .reduction import (delta, reduce_array, reduce_diagonal,  # noqa: F401
+                        reduce_k, reduce_window, wye)
 from .reports import Report
 
 
@@ -135,13 +136,6 @@ def _read_column(j: int, triples: dict, n: int) -> tuple[list[Fraction], list[Pr
     return entries, prov
 
 
-def build_column(j: int, n: int | None = None) -> tuple[list[Fraction], list[Provenance]]:
-    """Entries of column j read from the j-times-reduced all-one n-grid."""
-    if n is None:
-        n = default_column_grid_size(j)
-    return _read_column(j, reduce_window(j, n, j), n)
-
-
 def build_array(C: int) -> CircuitArray:
     """Build columns 1..C from one reduction chain (``reduce_array``).
 
@@ -159,11 +153,11 @@ def build_array(C: int) -> CircuitArray:
     return arr
 
 
-def build_array_direct(C: int, n_for=default_column_grid_size) -> CircuitArray:
+def build_array_direct(C: int) -> CircuitArray:
     """Like build_array but via full grid reductions (slow reference path)."""
     columns, provenance = [], []
     for j in range(1, C + 1):
-        n = n_for(j)
+        n = default_column_grid_size(j)
         g = reduce_k(all_one_grid(n), j)
         col, prov = [], []
         for i in range(2 * j - 1):
@@ -181,8 +175,8 @@ def diagonal_sequence(S: int) -> list[Fraction]:
     """L_1..L_S, the bottom entries of columns 1..S (strictly decreasing).
 
     All S values come from one reduction chain on the all-one 4S-grid
-    (see ``reduce_diagonal``); each equals the bottom entry that
-    ``build_column(s)`` reads from its own 4s-grid.
+    (see ``reduce_diagonal``); each equals the bottom entry of column s of
+    the s-times-reduced all-one 4s-grid, ``reduce_window(s, 4*s, 1)``.
     """
     if S < 1:
         raise ArrayError(f"need S >= 1, got {S}")

@@ -119,14 +119,21 @@ def _uniform_center_all(smax: int) -> Report:
 # -- reduce ----------------------------------------------------------------------
 
 def cmd_reduce(args) -> int:
-    if args.field == "rational":
-        if args.boundary is None:
-            g = all_one_grid(args.n)
-        else:
-            g = _boundary_grid(args.n, parse_rational(args.boundary))
-    else:
-        boundary = parse_ratfunc(args.boundary or "1 - 3/x")
+    text = args.boundary
+    if text is None and args.field == "symbolic":
+        text = "1 - 3/x"
+    parse = parse_rational if args.field == "rational" else parse_ratfunc
+    try:
+        boundary = None if text is None else parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        print(f"error: bad --boundary {text!r}: {exc}", file=sys.stderr)
+        return 2
+    if args.field == "symbolic":
         g = sequences.symbolic_start_grid(args.n, boundary)
+    elif boundary is None:
+        g = all_one_grid(args.n)
+    else:
+        g = _boundary_grid(args.n, boundary)
     g = reduce_k(g, args.steps)
     if args.dump_json:
         _write(g.to_json(), args.dump_json)

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
-Rational = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational from a string like ``"26/27"`` or ``"2"``."""
@@ -56,7 +54,6 @@ class FieldContract:
     name: str
     zero: Any
     one: Any
-    from_int: Callable[[int], Any]
     parse: Callable[[str], Any]
     format: Callable[[Any], str]
     ordered: bool = True
@@ -66,7 +63,6 @@ RATIONALS = FieldContract(
     name="rational",
     zero=Fraction(0),
     one=Fraction(1),
-    from_int=Fraction,
     parse=parse_rational,
     format=format_rational,
 )
@@ -86,27 +82,7 @@ def fast_rationals() -> FieldContract:
         name="rational",
         zero=mpq(0),
         one=mpq(1),
-        from_int=mpq,
         parse=lambda s: mpq(Fraction(s.strip())),
         format=format_rational,
     )
 
-
-def rational_arith(a: Fraction, b: Fraction, kind: str) -> Fraction:
-    """Named-operation arithmetic on exact rationals.
-
-    ``kind`` is one of ``add``, ``sub``, ``mul``, ``div``; division by zero
-    raises ZeroDivisionError.  Results are always in canonical reduced form
-    (Fraction maintains gcd(|p|, q) = 1 and q > 0 by construction).
-    """
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        if b == 0:
-            raise ZeroDivisionError("rational division by zero")
-        return a / b
-    raise ValueError(f"unknown arithmetic kind {kind!r}")

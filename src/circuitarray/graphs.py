@@ -18,7 +18,6 @@ identities that arise from such circuits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import RATIONALS
@@ -347,17 +346,6 @@ def _series(g: WeightedGraph, through) -> None:
     g.add_edge(x, y, r)
 
 
-def graph_transform(g: WeightedGraph, kind: str, site) -> WeightedGraph:
-    """Dispatch by name: 'delta_to_wye', 'wye_to_delta' or 'series'."""
-    if kind == "delta_to_wye":
-        return delta_to_wye(g, site)
-    if kind == "wye_to_delta":
-        return wye_to_delta(g, site)
-    if kind == "series":
-        return series(g, site)
-    raise GraphError(f"unknown transform kind {kind!r}")
-
-
 # -- grid <-> graph ----------------------------------------------------------
 
 def grid_to_graph(grid: Grid) -> WeightedGraph:
@@ -445,19 +433,6 @@ def fibonacci(n: int) -> int:
 def lucas(n: int) -> int:
     """Lucas number with L(1) = 1, L(2) = 3; L(-n) = (-1)^n L(n)."""
     return fibonacci(n - 1) + fibonacci(n + 1)
-
-
-@dataclass(frozen=True)
-class FibPair:
-    """Fibonacci and Lucas values at one (possibly negative) index."""
-
-    index: int
-    F: int
-    L: int
-
-
-def fib_pair(n: int) -> FibPair:
-    return FibPair(n, fibonacci(n), lucas(n))
 
 
 def straight_2tree(n: int) -> WeightedGraph:

@@ -273,20 +273,6 @@ def parse_ratfunc(text: str) -> RationalFunction:
     return _Parser(_tokenize(text)).parse()
 
 
-def ratfunc_arith(a: RationalFunction, b: RationalFunction,
-                  kind: str) -> RationalFunction:
-    """Named-operation arithmetic; results are always canonical."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
 def ratfunc_field():
     """FieldContract for rational functions (imported lazily to avoid cycles)."""
     from .fields import FieldContract
@@ -294,7 +280,6 @@ def ratfunc_field():
         name="symbolic",
         zero=RationalFunction(_ZERO),
         one=RationalFunction(_ONE),
-        from_int=RationalFunction.from_int,
         parse=parse_ratfunc,
         format=str,
         ordered=False,

@@ -22,44 +22,29 @@ functions.
 ``reduce_array`` (all array columns) and ``reduce_diagonal`` (the leftmost
 diagonal) run one reduction chain from one all-one start grid, reading
 column j after j steps; they differ only in how many diagonals each column
-reads.  ``reduce_window`` reduces for one column alone and is the per-column
-reference.  All three compute exactly the same labels as repeated
-``reduce_once`` but restrict work to the triangles that can influence the
-requested reads, and memoize star legs and wye results on label values.
-The chain stores each diagonal of its cone as runs of equal label triples
-along the rows and reduces it run by run (``_band_step``), so a step costs
-per run instead of per triangle; ``reduce_window`` runs the dense
-per-triangle step (``_reduce_step``) that the chain is tested against.
-``reduce_once`` keeps its own loop and, through ``reduce_k``, serves as the
-oracle for both.  The memos are keyed on each label's ``numerator`` and
-``denominator``: integers for exact rationals, hashable polynomials for
-rational functions, so the chain runs over both fields.  ``_reduce_chain``
-can also start one step in, from the once-reduced all-one grid with its
-boundary relabelled; the symbolic diagonal L_s(x) is read that way.
+reads.  ``reduce_window`` is the one-column read of an all-one n-grid of
+any admissible size, including sizes whose cone reaches the bottom row.
+All three compute exactly the same labels as repeated ``reduce_once`` but
+restrict work to the triangles that can influence the requested reads, and
+memoize star legs and wye results on label values.  They store each
+diagonal of their cone as runs of equal label triples along the rows and
+share one step function, ``_band_step``, which reduces run by run, so a
+step costs per run instead of per triangle.  ``reduce_once`` keeps its own
+loop and, through ``reduce_k``, serves as the oracle for the step.  The
+memos are keyed on each label's ``numerator`` and ``denominator``: integers
+for exact rationals, hashable polynomials for rational functions, so the
+chain runs over both fields.  ``_reduce_chain`` can also start one step in,
+from the once-reduced all-one grid with its boundary relabelled; the
+symbolic diagonal L_s(x) is read that way.
 """
 
 from __future__ import annotations
 
-import enum
 from bisect import bisect_right
 
 from .fields import FieldContract, fast_rationals
 from .grid import (SIDES, EdgeRef, Grid, GridError, determining_triangles,
                    symmetry_complete)
-
-
-class TransformKind(enum.Enum):
-    """The four child-edge transformation shapes.
-
-    Boundary edges on the right side and bottom row use BOUNDARY_LEFT
-    composed with the grid's rotational symmetry (same formula, rotated
-    arguments), so four kinds cover every child edge.
-    """
-
-    BOUNDARY_LEFT = "boundary-left"
-    NONBOUNDARY_LEFT = "left"
-    NONBOUNDARY_RIGHT = "right"
-    BASE = "base"
 
 
 def delta(x, y, z):
@@ -88,14 +73,6 @@ def triangle_legs(L, R, B):
     if s == 0:
         raise ZeroDivisionError("delta-wye with zero edge sum")
     return (L * R / s, B * L / s, R * B / s)
-
-
-def transform_kind(r: int, d: int, side: str, m_child: int) -> TransformKind:
-    if side == "L":
-        return TransformKind.BOUNDARY_LEFT if d == 1 else TransformKind.NONBOUNDARY_LEFT
-    if side == "R":
-        return TransformKind.BOUNDARY_LEFT if d == r else TransformKind.NONBOUNDARY_RIGHT
-    return TransformKind.BOUNDARY_LEFT if r == m_child else TransformKind.BASE
 
 
 def child_edge(parent: Grid, r: int, d: int, side: str):
@@ -213,16 +190,12 @@ def reduce_window(j: int, n: int, read_dmax: int,
 
     Computes exactly the labels that repeated ``reduce_once`` would produce,
     restricted to the dependency cone of the read row: reading diagonals
-    1..read_dmax of row 2j-1 after j reductions only requires, k steps
-    before the end, triangles within 2k rows below the read row and k
-    diagonals beyond it.  Within the cone, star legs and wye results are
-    memoized by label value, which collapses the uniform interior bands of
-    reduced grids to near-constant work.
-
-    This is the per-column reference: it runs the dense step
-    (``_reduce_step``), one entry per cone triangle, with no run-length
-    bookkeeping, and the band chain behind ``reduce_array`` and
-    ``reduce_diagonal`` is tested against its reads.
+    1..read_dmax of row 2j-1 after j reductions only requires, after k
+    steps, diagonal d <= read_dmax + j - k from row max(2j-1, d) to row
+    min(2j-1 + 2(j-k), n-k).  Each diagonal of that band is stored as runs
+    of equal triples and reduced by the chain's step (``_band_step``), so
+    the uniform interior of reduced grids costs one run, not one entry per
+    triangle.  With n < 4j-1 the cone reaches the bottom row of the grid.
 
     Returns {d: (L, R, B)} for d = 1..read_dmax.  ``field`` is an exact
     rational field and defaults to the fastest available backend.
@@ -240,15 +213,16 @@ def reduce_window(j: int, n: int, read_dmax: int,
 
     def cone(k):
         t = j - k
-        return [(r, min(r, read_dmax + t))
-                for r in range(lo, min(lo + 2 * t, n - k) + 1)]
+        return ([max(lo, d) for d in range(1, read_dmax + t + 1)],
+                min(lo + 2 * t, n - k))
 
-    labels = _all_one(cone(0), field)
+    one = field.one
+    band = [([a], [(one, one, one)]) for a in cone(0)[0]]
     leg_memo: dict = {}
     wye_memo: dict = {}
     for k in range(j):
-        labels = _reduce_step(labels, n - k, cone(k + 1), leg_memo, wye_memo)
-    return {d: labels[(lo, d)] for d in range(1, read_dmax + 1)}
+        band = _band_step(band, n - k, *cone(k + 1), leg_memo, wye_memo)
+    return {d: _run_at(band[d - 1], lo) for d in range(1, read_dmax + 1)}
 
 
 def reduce_array(C: int, field: FieldContract | None = None) -> list[dict]:
@@ -293,15 +267,14 @@ def _reduce_chain(C: int, width: int, field, boundary=None) -> list[dict]:
     triples along r and reduces it run by run (``_band_step``), so a step
     costs per run, not per triangle: deep in the chain almost every
     diagonal is one run.  Runs are found by comparing values, not assumed,
-    so the labels are exactly those of the dense per-triangle step that
-    ``reduce_window`` runs, which serves as the per-column reference.
+    so the labels are exactly those of repeated ``reduce_once``.
 
     With ``boundary`` given, the chain starts after step 1, from the
     once-reduced all-one grid (2/3 on its boundary, 1 inside) with each
     boundary label replaced by ``boundary``.  Its bottom row lies below
     the cone, so only left labels at d = 1 and right labels at d = r are
     relabelled.  ``field`` is any field whose labels expose hashable
-    ``numerator`` and ``denominator`` (see ``_reduce_step``).
+    ``numerator`` and ``denominator`` (see ``_band_step``).
     """
     if C < 1:
         raise GridError(f"need at least one column, got {C}")
@@ -372,19 +345,25 @@ def _run_at(runs, r):
 
 def _band_step(band: list, m: int, starts: list, last: int, leg_memo: dict,
                wye_memo: dict) -> list:
-    """``_reduce_step`` on diagonals stored as runs of equal triples.
+    """Child cone of one reduction of an m-grid, diagonals stored as runs.
 
     ``band[d-1]`` is (rows, triples): parent diagonal d holds triples[i]
     from row rows[i] up to the next run's start, the last run up to the
     parent cone's last row.  The child cone's diagonal d runs from row
     ``starts[d-1]`` to row ``last``.  Child (r, d) reads parent diagonals
-    d-1 at row r, d at rows r..r+1 and d+1 at rows r..r+2, and its formula
-    changes only at r = d and r = m-1; so between two cut rows, the run
-    starts of those sources shifted up by their row offset and the two
-    special rows, every child triple is the same.  Each such segment is
-    evaluated once, star legs once per parent run, both through the same
-    value-keyed memos as ``_reduce_step``, and equal neighbouring results
-    are merged by their (numerator, denominator) keys.
+    d-1 at row r, d at rows r..r+1 and d+1 at rows r..r+2 by the formulas
+    of ``child_edge``, which change only at r = d and r = m-1; so between
+    two cut rows, the run starts of those sources shifted up by their row
+    offset and the two special rows, every child triple is the same.  Each
+    such segment is evaluated once, star legs once per parent run, and
+    equal neighbouring results are merged.
+
+    ``leg_memo`` and ``wye_memo`` persist across the steps of one chain.
+    They, and the merge, are keyed on each label's (numerator, denominator)
+    pair: integers for exact rationals, which hash far faster than the
+    scalars themselves (``Fraction.__hash__`` computes a modular inverse),
+    and canonical polynomials for rational functions, which compare
+    structurally.
     """
     legs = [(rows, [_star_legs(t, leg_memo) for t in triples])
             for rows, triples in band]
@@ -411,45 +390,6 @@ def _band_step(band: list, m: int, starts: list, last: int, leg_memo: dict,
                 triples.append((Lv, Rv, Bv))
                 prev = key
         child.append((rows, triples))
-    return child
-
-
-def _all_one(rows, field) -> dict:
-    one = field.one
-    return {(r, d): (one, one, one) for r, dmax in rows
-            for d in range(1, dmax + 1)}
-
-
-def _reduce_step(labels: dict, m: int, rows: list, leg_memo: dict,
-                 wye_memo: dict) -> dict:
-    """Child triples of one reduction of an m-grid, on a cone of triangles.
-
-    ``rows`` lists (r, dmax) pairs: the child triangles (r, 1..dmax) to
-    compute.  ``labels`` maps parent (r, d) to (L, R, B) and must hold every
-    parent triangle those children read: (r, d-1..d+1), (r+1, d..d+1) and
-    (r+2, d+1); it is consumed (its values are overwritten).  The formulas
-    are those of ``child_edge``.
-
-    ``leg_memo`` and ``wye_memo`` persist across the steps of one chain.
-    They are keyed on each label's (numerator, denominator) pair: integers
-    for exact rationals, which hash far faster than the scalars themselves
-    (``Fraction.__hash__`` computes a modular inverse), and canonical
-    polynomials for rational functions, which compare structurally.
-    """
-    # Each parent triple is read only here, so its slot takes the triangle's
-    # star legs: a second dict of the cone's size would raise the chain's
-    # peak memory by about a third.
-    for pos, triple in labels.items():
-        labels[pos] = _star_legs(triple, leg_memo)
-
-    def leg(r, d):
-        return labels[r, d]
-
-    wye3 = _memo_wye(wye_memo)
-    child = {}
-    for r, dmax in rows:
-        for d in range(1, dmax + 1):
-            child[(r, d)] = _child_triple(leg, wye3, r, d, m)
     return child
 
 

@@ -5,9 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from circuitarray.circuit_array import (ArrayError, array_position,
-                                        build_array, build_array_direct,
-                                        build_column, closed_form_row,
+from circuitarray.circuit_array import (ArrayError, Provenance,
+                                        array_position, build_array,
+                                        build_array_direct, closed_form_row,
                                         diagonal_sequence, entry_position,
                                         row_recursion, verify_closed_forms,
                                         verify_composition_spotchecks,
@@ -15,9 +15,9 @@ from circuitarray.circuit_array import (ArrayError, array_position,
                                         verify_row_recursions,
                                         verify_uniform_center)
 from circuitarray.fields import RATIONALS
-from circuitarray.grid import GridError
+from circuitarray.grid import GridError, all_one_grid
 from circuitarray.reduction import (delta, reduce_array, reduce_diagonal,
-                                    reduce_window, wye)
+                                    reduce_once, reduce_window, wye)
 
 # frozen expected values: columns 1..6, rows 0..2(j-1)
 EXPECTED_COLUMNS = {
@@ -84,8 +84,8 @@ def test_windowed_build_matches_direct_reductions():
 
 def test_columns_independent_of_start_size():
     for j in range(1, 6):
-        base, _ = build_column(j, 4 * j)
-        bigger, _ = build_column(j, 4 * j + 2)
+        base = reduce_window(j, 4 * j, j, field=RATIONALS)
+        bigger = reduce_window(j, 4 * j + 2, j, field=RATIONALS)
         assert base == bigger, f"column {j} changed with start size"
 
 
@@ -191,19 +191,25 @@ def test_diagonal_chain_matches_window_reads_and_oracle():
 
 
 def test_array_chain_matches_window_reads_and_oracle():
-    chain = reduce_array(12, field=RATIONALS)
-    assert len(chain) == 12
+    chain = reduce_array(20, field=RATIONALS)
+    assert len(chain) == 20
     for j in range(1, 13):
         assert chain[j - 1] == reduce_window(j, 4 * j, j, field=RATIONALS), j
-    for j, col in enumerate(build_array_direct(6).columns, start=1):
-        for i, want in enumerate(col):
+    # one reduce_once pass over the all-one 80-grid holds every column
+    # j <= 20 at full width: row 2j-1 after j reductions
+    arr = build_array(20)
+    g = all_one_grid(80)
+    for j in range(1, 21):
+        g = reduce_once(g)
+        row = 2 * j - 1
+        assert chain[j - 1] == {d: g.triangle(row, d)
+                                for d in range(1, j + 1)}, j
+        for i, value in enumerate(arr.column(j)):
             d, side = entry_position(i, j)
-            assert chain[j - 1][d][0 if side == "L" else 1] == want, (i, j)
-    arr = build_array(12)
-    columns = [build_column(j) for j in range(1, 13)]
-    assert arr.columns == [entries for entries, _ in columns]
-    assert arr.provenance == [prov for _, prov in columns]
-    assert [t[1][0] for t in chain] == reduce_diagonal(12, field=RATIONALS)
+            assert value == g.label(row, d, side), (i, j)
+            assert arr.provenance[j - 1][i] == Provenance(4 * j, j, row, d,
+                                                          side)
+    assert [t[1][0] for t in chain] == reduce_diagonal(20, field=RATIONALS)
     with pytest.raises(GridError):
         reduce_array(0)
     with pytest.raises(ArrayError):

@@ -183,6 +183,21 @@ def test_malformed_graph_json_is_a_usage_error(tmp_path, capsys, text, field):
     assert field in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "5", "--steps", "2", "--boundary", "1/0"],
+    ["--n", "5", "--steps", "2", "--boundary", "abc"],
+    ["--n", "5", "--steps", "2", "--field", "symbolic", "--boundary", "1/0"],
+    ["--n", "27", "--steps", "2", "--field", "symbolic", "--boundary",
+     "3/(x-x)"],
+])
+def test_bad_boundary_is_a_usage_error(capsys, argv):
+    code = main(["reduce"] + argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_runtime_error_exit_1(capsys):
     code = main(["resistance", "--graph", "/nonexistent.json",
                  "--u", "0", "--v", "1"])

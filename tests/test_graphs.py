@@ -7,10 +7,9 @@ from itertools import combinations
 
 import pytest
 
-from circuitarray.graphs import (FibPair, GraphError, WeightedGraph,
-                                 delta_to_wye, effective_resistance, fib_pair,
-                                 fibonacci, graph_level_reduce,
-                                 graph_transform, grid_to_graph, lucas,
+from circuitarray.graphs import (GraphError, WeightedGraph, delta_to_wye,
+                                 effective_resistance, fibonacci,
+                                 graph_level_reduce, grid_to_graph, lucas,
                                  r_formula_straight, series, straight_2tree,
                                  verify_2tree_formula, verify_fib_identities,
                                  wye_to_delta)
@@ -66,10 +65,8 @@ def test_series_example():
     g.add_edge(1, 2, F(1))
     h = series(g, 1)
     assert h.resistance_of(0, 2) == F(2)
-    with pytest.raises(GraphError):
-        graph_transform(g, "series", 0)
-    with pytest.raises(GraphError):
-        graph_transform(g, "frobnicate", 0)
+    with pytest.raises(GraphError, match="degree 2"):
+        series(g, 0)
 
 
 def test_public_transforms_leave_their_input_unchanged():
@@ -157,8 +154,7 @@ def test_fibonacci_and_lucas():
     assert [fibonacci(n) for n in range(8)] == [0, 1, 1, 2, 3, 5, 8, 13]
     assert fibonacci(-1) == 1 and fibonacci(-2) == -1 and fibonacci(-3) == 2
     assert [lucas(n) for n in range(1, 6)] == [1, 3, 4, 7, 11]
-    p = fib_pair(6)
-    assert p == FibPair(6, 8, 18)
+    assert (fibonacci(6), lucas(6)) == (8, 18)
     assert fibonacci(7) == fibonacci(6) + fibonacci(5)
     assert lucas(7) == lucas(6) + lucas(5)
 

@@ -33,6 +33,11 @@ def seq14(diag14):
     return nprime_sequence(14, diag14)
 
 
+@pytest.fixture(scope="module")
+def diag80():
+    return diagonal_sequence(80)
+
+
 def test_nprime_values(seq14):
     assert seq14.nprime(2) == 1          # 1/2 * 2^1
     assert seq14.nprime(3) == 13         # 13/32 * 2^5
@@ -85,15 +90,24 @@ def test_bareiss_handles_zero_pivots():
     assert bareiss_determinant([[1, 2], [2, 4]]) == 0
 
 
-def test_determinant_conjecture(seq14):
+def test_determinant_conjecture(seq14, diag80):
     rep = verify_determinant_conjecture(4, seq14)
     assert rep.passed, rep.render(True)
     assert any("not 9^T(1)" in n for n in rep.notes)
     # past the k <= 6 of the acceptance suite: k = 2..40 from s <= 80
-    rep = verify_determinant_conjecture(
-        40, nprime_sequence(80, diagonal_sequence(80)))
+    rep = verify_determinant_conjecture(40, nprime_sequence(80, diag80))
     assert rep.passed, rep.render(True)
     assert len(rep.checks) == 39
+
+
+def test_diagonal_recurrence_conjecture(diag80):
+    # Conjectured order-2 recurrence of the leftmost diagonal, checked to
+    # s = 80 by arithmetic that shares no code with the reduction chain:
+    # 8(n+1) L_{n+2} = (10n+3) L_{n+1} - 2(n-1) L_n.
+    L = [None] + diag80
+    for n in range(1, 79):
+        assert 8 * (n + 1) * L[n + 2] == \
+            (10 * n + 3) * L[n + 1] - 2 * (n - 1) * L[n], n
 
 
 def test_lhrcc_exclusion(seq14):
