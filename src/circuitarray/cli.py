@@ -20,10 +20,14 @@ from fractions import Fraction
 from . import circuit_array as ca
 from . import graphs, properties, sequences
 from .fields import format_rational, parse_rational
-from .grid import Grid, all_one_grid
+from .grid import Grid, GridError, all_one_grid
 from .ratfunc import parse_ratfunc
 from .reduction import reduce_k
 from .reports import Report
+
+
+class UsageError(Exception):
+    """Bad arguments or input; ``main`` prints it and exits 2."""
 
 
 def _write(text: str, path: str | None) -> None:
@@ -87,6 +91,8 @@ def _render_array(arr: ca.CircuitArray, fmt: str) -> str:
 
 def cmd_array(args) -> int:
     if args.action == "build":
+        if args.cols < 1:
+            raise UsageError(f"--cols must be >= 1, got {args.cols}")
         arr = ca.build_array(args.cols)
         _write(_render_array(arr, args.format), args.out)
         return 0
@@ -119,6 +125,11 @@ def _uniform_center_all(smax: int) -> Report:
 # -- reduce ----------------------------------------------------------------------
 
 def cmd_reduce(args) -> int:
+    if args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
+    if not 0 <= args.steps < args.n:
+        raise UsageError(f"--steps must be in 0..n-1 = 0..{args.n - 1}, "
+                         f"got {args.steps}")
     text = args.boundary
     if text is None and args.field == "symbolic":
         text = "1 - 3/x"
@@ -126,15 +137,18 @@ def cmd_reduce(args) -> int:
     try:
         boundary = None if text is None else parse(text)
     except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: bad --boundary {text!r}: {exc}", file=sys.stderr)
-        return 2
-    if args.field == "symbolic":
-        g = sequences.symbolic_start_grid(args.n, boundary)
-    elif boundary is None:
-        g = all_one_grid(args.n)
-    else:
-        g = _boundary_grid(args.n, boundary)
-    g = reduce_k(g, args.steps)
+        raise UsageError(f"bad --boundary {text!r}: {exc}") from None
+    try:
+        if args.field == "symbolic":
+            g = sequences.symbolic_start_grid(args.n, boundary)
+        elif boundary is None:
+            g = all_one_grid(args.n)
+        else:
+            g = _boundary_grid(args.n, boundary)
+        g = reduce_k(g, args.steps)
+    except GridError as exc:
+        # a boundary with a non-positive label or a zero edge sum
+        raise UsageError(f"bad --boundary {text!r}: {exc}") from None
     if args.dump_json:
         _write(g.to_json(), args.dump_json)
     print(f"reduced to m={g.m} (reductions={g.reductions}, "
@@ -158,6 +172,8 @@ def _boundary_grid(n: int, boundary: Fraction) -> Grid:
 # -- diag / hankel / symbolic / asymptotics --------------------------------------
 
 def cmd_diag(args) -> int:
+    if args.max_s < 1:
+        raise UsageError(f"--max-s must be >= 1, got {args.max_s}")
     diag = ca.diagonal_sequence(args.max_s)
     header = ["s", "L"]
     rows = []
@@ -171,6 +187,8 @@ def cmd_diag(args) -> int:
 
 
 def cmd_hankel(args) -> int:
+    if args.max_k < 2:
+        raise UsageError(f"--max-k must be >= 2, got {args.max_k}")
     diag = ca.diagonal_sequence(2 * (args.max_k + 1))
     seq = sequences.nprime_sequence(2 * args.max_k, diag)
     conjecture = sequences.verify_determinant_conjecture(args.max_k, seq)
@@ -180,7 +198,10 @@ def cmd_hankel(args) -> int:
 
 
 def cmd_symbolic(args) -> int:
-    sequences.check_reference_range(args.max_s)
+    try:
+        sequences.check_reference_range(args.max_s)
+    except sequences.SequenceError as exc:
+        raise UsageError(f"--max-s: {exc}") from None
     formulas = sequences.symbolic_diagonal(args.max_s)
     report = sequences.verify_symbolic_patterns(args.max_s, formulas=formulas)
     for s, f in enumerate(formulas, start=1):
@@ -206,8 +227,7 @@ def cmd_asymptotics(args) -> int:
     try:
         s_values = _parse_rows(args.rows)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
     rows = sequences.asymptotics_table(s_values)
     header = list(sequences.ASYMPTOTIC_COLUMNS)
     table = []
@@ -228,13 +248,14 @@ def cmd_resistance(args) -> int:
         g = graphs.WeightedGraph.from_json(text)
         r = graphs.effective_resistance(g, args.u, args.v)
     except graphs.GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
     print(format_rational(r))
     return 0
 
 
 def cmd_oracle(args) -> int:
+    if args.graphs < 1:
+        raise UsageError(f"--graphs must be >= 1, got {args.graphs}")
     suites = {
         "transforms": lambda: properties.transform_soundness_suite(
             seed=args.seed, graphs=args.graphs),
@@ -252,6 +273,8 @@ def cmd_oracle(args) -> int:
 # -- verify (aggregate) ------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    if args.max_k < 2:
+        raise UsageError(f"--max-k must be >= 2, got {args.max_k}")
     arr = ca.build_array(max(args.max_cols, args.max_k + 3, 5))
     smax = max(2 * args.max_k + 2, 20)
     diag = ca.diagonal_sequence(smax)
@@ -381,6 +404,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

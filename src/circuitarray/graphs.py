@@ -1,9 +1,11 @@
 """Weighted graphs, exact effective resistance, and graph-level reduction.
 
 This module is the package's independent ground truth.  Effective resistance
-is computed from first principles: inject a unit current at u, extract it at
-v, ground v, and solve the resulting conductance Laplacian system exactly
-over the rationals; the potential at u is the resistance r(u, v).
+is computed from first principles: ground the first vertex of a graph,
+factor its grounded conductance Laplacian exactly as L·D·Lᵀ over the
+rationals, and read r(u, v) = Σ y_k² / D_k off the solution of
+L y = e_u - e_v.  Each graph keeps its factor until it is mutated, so every
+pair of an unchanged graph is answered from one factorization.
 
 The three equivalent-circuit transformations (series, delta-wye, wye-delta)
 are implemented directly on graphs, and ``graph_level_reduce`` performs the
@@ -39,11 +41,14 @@ class WeightedGraph:
 
     def __init__(self):
         self._adj: dict = {}
+        # L·D·Lᵀ factor for effective_resistance; every mutator drops it
+        self._factor = None
 
     # -- construction ------------------------------------------------------
 
     def add_vertex(self, v) -> None:
         self._adj.setdefault(v, {})
+        self._factor = None
 
     def add_edge(self, u, v, resistance) -> None:
         if u == v:
@@ -51,23 +56,24 @@ class WeightedGraph:
         r = Fraction(resistance)
         if r <= 0:
             raise GraphError(f"resistance must be positive, got {r}")
-        self.add_vertex(u)
-        self.add_vertex(v)
-        existing = self._adj[u].get(v)
+        nbrs = self._adj.setdefault(u, {})
+        existing = nbrs.get(v)
         if existing is not None:
             # parallel edges combine by adding conductances
             r = existing * r / (existing + r)
-        self._adj[u][v] = r
-        self._adj[v][u] = r
+        nbrs[v] = r
+        self._adj.setdefault(v, {})[u] = r
+        self._factor = None
 
     def remove_edge(self, u, v) -> None:
         del self._adj[u][v]
         del self._adj[v][u]
+        self._factor = None
 
     def remove_vertex(self, v) -> None:
-        for w in list(self._adj[v]):
-            self.remove_edge(v, w)
-        del self._adj[v]
+        for w in self._adj.pop(v):
+            del self._adj[w][v]
+        self._factor = None
 
     def copy(self) -> "WeightedGraph":
         g = WeightedGraph()
@@ -197,60 +203,72 @@ class WeightedGraph:
 def effective_resistance(g: WeightedGraph, u, v) -> Fraction:
     """Exact effective resistance between two distinct vertices.
 
-    Grounds v, builds the conductance Laplacian on the remaining vertices,
-    and solves L x = e_u by Gaussian elimination over the rationals.
+    Uses the graph's L·D·Lᵀ factor (see ``_ldl``), built on the first query
+    and reused until the graph is mutated.  With b = e_u - e_v restricted to
+    the non-ground vertices, R = bᵀ(L D Lᵀ)⁻¹b, so forward substitution
+    L y = b gives R = Σ y_k² / D_k.
     """
     if u == v:
         raise GraphError("effective resistance needs two distinct vertices")
     if u not in g._adj or v not in g._adj:
         raise GraphError("both vertices must be in the graph")
+    if g._factor is None:
+        g._factor = _ldl(g)
+    index, columns, pivots = g._factor
+    y = [0] * len(pivots)
+    for w, sign in ((u, 1), (v, -1)):
+        if w in index:  # the ground vertex has no entry
+            y[index[w]] = sign
+    total = Fraction(0)
+    for k in range(min(index[w] for w in (u, v) if w in index), len(y)):
+        yk = y[k]
+        if yk:
+            for j, l in columns[k].items():
+                y[j] -= l * yk
+            total += yk * yk / pivots[k]
+    return total
+
+
+def _ldl(g: WeightedGraph) -> tuple:
+    """L·D·Lᵀ factor of the grounded conductance Laplacian of ``g``.
+
+    The first vertex of ``g`` is grounded; the others are numbered and
+    eliminated in insertion order, which keeps grid graphs (inserted row by
+    row) banded, so fill stays in the band.  The matrix is symmetric, so
+    each row holds only its entries at and right of the diagonal, and
+    elimination updates only that half of each Schur complement.  For a
+    connected graph with positive resistances the matrix is positive
+    definite, so no pivoting is needed and every pivot is positive.
+
+    Returns (index, columns, pivots): the vertex numbering, column k of L
+    below the diagonal as {j: L_jk}, and the diagonal of D.
+    """
     if not g.is_connected():
         raise GraphError("graph must be connected for resistance queries")
-
-    verts = [w for w in g.vertices if w != v]
-    index = {w: i for i, w in enumerate(verts)}
-    n = len(verts)
-    zero = Fraction(0)
-    lap = [[zero] * n for _ in range(n)]
-    for w in verts:
-        i = index[w]
-        total = zero
+    verts = list(g._adj)[1:]
+    index = {w: k for k, w in enumerate(verts)}
+    rows = []
+    for k, w in enumerate(verts):
+        row = {k: Fraction(0)}
         for x, r in g._adj[w].items():
             c = 1 / r
-            total += c
-            if x != v:
-                lap[i][index[x]] -= c
-        lap[i][i] = total
-    rhs = [zero] * n
-    rhs[index[u]] = Fraction(1)
-    return _solve_for(lap, rhs, index[u])
-
-
-def _solve_for(a, b, want: int) -> Fraction:
-    """Solve a x = b exactly (Gaussian elimination) and return x[want]."""
-    n = len(a)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise GraphError("singular system in resistance solve")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if factor:
-                row, prow = a[r], a[col]
-                for c in range(col, n):
-                    row[c] -= factor * prow[c]
-                b[r] -= factor * b[col]
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, n):
-            acc -= a[r][c] * x[c]
-        x[r] = acc / a[r][r]
-    return x[want]
+            row[k] += c
+            j = index.get(x)
+            if j is not None and j > k:
+                row[j] = -c
+        rows.append(row)
+    columns, pivots = [], []
+    for k, row in enumerate(rows):
+        d = row.pop(k)
+        col = {j: a / d for j, a in row.items()}
+        for j, l in col.items():
+            target = rows[j]
+            for i, a in row.items():
+                if i >= j:
+                    target[i] = target.get(i, 0) - l * a
+        columns.append(col)
+        pivots.append(d)
+    return index, columns, pivots
 
 
 # -- the three circuit transformations ---------------------------------------

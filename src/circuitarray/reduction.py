@@ -125,6 +125,8 @@ def _reduce_triangles(tri, m, out_triangles):
         if v is None:
             L, R, B = tri[(rr, dd)]
             s = L + R + B
+            if s == 0:
+                raise GridError(f"zero edge sum at triangle ({rr},{dd})")
             v = (L * R / s, B * L / s, R * B / s)
             legs[(rr, dd)] = v
         return v

@@ -156,6 +156,16 @@ def test_oracle_verify_transforms_seeded(capsys):
     assert code == 0
 
 
+def usage_error(capsys, argv):
+    """stderr of ``main(argv)``, which must exit 2 with one error line."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["array", "build"])  # missing --cols
@@ -175,11 +185,8 @@ def test_usage_error_exit_2():
 def test_malformed_graph_json_is_a_usage_error(tmp_path, capsys, text, field):
     path = tmp_path / "graph.json"
     path.write_text(text)
-    code = main(["resistance", "--graph", str(path), "--u", "0", "--v", "1"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "Traceback" not in err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    err = usage_error(capsys, ["resistance", "--graph", str(path),
+                               "--u", "0", "--v", "1"])
     assert field in err
 
 
@@ -191,11 +198,43 @@ def test_malformed_graph_json_is_a_usage_error(tmp_path, capsys, text, field):
      "3/(x-x)"],
 ])
 def test_bad_boundary_is_a_usage_error(capsys, argv):
-    code = main(["reduce"] + argv)
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "Traceback" not in err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    usage_error(capsys, ["reduce"] + argv)
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["reduce", "--n", "2", "--steps", "5"], "--steps"),
+    (["diag", "--max-s", "0"], "--max-s"),
+    (["hankel", "--max-k", "1"], "--max-k"),
+    (["symbolic", "--max-s", "8"], "--max-s"),
+    (["array", "build", "--cols", "0"], "--cols"),
+    (["verify", "--max-k", "1"], "--max-k"),
+    (["oracle", "verify", "--graphs", "0"], "--graphs"),
+    (["reduce", "--n", "6", "--steps", "1", "--boundary=-2"],
+     "triangle (1,1)"),
+    (["reduce", "--n", "6", "--steps", "1", "--field", "symbolic",
+      "--boundary=-2"], "triangle (2,1)"),
+])
+def test_bad_argument_is_a_usage_error(capsys, argv, needle):
+    assert needle in usage_error(capsys, argv)
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import circuitarray
+    src = str(Path(circuitarray.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "circuitarray", "diag",
+                           "--max-s", "3"], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.strip().splitlines()[2:]
+    assert [row.split("|")[1].strip() for row in rows] == ["1", "2", "3"]
 
 
 def test_runtime_error_exit_1(capsys):

@@ -3,7 +3,7 @@
 
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -14,7 +14,7 @@ from circuitarray.graphs import (GraphError, WeightedGraph, delta_to_wye,
                                  verify_2tree_formula, verify_fib_identities,
                                  wye_to_delta)
 from circuitarray.grid import all_one_grid
-from circuitarray.properties import random_grid
+from circuitarray.properties import random_connected_graph, random_grid
 from circuitarray.reduction import reduce_once
 
 
@@ -32,6 +32,86 @@ def test_effective_resistance_examples():
         paw.add_edge(u, v, F(1))
     assert effective_resistance(paw, "A", "D") == F(5, 3)
     assert effective_resistance(straight_2tree(4), 1, 2) == F(5, 8)
+
+
+def dense_resistance(g, u, v):
+    """Reference solve: ground v, solve the dense Laplacian system L x = e_u
+    by Gauss-Jordan elimination, and return the potential x_u."""
+    verts = [w for w in g.vertices if w != v]
+    index = {w: i for i, w in enumerate(verts)}
+    n = len(verts)
+    a = [[F(0)] * n + [F(w == u)] for w in verts]
+    for w in verts:
+        for x in g.neighbors(w):
+            c = 1 / g.resistance_of(w, x)
+            a[index[w]][index[w]] += c
+            if x != v:
+                a[index[w]][index[x]] -= c
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if a[r][col])
+        a[col], a[pivot] = a[pivot], a[col]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col] / a[col][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    i = index[u]
+    return a[i][n] / a[i][i]
+
+
+def relabeled(g, names):
+    h = WeightedGraph()
+    for v in g.vertices:
+        h.add_vertex(names[v])
+    for u, v, r in g.edges():
+        h.add_edge(names[u], names[v], r)
+    return h
+
+
+def test_factored_resistance_matches_dense_solve():
+    rng = random.Random(11)
+    mixed = [0, (1, 2), "a", 3, ("b", 4), "c", 5, (6,), "d", 7]
+    for _ in range(10):
+        g = random_connected_graph(rng, 8)
+        for h in (g, relabeled(g, {v: mixed[v] for v in g.vertices})):
+            # every ordered pair, including those with the ground h.vertices[0]
+            for u, v in permutations(h.vertices, 2):
+                assert effective_resistance(h, u, v) == dense_resistance(h, u, v)
+
+
+def test_factor_follows_every_mutation():
+    def check(g):
+        fresh = relabeled(g, {v: v for v in g.vertices})
+        for u, v in combinations(g.vertices, 2):
+            assert effective_resistance(g, u, v) == \
+                effective_resistance(fresh, u, v)
+
+    g = WeightedGraph()
+    for u, v, r in ((0, 1, F(1)), (1, 2, F(2)), (2, 3, F(1, 3)),
+                    (3, 0, F(3, 2)), (0, 2, F(5, 4)), (3, 4, F(2, 7))):
+        g.add_edge(u, v, r)
+    check(g)
+    g.add_edge(0, 1, F(2))          # parallel: conductances add
+    check(g)
+    g.remove_edge(0, 2)
+    check(g)
+    g.add_vertex(5)
+    with pytest.raises(GraphError, match="connected"):
+        effective_resistance(g, 0, 1)
+    g.add_edge(5, 4, F(3))
+    check(g)
+    g.remove_vertex(1)
+    check(g)
+    g.add_vertex(6)
+    with pytest.raises(GraphError, match="connected"):
+        effective_resistance(g, 0, 2)
+    g.remove_vertex(6)              # isolated: no remove_edge on the way
+    check(g)
+    g.remove_vertex(0)              # the ground vertex itself
+    check(g)
+    g.remove_edge(4, 5)
+    with pytest.raises(GraphError, match="connected"):
+        effective_resistance(g, 2, 3)
+    assert g.copy()._factor is None
 
 
 def test_resistance_query_errors():
