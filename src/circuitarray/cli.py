@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import circuit_array as ca
 from . import graphs, properties, sequences
-from .fields import format_rational, parse_rational
-from .grid import Grid, GridError, all_one_grid
-from .ratfunc import parse_ratfunc
+from .fields import RATIONALS, format_rational
+from .grid import GridError, all_one_grid
+from .ratfunc import RATFUNCS
 from .reduction import reduce_k
 from .reports import Report
 
@@ -133,18 +132,16 @@ def cmd_reduce(args) -> int:
     text = args.boundary
     if text is None and args.field == "symbolic":
         text = "1 - 3/x"
-    parse = parse_rational if args.field == "rational" else parse_ratfunc
+    field = RATIONALS if args.field == "rational" else RATFUNCS
     try:
-        boundary = None if text is None else parse(text)
+        boundary = None if text is None else field.parse(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --boundary {text!r}: {exc}") from None
     try:
-        if args.field == "symbolic":
-            g = sequences.symbolic_start_grid(args.n, boundary)
-        elif boundary is None:
+        if boundary is None:
             g = all_one_grid(args.n)
         else:
-            g = _boundary_grid(args.n, boundary)
+            g = sequences.symbolic_start_grid(args.n, boundary, field)
         g = reduce_k(g, args.steps)
     except GridError as exc:
         # a boundary with a non-positive label or a zero edge sum
@@ -156,17 +153,6 @@ def cmd_reduce(args) -> int:
     corner = g.label(1, 1, "L")
     print(f"top corner left label: {g.field.format(corner)}")
     return 0
-
-
-def _boundary_grid(n: int, boundary: Fraction) -> Grid:
-    one = Fraction(1)
-    tri = {}
-    for r in range(1, n + 1):
-        for d in range(1, r + 1):
-            tri[(r, d)] = (boundary if d == 1 else one,
-                           boundary if d == r else one,
-                           boundary if r == n else one)
-    return Grid(n, tri, reductions=1)
 
 
 # -- diag / hankel / symbolic / asymptotics --------------------------------------
@@ -242,8 +228,12 @@ def cmd_asymptotics(args) -> int:
 # -- resistance / oracle ----------------------------------------------------------
 
 def cmd_resistance(args) -> int:
-    with open(args.graph) as fh:
-        text = fh.read()
+    try:
+        with open(args.graph) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read --graph {args.graph}: "
+                         f"{exc.strerror}") from None
     try:
         g = graphs.WeightedGraph.from_json(text)
         r = graphs.effective_resistance(g, args.u, args.v)

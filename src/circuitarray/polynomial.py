@@ -108,12 +108,6 @@ class Polynomial:
             k >>= 1
         return result
 
-    def shift(self, k: int) -> "Polynomial":
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return Polynomial((0,) * k + self.coeffs)
-
     def divide_exact(self, divisor: "Polynomial") -> "Polynomial":
         """Exact division in integer arithmetic.
 

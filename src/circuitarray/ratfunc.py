@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 
+from .fields import FieldContract
 from .polynomial import Polynomial
 
 _ZERO = Polynomial()
@@ -273,17 +274,11 @@ def parse_ratfunc(text: str) -> RationalFunction:
     return _Parser(_tokenize(text)).parse()
 
 
-def ratfunc_field():
-    """FieldContract for rational functions (imported lazily to avoid cycles)."""
-    from .fields import FieldContract
-    return FieldContract(
-        name="symbolic",
-        zero=RationalFunction(_ZERO),
-        one=RationalFunction(_ONE),
-        parse=parse_ratfunc,
-        format=str,
-        ordered=False,
-    )
-
-
-RATFUNCS = ratfunc_field()
+RATFUNCS = FieldContract(
+    name="symbolic",
+    zero=RationalFunction(_ZERO),
+    one=RationalFunction(_ONE),
+    parse=parse_ratfunc,
+    format=str,
+    ordered=False,
+)

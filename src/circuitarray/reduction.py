@@ -19,23 +19,24 @@ series sum of the two legs meeting there (boundary edges).
 field: the same code reduces grids of exact rationals and grids of rational
 functions.
 
-``reduce_array`` (all array columns) and ``reduce_diagonal`` (the leftmost
-diagonal) run one reduction chain from one all-one start grid, reading
-column j after j steps; they differ only in how many diagonals each column
-reads.  ``reduce_window`` is the one-column read of an all-one n-grid of
-any admissible size, including sizes whose cone reaches the bottom row.
-All three compute exactly the same labels as repeated ``reduce_once`` but
-restrict work to the triangles that can influence the requested reads, and
-memoize star legs and wye results on label values.  They store each
-diagonal of their cone as runs of equal label triples along the rows and
-share one step function, ``_band_step``, which reduces run by run, so a
-step costs per run instead of per triangle.  ``reduce_once`` keeps its own
-loop and, through ``reduce_k``, serves as the oracle for the step.  The
-memos are keyed on each label's ``numerator`` and ``denominator``: integers
-for exact rationals, hashable polynomials for rational functions, so the
-chain runs over both fields.  ``_reduce_chain`` can also start one step in,
-from the once-reduced all-one grid with its boundary relabelled; the
-symbolic diagonal L_s(x) is read that way.
+Every band read is one reduction chain, ``_reduce_chain``, from the
+all-one n-grid, reading column j after j steps.  ``reduce_array`` (all
+array columns) and ``reduce_diagonal`` (the leftmost diagonal) run it on
+the 4C-grid and differ only in how many diagonals each column reads;
+``reduce_window`` is the chain's last read on an n-grid of any admissible
+size, including sizes whose cone reaches the bottom row.  The symbolic
+diagonal L_s(x) is the same chain with every label 2/3 renamed after step
+1, which is the paper's relabelling of the once-reduced grid's boundary.
+The chain computes exactly the labels of repeated ``reduce_once`` but
+restricts work to the triangles that can influence the requested reads,
+and memoizes star legs and wye results on label values.  It stores each
+diagonal of its cone as runs of equal label triples along the rows and
+reduces them with ``_band_step``, run by run, so a step costs per run
+instead of per triangle.  ``reduce_once`` keeps its own loop and, through
+``reduce_k``, serves as the oracle for the step.  The memos are keyed on
+each label's ``numerator`` and ``denominator``: integers for exact
+rationals, hashable polynomials for rational functions, so the chain runs
+over both fields.
 """
 
 from __future__ import annotations
@@ -190,14 +191,10 @@ def reduce_window(j: int, n: int, read_dmax: int,
                   field: FieldContract | None = None) -> dict:
     """Row-(2j-1) label triples of the j-times-reduced all-one n-grid.
 
-    Computes exactly the labels that repeated ``reduce_once`` would produce,
-    restricted to the dependency cone of the read row: reading diagonals
-    1..read_dmax of row 2j-1 after j reductions only requires, after k
-    steps, diagonal d <= read_dmax + j - k from row max(2j-1, d) to row
-    min(2j-1 + 2(j-k), n-k).  Each diagonal of that band is stored as runs
-    of equal triples and reduced by the chain's step (``_band_step``), so
-    the uniform interior of reduced grids costs one run, not one entry per
-    triangle.  With n < 4j-1 the cone reaches the bottom row of the grid.
+    The last read of ``_reduce_chain`` on the all-one n-grid with j columns
+    and width ``read_dmax``: the same labels as repeated ``reduce_once``,
+    restricted to the chain's cone.  With n < 4j-1 the cone reaches the
+    bottom row of the grid.
 
     Returns {d: (L, R, B)} for d = 1..read_dmax.  ``field`` is an exact
     rational field and defaults to the fastest available backend.
@@ -209,22 +206,7 @@ def reduce_window(j: int, n: int, read_dmax: int,
                         f"i.e. n >= {3*j-1}; got n={n}")
     if not 1 <= read_dmax <= j:
         raise GridError(f"read diagonals must lie in 1..j={j}, got {read_dmax}")
-    if field is None:
-        field = fast_rationals()
-    lo = 2 * j - 1
-
-    def cone(k):
-        t = j - k
-        return ([max(lo, d) for d in range(1, read_dmax + t + 1)],
-                min(lo + 2 * t, n - k))
-
-    one = field.one
-    band = [([a], [(one, one, one)]) for a in cone(0)[0]]
-    leg_memo: dict = {}
-    wye_memo: dict = {}
-    for k in range(j):
-        band = _band_step(band, n - k, *cone(k + 1), leg_memo, wye_memo)
-    return {d: _run_at(band[d - 1], lo) for d in range(1, read_dmax + 1)}
+    return _reduce_chain(j, read_dmax, field, n=n)[-1]
 
 
 def reduce_array(C: int, field: FieldContract | None = None) -> list[dict]:
@@ -251,81 +233,72 @@ def reduce_diagonal(S: int, field: FieldContract | None = None) -> list:
     return [reads[1][0] for reads in _reduce_chain(S, 1, field)]
 
 
-def _reduce_chain(C: int, width: int, field, boundary=None) -> list[dict]:
+def _reduce_chain(C: int, width: int, field, boundary=None,
+                  n: int | None = None) -> list[dict]:
     """Diagonals 1..min(j, width) of row 2j-1 after j reductions, j = 1..C.
 
-    One reduction chain from the all-one 4C-grid.  Column j's read needs,
-    c steps into the chain, rows 2j-1 .. 4j-2c-1 out to diagonal
+    One reduction chain from the all-one n-grid, n = 4C unless given (at
+    least 3C-1, so that row 2C-1 survives C steps).  Column j's read needs,
+    c steps into the chain, rows 2j-1 .. min(4j-2c-1, n-c) out to diagonal
     min(j, width) + j - c.  After c reductions the chain keeps only the
     union of the cones of the columns still open (j >= c): row r
-    (2c-1 <= r <= 4C-2c-1) out to diagonal min(width, k) + k - c with
-    k = min(C, (r+1)//2), the widest cone of any j <= C with 2j-1 <= r.
-    Column c is read after c steps, at the top row of the cone, which the
-    next step drops.
+    (2c-1 <= r <= min(4C-2c-1, n-c)) out to diagonal min(width, k) + k - c
+    with k = min(C, (r+1)//2), the widest cone of any j <= C with
+    2j-1 <= r.  Column c is read after c steps, at the top row of the cone,
+    which the next step drops.
 
     That bound never decreases as r grows, so diagonal d of the cone is the
     row interval from its first row (``_cone_starts``) to the cone's last
-    row.  The chain stores each diagonal as maximal runs of equal (L, R, B)
-    triples along r and reduces it run by run (``_band_step``), so a step
-    costs per run, not per triangle: deep in the chain almost every
-    diagonal is one run.  Runs are found by comparing values, not assumed,
-    so the labels are exactly those of repeated ``reduce_once``.
+    row.  The chain stores each diagonal as runs of equal (L, R, B) triples
+    along r and reduces it run by run (``_band_step``), so a step costs per
+    run, not per triangle: deep in the chain almost every diagonal is one
+    run.  Runs are found by comparing values, not assumed, so the labels
+    are exactly those of repeated ``reduce_once``.
 
-    With ``boundary`` given, the chain starts after step 1, from the
-    once-reduced all-one grid (2/3 on its boundary, 1 inside) with each
-    boundary label replaced by ``boundary``.  Its bottom row lies below
-    the cone, so only left labels at d = 1 and right labels at d = r are
-    relabelled.  ``field`` is any field whose labels expose hashable
-    ``numerator`` and ``denominator`` (see ``_band_step``).
+    With ``boundary`` given, every label equal to 2/3 after step 1 is
+    renamed ``boundary`` before column 1 is read.  One reduction of the
+    all-one grid puts 2/3 exactly on the boundary edges and 1 everywhere
+    else, so this is the once-reduced grid with its boundary relabelled.
+    ``field`` is any field whose labels expose hashable ``numerator`` and
+    ``denominator`` (see ``_band_step``).
     """
     if C < 1:
         raise GridError(f"need at least one column, got {C}")
     if field is None:
         field = fast_rationals()
-    n = 4 * C
+    if n is None:
+        n = 4 * C
     one = field.one
-
-    def read(c):
-        return {d: _run_at(band[d - 1], 2 * c - 1)
-                for d in range(1, min(width, c) + 1)}
-
-    columns = []
-    if boundary is None:
-        first = 1
-        starts, _ = _cone_starts(C, width, 0)
-        band = [([a], [(one, one, one)]) for a in starts]
-    else:
-        first = 2
-        starts, last = _cone_starts(C, width, 1)
-        band = []
-        for d, a in enumerate(starts, start=1):
-            left = boundary if d == 1 else one
-            rows, triples = [a], [(left, boundary if a == d else one, one)]
-            if a == d and a < last:
-                rows.append(a + 1)
-                triples.append((left, one, one))
-            band.append((rows, triples))
-        columns.append(read(1))
+    two_thirds = (one + one) / (one + one + one)
+    starts, _ = _cone_starts(C, width, 0, n)
+    band = [([a], [(one, one, one)]) for a in starts]
     leg_memo: dict = {}
     wye_memo: dict = {}
-    for c in range(first, C + 1):
-        band = _band_step(band, n - c + 1, *_cone_starts(C, width, c),
+    columns = []
+    for c in range(1, C + 1):
+        band = _band_step(band, n - c + 1, *_cone_starts(C, width, c, n),
                           leg_memo, wye_memo)
-        columns.append(read(c))
+        if c == 1 and boundary is not None:
+            band = [(rows, [tuple(boundary if v == two_thirds else v
+                                  for v in t) for t in triples])
+                    for rows, triples in band]
+        columns.append({d: _run_at(band[d - 1], 2 * c - 1)
+                        for d in range(1, min(width, c) + 1)})
     return columns
 
 
-def _cone_starts(C: int, width: int, c: int) -> tuple[list, int]:
+def _cone_starts(C: int, width: int, c: int, n: int) -> tuple[list, int]:
     """First row of each diagonal d = 1, 2, ... of the chain's cone after c
-    reductions (see ``_reduce_chain``), and the cone's last row.
+    reductions of the all-one n-grid (see ``_reduce_chain``), and the
+    cone's last row.
 
     Row r reaches diagonal min(r, g(k) - c) with g(k) = min(width, k) + k and
     k = min(C, (r+1)//2).  g increases strictly with k, so with k the least
     value for which g(k) >= d + c, diagonal d starts at row
     max(top, d, 2k-1); the cone has no diagonal d once k exceeds C or that
-    row passes the cone's last row 4C-2c-1.
+    row passes the cone's last row min(4C-2c-1, n-c).
     """
-    top, last = max(1, 2 * c - 1), 4 * C - 2 * c - 1
+    top, last = max(1, 2 * c - 1), min(4 * C - 2 * c - 1, n - c)
     starts = []
     d = 1
     while True:

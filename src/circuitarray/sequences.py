@@ -31,7 +31,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 from .circuit_array import diagonal_sequence
-from .fields import format_rational
+from .fields import FieldContract, format_rational
 from .grid import Grid
 from .polynomial import Polynomial
 from .ratfunc import RATFUNCS, RationalFunction
@@ -225,17 +225,18 @@ def row0_numerator_contrast() -> tuple[list[int], int]:
 
 # -- symbolic pipeline --------------------------------------------------------
 
-def symbolic_start_grid(m: int, boundary: RationalFunction | None = None) -> Grid:
-    """Size-m grid with boundary labels 1 - 3/x and interior labels 1.
+def symbolic_start_grid(m: int, boundary=None,
+                        field: FieldContract = RATFUNCS) -> Grid:
+    """Size-m grid over ``field`` with boundary labels ``boundary`` (default
+    1 - 3/x) and interior labels 1.
 
     This is the once-reduced all-one pattern with the boundary value 2/3
-    relabeled as a function of x (equal at x = 9); ``reductions`` is 1
+    relabeled (1 - 3/x equals it at x = 9); ``reductions`` is 1
     accordingly.
     """
-    x = RationalFunction.x()
     if boundary is None:
-        boundary = 1 - 3 / x
-    one = RATFUNCS.one
+        boundary = 1 - 3 / RationalFunction.x()
+    one = field.one
     tri = {}
     for r in range(1, m + 1):
         for d in range(1, r + 1):
@@ -243,7 +244,7 @@ def symbolic_start_grid(m: int, boundary: RationalFunction | None = None) -> Gri
             R = boundary if d == r else one
             B = boundary if r == m else one
             tri[(r, d)] = (L, R, B)
-    return Grid(m, tri, field=RATFUNCS, reductions=1)
+    return Grid(m, tri, field=field, reductions=1)
 
 
 def symbolic_diagonal(S: int) -> list[RationalFunction]:
@@ -270,7 +271,7 @@ def _x_minus_3() -> Polynomial:
 
 
 def diagonal_closed_forms() -> list[tuple[int, Polynomial, int, int]]:
-    """Reference closed forms for L_1(x)..L_7(x).
+    """Reference closed forms for L_2(x)..L_7(x) (L_1 is the boundary).
 
     Each item is (s, numerator, denominator constant, denominator power),
     the value being numerator / (constant * (x-1)^power).  The numerators
@@ -282,7 +283,6 @@ def diagonal_closed_forms() -> list[tuple[int, Polynomial, int, int]]:
     x1 = _poly(-1, 1)
     t31 = _poly(-1, 3)
     forms = [
-        (1, x3.shift(0), 1, 0),                      # (x-3)/x handled below
         (2, 2 * x3, 3, 1),
         (3, x3 * t31, 6, 2),
         (4, x3 * (3 * (x1 * x3) + 4 * t31 ** 2), 96, 3),
@@ -297,11 +297,11 @@ def diagonal_closed_forms() -> list[tuple[int, Polynomial, int, int]]:
 
 def reference_diagonal_formula(s: int) -> RationalFunction:
     """Canonical rational function for the reference closed form of L_s."""
+    if s == 1:
+        # the boundary label itself: (x - 3) / x
+        return RationalFunction(_x_minus_3(), Polynomial((0, 1)))
     for (ss, numer, const, power) in diagonal_closed_forms():
         if ss == s:
-            if s == 1:
-                # the boundary label itself: (x - 3) / x
-                return RationalFunction(_x_minus_3(), Polynomial((0, 1)))
             return RationalFunction(numer, const * _poly(-1, 1) ** power)
     raise SequenceError(f"no reference formula for s = {s}")
 

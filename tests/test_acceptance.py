@@ -12,7 +12,6 @@ from itertools import combinations
 import pytest
 
 from circuitarray.circuit_array import (build_array, closed_form_row,
-                                        diagonal_sequence,
                                         verify_row_recursions,
                                         verify_uniform_center)
 from circuitarray.fields import format_rational
@@ -68,14 +67,6 @@ COLUMN_ORDER = ("L", "A", "L-A", "L/A", "P", "A-P", "A/P", "L-P", "L/P")
 
 def ok(num: int, name: str) -> None:
     print(f"ACCEPTANCE {num:>2} {name}: PASS")
-
-
-@pytest.fixture(scope="module")
-def diag80():
-    t0 = time.perf_counter()
-    values = diagonal_sequence(80)
-    elapsed = time.perf_counter() - t0
-    return values, elapsed
 
 
 def test_criterion_01_table_reproduction():

@@ -8,6 +8,7 @@ import pytest
 from circuitarray.cli import main
 from circuitarray.graphs import WeightedGraph
 from circuitarray.grid import Grid
+from circuitarray.reports import Report
 
 
 def run(capsys, *argv):
@@ -237,7 +238,21 @@ def test_python_dash_m_runs_the_cli():
     assert [row.split("|")[1].strip() for row in rows] == ["1", "2", "3"]
 
 
-def test_runtime_error_exit_1(capsys):
-    code = main(["resistance", "--graph", "/nonexistent.json",
-                 "--u", "0", "--v", "1"])
-    assert code == 1
+def test_missing_input_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "absent.json"
+    code = main(["resistance", "--graph", str(path), "--u", "0", "--v", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+def test_failed_finding_exit_1(capsys, monkeypatch):
+    from circuitarray import circuit_array
+    failing = Report("closed-forms")
+    failing.add("planted check", False, "planted failure")
+    monkeypatch.setattr(circuit_array, "verify_closed_forms",
+                        lambda arr: failing)
+    code, out = run(capsys, "array", "verify", "--suite", "closed-forms",
+                    "--max-cols", "4")
+    assert code == 1 and "planted check" in out

@@ -7,7 +7,8 @@ import pytest
 
 from circuitarray.circuit_array import diagonal_sequence
 from circuitarray.polynomial import Polynomial
-from circuitarray.reduction import reduce_once
+from circuitarray.ratfunc import RATFUNCS, RationalFunction
+from circuitarray.reduction import _reduce_chain, reduce_once
 from circuitarray.sequences import (SequenceError,
                                     asymptotics_table, bareiss_determinant,
                                     cofactor_determinant, hankel_determinant,
@@ -31,11 +32,6 @@ def diag14():
 @pytest.fixture(scope="module")
 def seq14(diag14):
     return nprime_sequence(14, diag14)
-
-
-@pytest.fixture(scope="module")
-def diag80():
-    return diagonal_sequence(80)
 
 
 def test_nprime_values(seq14):
@@ -95,7 +91,7 @@ def test_determinant_conjecture(seq14, diag80):
     assert rep.passed, rep.render(True)
     assert any("not 9^T(1)" in n for n in rep.notes)
     # past the k <= 6 of the acceptance suite: k = 2..40 from s <= 80
-    rep = verify_determinant_conjecture(40, nprime_sequence(80, diag80))
+    rep = verify_determinant_conjecture(40, nprime_sequence(80, diag80[0]))
     assert rep.passed, rep.render(True)
     assert len(rep.checks) == 39
 
@@ -104,7 +100,7 @@ def test_diagonal_recurrence_conjecture(diag80):
     # Conjectured order-2 recurrence of the leftmost diagonal, checked to
     # s = 80 by arithmetic that shares no code with the reduction chain:
     # 8(n+1) L_{n+2} = (10n+3) L_{n+1} - 2(n-1) L_n.
-    L = [None] + diag80
+    L = [None] + diag80[0]
     for n in range(1, 79):
         assert 8 * (n + 1) * L[n + 2] == \
             (10 * n + 3) * L[n + 1] - 2 * (n - 1) * L[n], n
@@ -133,22 +129,28 @@ def test_symbolic_diagonal_small():
     assert [f.eval(9) for f in forms] == [F(2, 3), F(1, 2), F(13, 32)]
 
 
-def full_grid_symbolic_diagonal(S):
-    """Oracle: reduce the whole symbolic start grid with reduce_once."""
+def full_grid_symbolic_reads(S):
+    """Oracle: reduce the whole symbolic start grid with reduce_once, reading
+    diagonals 1..s of row 2s-1 after s-1 further reductions."""
     g = symbolic_start_grid(4 * S - 1)
-    out = [g.label(1, 1, "L")]
-    for s in range(2, S + 1):
-        g = reduce_once(g)
-        out.append(g.label(2 * s - 1, 1, "L"))
+    out = []
+    for s in range(1, S + 1):
+        if s > 1:
+            g = reduce_once(g)
+        out.append({d: g.triangle(2 * s - 1, d) for d in range(1, s + 1)})
     return out
 
 
 def test_symbolic_chain_matches_full_grid_reduction():
     # L_s(x) does not depend on the start size once the grid is large
-    # enough, so one 27-grid serves every chain length up to 7.
-    full = full_grid_symbolic_diagonal(7)
+    # enough, so one 27-grid serves every chain length up to 7.  The
+    # diagonal never reads a relabelled right boundary label; the
+    # full-width chain does, from its first step on.
+    full = full_grid_symbolic_reads(7)
     for S in range(1, 8):
-        assert symbolic_diagonal(S) == full[:S], S
+        assert symbolic_diagonal(S) == [r[1][0] for r in full[:S]], S
+    boundary = 1 - 3 / RationalFunction.x()
+    assert _reduce_chain(7, 7, RATFUNCS, boundary) == full
 
 
 def test_symbolic_diagonal_pinned_at_x9_through_s12():
