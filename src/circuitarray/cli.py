@@ -31,8 +31,11 @@ class UsageError(Exception):
 
 def _write(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
     else:
         print(text)
 

@@ -3,9 +3,12 @@
 This module is the package's independent ground truth.  Effective resistance
 is computed from first principles: ground the first vertex of a graph,
 factor its grounded conductance Laplacian exactly as L·D·Lᵀ over the
-rationals, and read r(u, v) = Σ y_k² / D_k off the solution of
-L y = e_u - e_v.  Each graph keeps its factor until it is mutated, so every
-pair of an unchanged graph is answered from one factorization.
+rationals, and read r(u, v) = Z_uu + Z_vv - 2 Z_uv off its inverse
+Z = (L·D·Lᵀ)⁻¹.  Only the entries of Z that queries reach are computed,
+by Takahashi's recurrence over the columns of L (selected inversion), and
+each graph keeps its factor and those entries until it is mutated.  So
+every pair of an unchanged graph is answered from one factorization, and
+later queries mostly read entries that earlier ones computed.
 
 The three equivalent-circuit transformations (series, delta-wye, wye-delta)
 are implemented directly on graphs, and ``graph_level_reduce`` performs the
@@ -203,10 +206,16 @@ class WeightedGraph:
 def effective_resistance(g: WeightedGraph, u, v) -> Fraction:
     """Exact effective resistance between two distinct vertices.
 
-    Uses the graph's L·D·Lᵀ factor (see ``_ldl``), built on the first query
-    and reused until the graph is mutated.  With b = e_u - e_v restricted to
-    the non-ground vertices, R = bᵀ(L D Lᵀ)⁻¹b, so forward substitution
-    L y = b gives R = Σ y_k² / D_k.
+    With Z = (L D Lᵀ)⁻¹ the inverse of the graph's grounded Laplacian (see
+    ``_ldl``), R(u, v) = Z_uu + Z_vv - 2 Z_uv, where every entry in a row or
+    column of the ground vertex is 0.  The factor is built on the first
+    query and the entries of Z it needs are computed on demand by
+    ``_inverse_entry``; both stay on the graph until it is mutated, so later
+    queries mostly read entries that are already there.  The first query
+    pays for every entry it reaches, and a pair near the ground (the first
+    vertices) reaches nearly all of Z: on grid graphs it costs two to three
+    times a first query by one forward substitution, and the later queries
+    are then almost free.
     """
     if u == v:
         raise GraphError("effective resistance needs two distinct vertices")
@@ -214,19 +223,13 @@ def effective_resistance(g: WeightedGraph, u, v) -> Fraction:
         raise GraphError("both vertices must be in the graph")
     if g._factor is None:
         g._factor = _ldl(g)
-    index, columns, pivots = g._factor
-    y = [0] * len(pivots)
-    for w, sign in ((u, 1), (v, -1)):
-        if w in index:  # the ground vertex has no entry
-            y[index[w]] = sign
-    total = Fraction(0)
-    for k in range(min(index[w] for w in (u, v) if w in index), len(y)):
-        yk = y[k]
-        if yk:
-            for j, l in columns[k].items():
-                y[j] -= l * yk
-            total += yk * yk / pivots[k]
-    return total
+    index = g._factor[0]
+    i, j = index.get(u), index.get(v)  # None for the ground vertex
+
+    def z(a, b):
+        return 0 if a is None or b is None else _inverse_entry(g._factor, a, b)
+
+    return z(i, i) + z(j, j) - 2 * z(i, j)
 
 
 def _ldl(g: WeightedGraph) -> tuple:
@@ -240,8 +243,9 @@ def _ldl(g: WeightedGraph) -> tuple:
     connected graph with positive resistances the matrix is positive
     definite, so no pivoting is needed and every pivot is positive.
 
-    Returns (index, columns, pivots): the vertex numbering, column k of L
-    below the diagonal as {j: L_jk}, and the diagonal of D.
+    Returns (index, columns, pivots, Z): the vertex numbering, column k of L
+    below the diagonal as {j: L_jk}, the diagonal of D, and an empty memo
+    {(i, j): Z_ij, i >= j} of the inverse that ``_inverse_entry`` fills.
     """
     if not g.is_connected():
         raise GraphError("graph must be connected for resistance queries")
@@ -268,7 +272,44 @@ def _ldl(g: WeightedGraph) -> tuple:
                     target[i] = target.get(i, 0) - l * a
         columns.append(col)
         pivots.append(d)
-    return index, columns, pivots
+    return index, columns, pivots, {}
+
+
+def _inverse_entry(factor: tuple, i: int, j: int) -> Fraction:
+    """Entry (i, j) of Z = (L D Lᵀ)⁻¹, memoized in the factor's Z.
+
+    Takahashi's recurrence (Takahashi, Fox & Sato 1973) follows from
+    Z = D⁻¹L⁻¹ + (I - Lᵀ)Z: for i >= j,
+
+        Z_ij = [i = j] / D_j - Σ_{k in column j of L} L_kj · Z_{ik},
+
+    where every k is greater than j.  So each entry needs only entries
+    whose smaller index is larger than its own, and the recursion ends at
+    the last column, which is empty.  It runs on an explicit stack, because
+    the chain of smaller indices is as long as the graph.
+    """
+    _, columns, pivots, Z = factor
+    key = (i, j) if i >= j else (j, i)
+    stack = [key]
+    while stack:
+        i, j = stack[-1]
+        if (i, j) in Z:
+            stack.pop()
+            continue
+        total = 1 / pivots[j] if i == j else 0
+        ready = True
+        for k, l in columns[j].items():
+            pair = (i, k) if i >= k else (k, i)
+            zik = Z.get(pair)
+            if zik is None:
+                stack.append(pair)
+                ready = False
+            elif ready:
+                total -= l * zik
+        if ready:
+            Z[i, j] = total
+            stack.pop()
+    return Z[key]
 
 
 # -- the three circuit transformations ---------------------------------------

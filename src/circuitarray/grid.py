@@ -234,24 +234,61 @@ class Grid:
 
     @staticmethod
     def from_json(text: str, field: FieldContract = RATIONALS) -> "Grid":
-        data = json.loads(text)
+        """Parse ``{"m": M, "reductions": K, "labels": [{"r", "d", "side",
+        "value"}, ...]}`` as written by ``to_json``.
+
+        Any other shape raises a one-line ``GridError`` that names the bad
+        field; ``"reductions"`` may be omitted (0).
+        """
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise GridError(f"grid is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise GridError('grid JSON must be an object with "m" and '
+                            '"labels"')
+        for key in ("m", "labels"):
+            if key not in data:
+                raise GridError(f'grid JSON has no "{key}" field')
         m = data["m"]
+        if type(m) is not int or m < 1:
+            raise GridError(f'"m" must be a positive integer, got {m!r}')
+        labels = data["labels"]
+        if not isinstance(labels, list):
+            raise GridError(f'"labels" must be a list, got {labels!r}')
         tri: dict[tuple[int, int], list] = {}
-        for item in data["labels"]:
+        for i, item in enumerate(labels):
+            if not isinstance(item, dict) or \
+                    not all(k in item for k in ("r", "d", "side", "value")):
+                raise GridError(f'labels[{i}] must be an object with "r", '
+                                f'"d", "side" and "value", got {item!r}')
             ref = EdgeRef(item["r"], item["d"], item["side"])
+            if type(ref.r) is not int or type(ref.d) is not int:
+                raise GridError(f"labels[{i}]: r and d must be integers, "
+                                f"got {ref.r!r} and {ref.d!r}")
             validate_edge_ref(ref, m)
             triple = tri.setdefault((ref.r, ref.d), [None, None, None])
             idx = SIDES.index(ref.side)
             if triple[idx] is not None:
                 raise GridError(f"duplicate label for {ref}")
-            triple[idx] = field.parse(item["value"])
+            value = item["value"]
+            try:
+                if type(value) is not str:
+                    raise ValueError
+                triple[idx] = field.parse(value)
+            except (ValueError, ZeroDivisionError):
+                raise GridError(f"labels[{i}].value must be a {field.name} "
+                                f"label string, got {value!r}") from None
         triangles = {}
         for key, triple in tri.items():
             if None in triple:
                 raise GridError(f"missing label(s) for triangle {key}")
             triangles[key] = tuple(triple)
-        return Grid(m, triangles, field=field,
-                    reductions=data.get("reductions", 0))
+        reductions = data.get("reductions", 0)
+        if type(reductions) is not int or reductions < 0:
+            raise GridError(f'"reductions" must be a non-negative integer, '
+                            f'got {reductions!r}')
+        return Grid(m, triangles, field=field, reductions=reductions)
 
 
 def all_one_grid(n: int, field: FieldContract = RATIONALS) -> Grid:

@@ -247,6 +247,18 @@ def test_missing_input_file_is_a_usage_error(capsys, tmp_path):
     assert str(path) in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["array", "build", "--cols", "2"], "--out"),
+    (["reduce", "--n", "4", "--steps", "1"], "--dump-json"),
+])
+def test_unwritable_output_file_is_a_usage_error(capsys, tmp_path, argv,
+                                                 flag):
+    path = tmp_path / "no-such-dir" / "out.txt"
+    err = usage_error(capsys, argv + [flag, str(path)])
+    assert str(path) in err
+    assert not path.parent.exists()
+
+
 def test_failed_finding_exit_1(capsys, monkeypatch):
     from circuitarray import circuit_array
     failing = Report("closed-forms")

@@ -13,7 +13,7 @@ from circuitarray.graphs import (GraphError, WeightedGraph, delta_to_wye,
                                  r_formula_straight, series, straight_2tree,
                                  verify_2tree_formula, verify_fib_identities,
                                  wye_to_delta)
-from circuitarray.grid import all_one_grid
+from circuitarray.grid import Grid, all_one_grid
 from circuitarray.properties import random_connected_graph, random_grid
 from circuitarray.reduction import reduce_once
 
@@ -34,13 +34,14 @@ def test_effective_resistance_examples():
     assert effective_resistance(straight_2tree(4), 1, 2) == F(5, 8)
 
 
-def dense_resistance(g, u, v):
-    """Reference solve: ground v, solve the dense Laplacian system L x = e_u
-    by Gauss-Jordan elimination, and return the potential x_u."""
+def dense_solve(g, v, sources):
+    """Reference solve: ground v and solve the dense Laplacian systems
+    L x = e_s for every s in ``sources`` at once by Gauss-Jordan
+    elimination; returns {(p, s): x_p}."""
     verts = [w for w in g.vertices if w != v]
     index = {w: i for i, w in enumerate(verts)}
     n = len(verts)
-    a = [[F(0)] * n + [F(w == u)] for w in verts]
+    a = [[F(0)] * n + [F(w == s) for s in sources] for w in verts]
     for w in verts:
         for x in g.neighbors(w):
             c = 1 / g.resistance_of(w, x)
@@ -54,8 +55,13 @@ def dense_resistance(g, u, v):
             if r != col and a[r][col]:
                 f = a[r][col] / a[col][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    i = index[u]
-    return a[i][n] / a[i][i]
+    return {(p, s): a[index[p]][n + k] / a[index[p]][index[p]]
+            for p in verts for k, s in enumerate(sources)}
+
+
+def dense_resistance(g, u, v):
+    """The potential x_u when a unit current enters at u and leaves at v."""
+    return dense_solve(g, v, [u])[u, u]
 
 
 def relabeled(g, names):
@@ -112,6 +118,62 @@ def test_factor_follows_every_mutation():
     with pytest.raises(GraphError, match="connected"):
         effective_resistance(g, 2, 3)
     assert g.copy()._factor is None
+
+
+def ten_bit_grid_graph(seed, m):
+    """Graph of a random m-grid whose labels p/q have 10-bit p and q."""
+    rng = random.Random(seed)
+    tri = {(r, d): tuple(F(rng.randrange(512, 1024), rng.randrange(512, 1024))
+                         for _ in range(3))
+           for r in range(1, m + 1) for d in range(1, r + 1)}
+    return grid_to_graph(Grid(m, tri))
+
+
+def test_selected_inverse_answers_every_pair_of_a_random_grid():
+    g = ten_bit_grid_graph(6, 6)
+    pairs = list(combinations(g.vertices, 2))
+    # The factor grounds (0, 0); the reference grounds the far corner, so
+    # the two invert different matrices.  Per-pair dense solves of all 378
+    # pairs take ~27 s, so they check the pairs with either ground and a
+    # few far pairs (top row against bottom row), outside the band's fill.
+    ground, far = g.vertices[0], g.vertices[-1]
+    assert (ground, far) == ((0, 0), (6, 6))
+    inverse = dense_solve(g, far, [w for w in g.vertices if w != far])
+
+    def w(a, b):  # entries at the reference's ground are 0
+        return inverse.get((a, b), 0)
+
+    want = {(a, b): w(a, a) + w(b, b) - 2 * w(a, b) for a, b in pairs}
+    for a, b in ((ground, (3, 1)), ((1, 0), far), ((1, 1), (6, 0)),
+                 ((2, 2), (5, 0))):
+        assert want[a, b] == dense_resistance(g, a, b)
+    got = {pair: effective_resistance(g, *pair) for pair in pairs}
+    assert got == want
+    assert all(type(r) is F for r in got.values())
+    # on a fresh copy the memo fills in another order, far pairs first
+    fresh = g.copy()
+    assert {pair: effective_resistance(fresh, *pair)
+            for pair in reversed(pairs)} == want
+
+
+def test_selected_inverse_is_dropped_with_the_factor():
+    g = ten_bit_grid_graph(7, 6)
+    before = effective_resistance(g, (1, 0), (6, 6))
+    assert g._factor[3]
+    g.add_edge((1, 0), (6, 6), F(3))
+    assert g._factor is None
+    assert effective_resistance(g, (1, 0), (6, 6)) == \
+        1 / (1 / before + F(1, 3))
+
+
+def test_selected_inverse_runs_deeper_than_the_recursion_limit():
+    # on a path the entry of the first vertex depends on a chain of
+    # 2n entries, one per smaller index, beyond Python's recursion limit
+    g = WeightedGraph()
+    for v in range(1, 1500):
+        g.add_edge(v - 1, v, F(1, 2))
+    assert effective_resistance(g, 1, 1499) == 749
+    assert effective_resistance(g, 0, 2) == 1
 
 
 def test_resistance_query_errors():

@@ -134,6 +134,31 @@ def test_json_round_trip():
     assert '"value"' in g.to_json() and "." not in g.to_json().split("labels")[1]
 
 
+@pytest.mark.parametrize("text, needle", [
+    ('{"labels": []}', 'no "m"'),
+    ('{"m": 1}', 'no "labels"'),
+    ('{"m": 1, "labels": {"r": 1}}', '"labels" must be a list'),
+    ('{"m": 1, "labels": "L"}', '"labels" must be a list'),
+    ('{"m": "1", "labels": []}', '"m" must be a positive integer'),
+    ('[1]', "must be an object"),
+    ('{"m": 1,', "not valid JSON"),
+    ('{"m": 1, "labels": [{"r": 1, "d": 1, "side": "L"}]}', "labels[0]"),
+    ('{"m": 1, "labels": [{"r": "1", "d": 1, "side": "L", "value": "1"}]}',
+     "labels[0]"),
+    ('{"m": 1, "labels": [{"r": 1, "d": 1, "side": "L", "value": 1}]}',
+     "labels[0].value"),
+    ('{"m": 1, "labels": [{"r": 1, "d": 1, "side": "L", "value": "1/0"}]}',
+     "labels[0].value"),
+    ('{"m": 1, "reductions": -1, "labels": [{"r": 1, "d": 1, "side": "L", '
+     '"value": "1"}, {"r": 1, "d": 1, "side": "R", "value": "1"}, '
+     '{"r": 1, "d": 1, "side": "B", "value": "1"}]}', '"reductions"'),
+])
+def test_malformed_grid_json_is_a_one_line_grid_error(text, needle):
+    with pytest.raises(GridError) as exc:
+        Grid.from_json(text)
+    assert needle in str(exc.value) and "\n" not in str(exc.value)
+
+
 def test_is_symmetric_detects_asymmetry():
     tri = {(r, d): (F(1), F(1), F(1)) for r in range(1, 3) for d in range(1, r + 1)}
     tri[(2, 1)] = (F(2), F(1), F(1))
