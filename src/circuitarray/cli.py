@@ -126,9 +126,16 @@ def _uniform_center_all(smax: int) -> Report:
 
 # -- reduce ----------------------------------------------------------------------
 
+# The whole n-grid is held in memory, about n^2 labels: n = 400 takes
+# ~0.1 GiB and a few seconds for one step.
+_REDUCE_MAX_N = 400
+
+
 def cmd_reduce(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
+    if args.n > _REDUCE_MAX_N:
+        raise UsageError(f"--n must be <= {_REDUCE_MAX_N}, got {args.n}")
     if not 0 <= args.steps < args.n:
         raise UsageError(f"--steps must be in 0..n-1 = 0..{args.n - 1}, "
                          f"got {args.steps}")

@@ -135,8 +135,13 @@ class WeightedGraph:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:
+        """The graph in the format of ``from_json``.
+
+        Vertices are numbered in insertion order, so the graph read back
+        grounds and eliminates them in the same order (see ``_ldl``).
+        """
         import json
-        verts = sorted(self._adj, key=repr)
+        verts = list(self._adj)
         index = {v: i for i, v in enumerate(verts)}
         edges = sorted((index[u], index[v], r) if index[u] < index[v]
                        else (index[v], index[u], r)

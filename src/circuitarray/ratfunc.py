@@ -271,7 +271,11 @@ class _Parser:
 
 def parse_ratfunc(text: str) -> RationalFunction:
     """Parse an expression in x into a canonical rational function."""
-    return _Parser(_tokenize(text)).parse()
+    try:
+        return _Parser(_tokenize(text)).parse()
+    except RecursionError:
+        # the parser recurses once per parenthesis and unary minus
+        raise ValueError("expression nested too deeply") from None
 
 
 RATFUNCS = FieldContract(

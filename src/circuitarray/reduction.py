@@ -7,7 +7,7 @@ into triangles (wye-delta).  Composing those steps gives closed formulas for
 each child edge directly in terms of parent labels, built from
 
     delta(x, y, z) = x*y / (x + y + z)        (triangle edge -> star leg)
-    wye(x, y, z)   = (x*y + y*z + z*x) / x    (star legs -> triangle edge)
+    wye(x, y, z)   = y + z + y*z / x          (star legs -> triangle edge)
 
 and plain series addition.  Each parent triangle (L, R, B) contributes three
 star legs, one per corner: apex = delta(L, R, B), bottom-left = delta(B, L, R),
@@ -19,6 +19,16 @@ series sum of the two legs meeting there (boundary edges).
 field: the same code reduces grids of exact rationals and grids of rational
 functions.
 
+One kernel, ``_child_triple``, places parent star legs into a child
+(L, R, B) triple; ``triangle_legs`` is the only star-leg computation and
+``wye`` the only wye.  ``reduce_once`` calls the kernel for every triangle
+of a grid and ``_band_step`` for the runs of the chain below.
+``child_edge`` places the legs edge by edge on its own and is the
+reference for the kernel's placement; ``circuitarray.graphs``'
+``graph_level_reduce`` performs the reduction as graph surgery, shares no
+code with this module and checks the formulas themselves.  ``reduce_once``,
+through ``reduce_k``, in turn checks the chain's cone, runs and memos.
+
 Every band read is one reduction chain, ``_reduce_chain``, from the
 all-one n-grid, reading column j after j steps.  ``reduce_array`` (all
 array columns) and ``reduce_diagonal`` (the leftmost diagonal) run it on
@@ -28,15 +38,12 @@ size, including sizes whose cone reaches the bottom row.  The symbolic
 diagonal L_s(x) is the same chain with every label 2/3 renamed after step
 1, which is the paper's relabelling of the once-reduced grid's boundary.
 The chain computes exactly the labels of repeated ``reduce_once`` but
-restricts work to the triangles that can influence the requested reads,
-and memoizes star legs and wye results on label values.  It stores each
-diagonal of its cone as runs of equal label triples along the rows and
-reduces them with ``_band_step``, run by run, so a step costs per run
-instead of per triangle.  ``reduce_once`` keeps its own loop and, through
-``reduce_k``, serves as the oracle for the step.  The memos are keyed on
-each label's ``numerator`` and ``denominator``: integers for exact
-rationals, hashable polynomials for rational functions, so the chain runs
-over both fields.
+restricts work to the triangles that can influence the requested reads.
+It stores each diagonal of its cone as runs of equal label triples along
+the rows and reduces them with ``_band_step``, run by run, so a step costs
+per run instead of per triangle.  The memos are keyed on each label's
+``numerator`` and ``denominator``: integers for exact rationals, hashable
+polynomials for rational functions, so the chain runs over both fields.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ def wye(x, y, z):
     """Triangle edge opposite the star leg x, given the other legs y and z."""
     if x == 0:
         raise ZeroDivisionError("wye with zero opposite leg")
-    return (x * y + y * z + z * x) / x
+    return y + z + y * z / x
 
 
 def series_merge(r1, r2):
@@ -116,42 +123,24 @@ def child_edge(parent: Grid, r: int, d: int, side: str):
 def _reduce_triangles(tri, m, out_triangles):
     """Child label triples for the listed child triangles.
 
-    ``tri`` maps parent (r, d) to (L, R, B).  Same formulas as child_edge,
-    with delta legs shared across the child edges of one pass.
+    ``tri`` maps parent (r, d) to (L, R, B).  Each child triple comes from
+    ``_child_triple``, with star legs shared across the child edges of one
+    pass.
     """
     legs = {}
 
     def leg(rr, dd):
         v = legs.get((rr, dd))
         if v is None:
-            L, R, B = tri[(rr, dd)]
-            s = L + R + B
-            if s == 0:
-                raise GridError(f"zero edge sum at triangle ({rr},{dd})")
-            v = (L * R / s, B * L / s, R * B / s)
-            legs[(rr, dd)] = v
+            try:
+                v = legs[(rr, dd)] = triangle_legs(*tri[(rr, dd)])
+            except ZeroDivisionError:
+                raise GridError(
+                    f"zero edge sum at triangle ({rr},{dd})") from None
         return v
 
-    mc = m - 1
-    child = {}
-    for (r, d) in out_triangles:
-        if d == 1:
-            Lv = leg(r, 1)[1] + leg(r + 1, 1)[0]
-        else:
-            a = leg(r, d - 1)[2]; b = leg(r, d)[1]; c = leg(r + 1, d)[0]
-            Lv = b + c + b * c / a
-        if d == r:
-            Rv = leg(r, r)[2] + leg(r + 1, r + 1)[0]
-        else:
-            a = leg(r, d + 1)[1]; b = leg(r, d)[2]; c = leg(r + 1, d + 1)[0]
-            Rv = b + c + b * c / a
-        if r == mc:
-            Bv = leg(m, d)[2] + leg(m, d + 1)[1]
-        else:
-            a = leg(r + 2, d + 1)[0]; b = leg(r + 1, d)[2]; c = leg(r + 1, d + 1)[1]
-            Bv = b + c + b * c / a
-        child[(r, d)] = (Lv, Rv, Bv)
-    return child
+    return {(r, d): _child_triple(leg, wye, r, d, m)
+            for (r, d) in out_triangles}
 
 
 def reduce_once(grid: Grid) -> Grid:
@@ -375,8 +364,7 @@ def _star_legs(triple, leg_memo):
            B.numerator, B.denominator)
     v = leg_memo.get(key)
     if v is None:
-        s = L + R + B
-        v = leg_memo[key] = (L * R / s, B * L / s, R * B / s)
+        v = leg_memo[key] = triangle_legs(L, R, B)
     return v
 
 
@@ -387,7 +375,7 @@ def _memo_wye(wye_memo):
                c.numerator, c.denominator)
         v = wye_memo.get(key)
         if v is None:
-            v = wye_memo[key] = b + c + b * c / a
+            v = wye_memo[key] = wye(a, b, c)
         return v
     return wye3
 

@@ -197,6 +197,8 @@ def test_malformed_graph_json_is_a_usage_error(tmp_path, capsys, text, field):
     ["--n", "5", "--steps", "2", "--field", "symbolic", "--boundary", "1/0"],
     ["--n", "27", "--steps", "2", "--field", "symbolic", "--boundary",
      "3/(x-x)"],
+    ["--n", "4", "--steps", "1", "--field", "symbolic", "--boundary",
+     "(" * 400 + "x" + ")" * 400],
 ])
 def test_bad_boundary_is_a_usage_error(capsys, argv):
     usage_error(capsys, ["reduce"] + argv)
@@ -214,6 +216,7 @@ def test_bad_boundary_is_a_usage_error(capsys, argv):
      "triangle (1,1)"),
     (["reduce", "--n", "6", "--steps", "1", "--field", "symbolic",
       "--boundary=-2"], "triangle (2,1)"),
+    (["reduce", "--n", "401", "--steps", "1"], "--n"),
 ])
 def test_bad_argument_is_a_usage_error(capsys, argv, needle):
     assert needle in usage_error(capsys, argv)

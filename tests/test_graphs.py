@@ -7,8 +7,8 @@ from itertools import combinations, permutations
 
 import pytest
 
-from circuitarray.graphs import (GraphError, WeightedGraph, delta_to_wye,
-                                 effective_resistance, fibonacci,
+from circuitarray.graphs import (GraphError, WeightedGraph, _ldl,
+                                 delta_to_wye, effective_resistance, fibonacci,
                                  graph_level_reduce, grid_to_graph, lucas,
                                  r_formula_straight, series, straight_2tree,
                                  verify_2tree_formula, verify_fib_identities,
@@ -255,6 +255,22 @@ def test_grid_to_graph_counts():
     # resistance between two adjacent corners of the 3-grid graph
     r = effective_resistance(g3, (0, 0), (3, 0))
     assert r > 0 and r.denominator > 1
+
+
+def test_json_round_trip_keeps_the_factor_and_every_resistance():
+    # rows 10 and up would sort between rows 1 and 2 by repr, off the band
+    g = grid_to_graph(all_one_grid(11))
+    h = WeightedGraph.from_json(g.to_json())
+    assert h.vertex_count() == g.vertex_count() == 78
+
+    def fill(graph):
+        return sum(len(col) for col in _ldl(graph)[1])
+
+    assert fill(h) == fill(g)
+    number = {v: i for i, v in enumerate(g.vertices)}
+    for a, b in combinations(g.vertices, 2):
+        r = effective_resistance(h, number[a], number[b])
+        assert type(r) is F and r == effective_resistance(g, a, b), (a, b)
 
 
 def test_graph_level_reduce_matches_formula_reduction():

@@ -123,10 +123,25 @@ def test_child_labels_positive_and_symmetric():
 
 
 def test_reduce_matches_child_edge_everywhere():
-    parent = reduce_once(all_one_grid(7))
-    child = reduce_once(parent)
-    for e in child.edge_refs():
-        assert child.label_at(e) == child_edge(parent, e.r, e.d, e.side)
+    # On all-one grids each star's two bottom legs are equal, so a leg
+    # placed at the wrong corner only shows on asymmetric labels.
+    rng = random.Random(5)
+    parents = [reduce_once(all_one_grid(7))]
+    for m in range(3, 8):
+        tri = {(r, d): tuple(F(rng.randint(1, 9), rng.randint(1, 9))
+                             for _ in range(3))
+               for r in range(1, m + 1) for d in range(1, r + 1)}
+        parents.append(Grid(m, tri, field=RATIONALS))
+    x = RationalFunction.x()
+    labels = (RATFUNCS.one, x, 1 + x, 2 / (x + 1))
+    tri = {(r, d): tuple(rng.choice(labels) for _ in range(3))
+           for r in range(1, 5) for d in range(1, r + 1)}
+    parents.append(Grid(4, tri, field=RATFUNCS))
+    for parent in parents:
+        child = reduce_once(parent)
+        for e in child.edge_refs():
+            assert child.label_at(e) == child_edge(parent, e.r, e.d, e.side), \
+                (parent.m, parent.field.name, e)
 
 
 def test_window_matches_full_reduction():
