@@ -207,23 +207,23 @@ def cmd_symbolic(args) -> int:
 
 def _parse_rows(spec: str) -> list[int]:
     out = []
-    for part in spec.split(","):
-        part = part.strip()
-        if ".." in part:
-            a, b = part.split("..")
-            out.extend(range(int(a), int(b) + 1))
-        elif part:
-            out.append(int(part))
+    try:
+        for part in spec.split(","):
+            part = part.strip()
+            if ".." in part:
+                a, b = part.split("..")
+                out.extend(range(int(a), int(b) + 1))
+            elif part:
+                out.append(int(part))
+    except ValueError:  # a bad number, or more than one ".." in a part
+        out = []
     if not out or any(s < 1 for s in out):
-        raise ValueError(f"bad row spec {spec!r}")
+        raise UsageError(f"bad row spec {spec!r}")
     return out
 
 
 def cmd_asymptotics(args) -> int:
-    try:
-        s_values = _parse_rows(args.rows)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    s_values = _parse_rows(args.rows)
     rows = sequences.asymptotics_table(s_values)
     header = list(sequences.ASYMPTOTIC_COLUMNS)
     table = []

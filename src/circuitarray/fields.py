@@ -18,13 +18,22 @@ back to Fraction at their read points.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
 
+# Fraction builds 10**exponent in full ("1e999999999" runs for minutes);
+# 10**4299 has 4300 digits, the most CPython prints by default.
+_MAX_DECIMAL_EXPONENT = 4299
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse an exact rational from a string like ``"26/27"`` or ``"2"``."""
+    """Parse an exact rational such as ``"26/27"``, ``"2"`` or ``"1.5e3"``."""
+    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*$", text, re.IGNORECASE)
+    if exponent and abs(int(exponent.group(1))) > _MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent {exponent.group(1)} too large")
     return Fraction(text.strip())
 
 
@@ -82,7 +91,7 @@ def fast_rationals() -> FieldContract:
         name="rational",
         zero=mpq(0),
         one=mpq(1),
-        parse=lambda s: mpq(Fraction(s.strip())),
+        parse=lambda s: mpq(parse_rational(s)),
         format=format_rational,
     )
 

@@ -158,8 +158,8 @@ class WeightedGraph:
 
         Vertices are 0..N-1 and each ``r`` is an exact positive rational,
         an integer or a string such as ``"5/3"`` (a JSON float is not
-        exact).  Any other shape raises a one-line ``GraphError`` that names
-        the bad field.
+        exact).  Any other shape, or an ``"n"`` too large for the edges to
+        connect, raises a one-line ``GraphError`` that names the bad field.
         """
         import json
         try:
@@ -178,6 +178,9 @@ class WeightedGraph:
         edges = data["edges"]
         if not isinstance(edges, list):
             raise GraphError(f'"edges" must be a list, got {edges!r}')
+        if n > len(edges) + 1:
+            raise GraphError(f"{n} vertices cannot be connected by "
+                             f"{len(edges)} edges")
         g = WeightedGraph()
         for i in range(n):
             g.add_vertex(i)
@@ -195,7 +198,7 @@ class WeightedGraph:
             try:
                 if type(r) not in (int, str):
                     raise ValueError
-                r = Fraction(r)
+                r = RATIONALS.parse(r) if type(r) is str else Fraction(r)
             except (ValueError, ZeroDivisionError):
                 raise GraphError(f"{where}.r must be an exact rational, "
                                  f"got {r!r}") from None

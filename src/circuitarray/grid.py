@@ -13,11 +13,13 @@ bottom-right, and B joins the two bottom vertices.
 
 Symmetries.  The grid has the dihedral symmetry of the triangle: a vertical
 reflection (r, d) <-> (r, r+1-d) swapping L and R, and a rotation by 2*pi/3
-cycling the three corner triangles (1,1) -> (m,1) -> (m,m).  A grid whose
-labels are invariant under both is called symmetric.  A symmetric grid is
-determined by its labels on the upper-left sector (triangles whose
-barycentric distances to the three sides are sorted), which meets every
-symmetry orbit exactly once; see ``determining_triangles``.
+cycling the three corner triangles (1,1) -> (m,1) -> (m,m).  Together they
+permute a triangle's three corner distances (d-1, r-d, m-r) and its sides
+L, R, B in the same way, so two edges lie in one symmetry orbit exactly when
+their triangles have the same sorted distances and the two sides have the
+same distance.  A grid constant on every orbit is called symmetric; it is
+determined by its labels on the upper-left sector (triangles whose distances
+are sorted), which meets every orbit; see ``determining_triangles``.
 """
 
 from __future__ import annotations
@@ -79,20 +81,7 @@ def rotate_edge(ref: EdgeRef, m: int) -> EdgeRef:
     return EdgeRef(m + 1 - d, r + 1 - d, mapped)
 
 
-def edge_orbit(ref: EdgeRef, m: int) -> set[EdgeRef]:
-    """Orbit of an edge under the full six-element symmetry group."""
-    seen = {ref}
-    frontier = [ref]
-    while frontier:
-        e = frontier.pop()
-        for image in (reflect_edge(e, m), rotate_edge(e, m)):
-            if image not in seen:
-                seen.add(image)
-                frontier.append(image)
-    return seen
-
-
-# -- determining region ------------------------------------------------------
+# -- orbits and the determining region ----------------------------------------
 
 def corner_distances(r: int, d: int, m: int) -> tuple[int, int, int]:
     """Barycentric distances (to left side, right side, bottom) of a triangle.
@@ -103,30 +92,25 @@ def corner_distances(r: int, d: int, m: int) -> tuple[int, int, int]:
     return (d - 1, r - d, m - r)
 
 
+def _orbit_key(r: int, d: int, side: int, m: int) -> tuple:
+    """The symmetry orbit of edge (r, d, SIDES[side]): the symmetries
+    permute corner distances and sides alike (see the module docstring)."""
+    dist = corner_distances(r, d, m)
+    return tuple(sorted(dist)), dist[side]
+
+
 def determining_triangles(m: int) -> list[tuple[int, int]]:
     """Canonical determining region: the upper-left sector of the grid.
 
     A triangle is in the sector when its corner distances are sorted,
     d-1 <= r-d <= m-r, i.e. it lies at least as close to the top corner as
     to the bottom ones and no further from the left side than the right.
-    Every symmetry orbit contains exactly one sorted multiset, so the sector
-    meets every orbit, and a symmetric grid is determined by its labels
-    there.  (For a 3-grid the sector is {(1,1), (2,1)}; the triangle fixed
-    by the rotation, present when m = 1 mod 3, has all distances equal and
-    is always included.)
+    The sector meets every orbit.  (For a 3-grid it is {(1,1), (2,1)}; the
+    triangle fixed by the rotation, present when m = 1 mod 3, has all
+    distances equal and is always included.)
     """
-    out = []
-    for r in range(1, m + 1):
-        for d in range(1, r + 1):
-            a, b, c = corner_distances(r, d, m)
-            if a <= b <= c:
-                out.append((r, d))
-    return out
-
-
-def determining_edges(m: int) -> list[EdgeRef]:
-    return [EdgeRef(r, d, s) for (r, d) in determining_triangles(m)
-            for s in SIDES]
+    return [(r, d) for r in range(1, m + 1) for d in range(1, r + 1)
+            if d - 1 <= r - d <= m - r]
 
 
 def is_boundary(ref: EdgeRef, m: int) -> bool:
@@ -164,8 +148,11 @@ class Grid:
     def _validate(self) -> None:
         if self.m < 1:
             raise GridError(f"grid size must be >= 1, got {self.m}")
-        expected = [(r, d) for r in range(1, self.m + 1) for d in range(1, r + 1)]
-        if sorted(self._tri) != expected:
+        # count and range only: a declared m alone allocates nothing
+        m = self.m
+        if len(self._tri) != triangle_count(m) or not all(
+                type(r) is int and type(d) is int and 1 <= d <= r <= m
+                for r, d in self._tri):
             raise GridError(f"grid of size {self.m} needs exactly the triangles "
                             f"(r,d), 1 <= d <= r <= {self.m}")
         zero = self.field.zero
@@ -206,10 +193,11 @@ class Grid:
     def is_symmetric(self) -> bool:
         """True when labels are invariant under reflection and rotation."""
         if self._symmetric is None:
+            first = {}
             self._symmetric = all(
-                self.label_at(reflect_edge(e, self.m)) == v
-                and self.label_at(rotate_edge(e, self.m)) == v
-                for e, v in self.items())
+                first.setdefault(_orbit_key(r, d, i, self.m), v) == v
+                for (r, d), triple in self._tri.items()
+                for i, v in enumerate(triple))
         return self._symmetric
 
     def __eq__(self, other) -> bool:
@@ -309,46 +297,35 @@ def symmetry_complete(partial: Mapping, m: int, *,
     """Extend labels on the determining region to a full symmetric grid.
 
     ``partial`` carries labels for edges of ``determining_triangles(m)``
-    (keys may be EdgeRef or plain (r, d, side) tuples).  Labels propagate
-    along symmetry orbits.  Keys outside the determining region, an edge
-    receiving two distinct values along different orbits, or a grid edge
-    left undetermined are all errors.  (A key whose orbit is already covered
-    is legal as long as the values agree, so e.g. a 1-grid is determined by
-    its L label alone.)
+    (keys may be EdgeRef or plain (r, d, side) tuples); every edge takes the
+    label given for its orbit.  Keys outside the determining region, two
+    distinct values for one orbit, or a grid edge whose orbit has no value
+    are all errors.  (Two keys in one orbit are legal as long as the values
+    agree, so e.g. a 1-grid is determined by its L label alone.)
     """
-    allowed = set(determining_edges(m))
-    supplied = {}
+    labels = {}
     for key, value in partial.items():
         ref = EdgeRef(*key)
         validate_edge_ref(ref, m)
-        if ref not in allowed:
+        a, b, c = corner_distances(ref.r, ref.d, m)
+        if not a <= b <= c:
             raise GridError(f"edge {tuple(ref)} is outside the determining region")
-        supplied[ref] = value
-
-    labels: dict[EdgeRef, object] = {}
-    for ref, value in supplied.items():
-        for image in edge_orbit(ref, m):
-            existing = labels.get(image)
-            if existing is None:
-                labels[image] = value
-            elif existing != value:
-                raise GridError(
-                    f"inconsistent symmetry overlap at {tuple(image)}: "
-                    f"{field.format(existing)} vs {field.format(value)}")
+        orbit = _orbit_key(ref.r, ref.d, SIDES.index(ref.side), m)
+        existing = labels.setdefault(orbit, value)
+        if existing != value:
+            raise GridError(
+                f"inconsistent symmetry overlap at {tuple(ref)}: "
+                f"{field.format(existing)} vs {field.format(value)}")
 
     tri = {}
     for r in range(1, m + 1):
         for d in range(1, r + 1):
             try:
-                tri[(r, d)] = tuple(labels[EdgeRef(r, d, s)] for s in SIDES)
-            except KeyError as exc:
+                tri[(r, d)] = tuple(labels[_orbit_key(r, d, i, m)]
+                                    for i in range(3))
+            except KeyError:
                 raise GridError(f"determining region incomplete: triangle "
-                                f"({r},{d}) not reached by any orbit") from exc
+                                f"({r},{d}) not reached by any orbit") from None
     g = Grid(m, tri, field=field, reductions=reductions)
     g._symmetric = True
     return g
-
-
-def restrict_to_determining(grid: Grid) -> dict[EdgeRef, object]:
-    """Labels of a grid on its determining region (inverse of completion)."""
-    return {ref: grid.label_at(ref) for ref in determining_edges(grid.m)}

@@ -180,6 +180,12 @@ class RationalFunction:
 
 # -- expression parsing ------------------------------------------------------
 
+# A power's cost grows with |exponent| times its base's degree plus
+# coefficient bits: x^-999999999, 2^999999999 or (1+x)^100000 would run for
+# minutes or exhaust memory, and ((1+x)^50)^50 nests the growth.
+_MAX_POWER_SIZE = 1000
+
+
 def _tokenize(text: str) -> list:
     tokens = []
     i = 0
@@ -245,14 +251,18 @@ class _Parser:
         value = self.atom()
         if self.peek() == "^":
             self.take()
+            sign = 1
+            if self.peek() == "-":
+                self.take()
+                sign = -1
             exponent = self.take()
-            negative = False
-            if exponent == "-":
-                negative = True
-                exponent = self.take()
             if not isinstance(exponent, int):
                 raise ValueError("exponent must be an integer")
-            value = value ** (-exponent if negative else exponent)
+            size = max(p.degree + max(map(abs, p.coeffs), default=0)
+                       .bit_length() for p in (value.numer, value.denom))
+            if exponent * size > _MAX_POWER_SIZE:
+                raise ValueError(f"power ^{sign * exponent} too large")
+            value = value ** (sign * exponent)
         return value
 
     def atom(self) -> RationalFunction:

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, formats, determinism, exit codes."""
 
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -181,6 +182,9 @@ def test_usage_error_exit_2():
     ('{"n": 2, "edges": [{"u": 0, "v": 1, "r": "1/0"}]}', "edges[0].r"),
     ('{"n": 2, "edges": [{"u": 0, "v": 7, "r": "1"}]}', "edges[0].v"),
     ('{"n": -1, "edges": []}', '"n"'),
+    ('{"n": 100000, "edges": []}', "100000 vertices cannot be connected by 0"),
+    ('{"n": 2, "edges": [{"u": 0, "v": 1, "r": "1e999999999"}]}',
+     "edges[0].r"),
     ("not json", "JSON"),
 ])
 def test_malformed_graph_json_is_a_usage_error(tmp_path, capsys, text, field):
@@ -199,9 +203,20 @@ def test_malformed_graph_json_is_a_usage_error(tmp_path, capsys, text, field):
      "3/(x-x)"],
     ["--n", "4", "--steps", "1", "--field", "symbolic", "--boundary",
      "(" * 400 + "x" + ")" * 400],
+    ["--n", "5", "--steps", "2", "--boundary", "1e999999999"],
+    ["--n", "5", "--steps", "2", "--field", "symbolic", "--boundary",
+     "(1+x)^100000"],
+    ["--n", "5", "--steps", "2", "--field", "symbolic", "--boundary",
+     "2^999999999"],
+    ["--n", "5", "--steps", "2", "--field", "symbolic", "--boundary",
+     "x^-999999999"],
+    ["--n", "5", "--steps", "2", "--field", "symbolic", "--boundary",
+     "((1+x)^30)^30"],
 ])
 def test_bad_boundary_is_a_usage_error(capsys, argv):
+    start = time.perf_counter()
     usage_error(capsys, ["reduce"] + argv)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -217,6 +232,8 @@ def test_bad_boundary_is_a_usage_error(capsys, argv):
     (["reduce", "--n", "6", "--steps", "1", "--field", "symbolic",
       "--boundary=-2"], "triangle (2,1)"),
     (["reduce", "--n", "401", "--steps", "1"], "--n"),
+    (["asymptotics", "--rows", "1..2..3"], "bad row spec '1..2..3'"),
+    (["asymptotics", "--rows", "..5"], "bad row spec '..5'"),
 ])
 def test_bad_argument_is_a_usage_error(capsys, argv, needle):
     assert needle in usage_error(capsys, argv)

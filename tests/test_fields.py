@@ -2,6 +2,8 @@
 
 from fractions import Fraction as F
 
+import pytest
+
 from circuitarray.fields import (RATIONALS, as_fraction, fast_rationals,
                                  format_rational, parse_rational)
 
@@ -11,6 +13,15 @@ def test_parse_and_format_round_trip():
         assert format_rational(parse_rational(text)) == text
     assert parse_rational(" 2/3 ") == F(2, 3)
     assert format_rational(F(4, 2)) == "2"
+
+
+def test_decimal_exponent_cap():
+    assert parse_rational("1.5e3") == 1500
+    assert format_rational(parse_rational("1e4299")) == "1" + "0" * 4299
+    assert parse_rational("1E-4299") == F(1, 10 ** 4299)
+    for bad in ("1e4300", "1e-4300", "2.5e999999999", "1e+999_999_999 "):
+        with pytest.raises(ValueError, match="decimal exponent"):
+            parse_rational(bad)
 
 
 def test_fast_backend_matches_fraction():

@@ -2,12 +2,14 @@
 
 Every input ends in a result, in one ``error:`` line with exit 1 or 2, or,
 for a loader called directly, in its own ``GridError``/``GraphError``;
-never in a traceback.  Integers in the documents stay small because the
-loaders allocate one vertex or triangle per unit of ``n`` or ``m``.
+never in a traceback.  Sizes and exponents are drawn large too: a declared
+size, a decimal exponent or a power beyond what the document or the
+expression can back is refused before anything is built for it.
 """
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,7 +26,12 @@ JUNK = ("", " ", "(", "x)", "x^", "^2", "1/0", "abc", "1e3", "2.5", "--1",
         "x^-1", "0^-1", "x^x", "3/(x-x)", "nan", "inf", "(" * 400 + "x"
         + ")" * 400, "-" * 400 + "1")
 VALUES = (None, True, False, -1, 0, 1, 3, 2.5, "", "0", "-1", "1/0", "2/3",
-          "x", "L", [], {}, [0], {"r": 1})
+          "x", "L", [], {}, [0], {"r": 1}, 10 ** 5, 10 ** 9, "1e999999999",
+          "x^-999999999")
+
+
+def big_exponent(rng):
+    return rng.choice((-1, 1)) * 10 ** rng.randint(3, 9)
 
 
 def expression(rng, depth=0):
@@ -35,14 +42,16 @@ def expression(rng, depth=0):
     if p < 0.4:
         return "-" + expression(rng, depth + 1)
     if p < 0.5:
-        return f"({expression(rng, depth + 1)})^{rng.randint(-2, 2)}"
+        k = big_exponent(rng) if rng.random() < 0.2 else rng.randint(-2, 2)
+        return f"({expression(rng, depth + 1)})^{k}"
     return (f"({expression(rng, depth + 1)}){rng.choice('+-*/')}"
             f"({expression(rng, depth + 1)})")
 
 
 def reduce_argv(rng):
     if rng.random() < 0.1:
-        n, steps = rng.choice(((-1, 0), (0, 0), (401, 1), (3, 3), (3, -1)))
+        n, steps = rng.choice(((-1, 0), (0, 0), (401, 1), (10 ** 9, 1),
+                               (3, 3), (3, -1)))
     else:
         n = rng.randint(1, 6)
         steps = rng.randrange(n)
@@ -51,8 +60,10 @@ def reduce_argv(rng):
     p = rng.random()
     if p < 0.2:
         argv.append(f"--boundary={rng.choice(JUNK)}")
-    elif p < 0.4:
+    elif p < 0.3:
         argv.append(f"--boundary={rng.randint(-3, 4)}/{rng.randint(0, 4)}")
+    elif p < 0.4:
+        argv.append(f"--boundary={rng.randint(1, 9)}e{big_exponent(rng)}")
     elif p < 0.9:
         argv.append(f"--boundary={expression(rng)}")
     return argv
@@ -133,3 +144,18 @@ def test_grid_json_fuzz():
             Grid.from_json(malformed(rng, doc), field)
         except GridError:
             pass
+
+
+@pytest.mark.parametrize("load, text, error", [
+    (Grid.from_json, '{"m": 1000, "labels": []}', GridError),
+    (WeightedGraph.from_json, '{"n": 100000, "edges": []}', GraphError),
+])
+def test_declared_size_alone_allocates_nothing(load, text, error):
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            load(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

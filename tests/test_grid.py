@@ -4,13 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from circuitarray.grid import (EdgeRef, Grid, GridError, all_one_grid,
-                               corner_distances, determining_edges,
-                               determining_triangles, edge_count, edge_orbit,
-                               is_boundary, reflect_edge,
-                               restrict_to_determining, rotate_edge,
-                               symmetry_complete, triangle_count,
-                               validate_edge_ref, vertex_count)
+from circuitarray.grid import (SIDES, EdgeRef, Grid, GridError, _orbit_key,
+                               all_one_grid, corner_distances,
+                               determining_triangles, edge_count, is_boundary,
+                               reflect_edge, rotate_edge, symmetry_complete,
+                               triangle_count, validate_edge_ref, vertex_count)
 from circuitarray.reduction import reduce_k, reduce_once
 
 
@@ -64,16 +62,56 @@ def test_rotation_cycles_corners():
     assert rotate_edge(EdgeRef(m, m, "L"), m)[:2] == (1, 1)
 
 
+def closure_orbits(m):
+    """Orbits of the edges of an m-grid, closed under reflect_edge and
+    rotate_edge by search: the oracle for ``_orbit_key``."""
+    orbits = []
+    seen = set()
+    for e in all_one_grid(m).edge_refs():
+        if e in seen:
+            continue
+        orbit = {e}
+        frontier = [e]
+        while frontier:
+            f = frontier.pop()
+            for image in (reflect_edge(f, m), rotate_edge(f, m)):
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        seen |= orbit
+        orbits.append(frozenset(orbit))
+    return orbits
+
+
+def key_classes(m):
+    classes = {}
+    for e in all_one_grid(m).edge_refs():
+        key = _orbit_key(e.r, e.d, SIDES.index(e.side), m)
+        classes.setdefault(key, set()).add(e)
+    return classes
+
+
+def test_orbit_key_classes_are_the_symmetry_closure():
+    for m in range(1, 16):
+        assert (set(map(frozenset, key_classes(m).values()))
+                == set(closure_orbits(m))), m
+
+
 def test_determining_region_meets_every_orbit_once():
     for m in range(1, 31):
         sector = determining_triangles(m)
         # sorted corner distances characterize the sector
-        assert all(corner_distances(r, d, m) ==
-                   tuple(sorted(corner_distances(r, d, m)))
-                   for (r, d) in sector)
+        assert sector == [(r, d) for r in range(1, m + 1)
+                          for d in range(1, r + 1)
+                          if corner_distances(r, d, m)
+                          == tuple(sorted(corner_distances(r, d, m)))]
+        reached = {_orbit_key(r, d, i, m) for (r, d) in sector
+                   for i in range(3)}
+        assert reached == set(key_classes(m)), m
         covered = set()
-        for ref in determining_edges(m):
-            covered |= edge_orbit(ref, m)
+        for orbit in closure_orbits(m):
+            if any((e.r, e.d) in sector for e in orbit):
+                covered |= orbit
         assert len(covered) == edge_count(m)
 
 
@@ -100,8 +138,9 @@ def test_symmetry_complete_single_label_orbit():
 def test_symmetry_complete_round_trip():
     for n, k in ((5, 1), (9, 2), (12, 3)):
         g = reduce_k(all_one_grid(n), k)
-        assert symmetry_complete(restrict_to_determining(g), g.m,
-                                 reductions=k) == g
+        restricted = {(r, d, s): g.label(r, d, s)
+                      for (r, d) in determining_triangles(g.m) for s in SIDES}
+        assert symmetry_complete(restricted, g.m, reductions=k) == g
 
 
 def test_symmetry_complete_rejects_bad_input():
@@ -164,3 +203,29 @@ def test_is_symmetric_detects_asymmetry():
     tri[(2, 1)] = (F(2), F(1), F(1))
     assert not Grid(2, tri).is_symmetric()
     assert all_one_grid(4).is_symmetric()
+
+
+def labelled_by_class(m, mapping):
+    """An m-grid whose edges carry one label per class of the partition
+    generated by ``mapping``, an involution or a map of order 3."""
+    labels = {}
+    for e in all_one_grid(m).edge_refs():
+        if e not in labels:
+            value = F(len(labels) + 1)
+            f = e
+            while f not in labels:
+                labels[f] = value
+                f = mapping(f, m)
+    tri = {(r, d): tuple(labels[EdgeRef(r, d, s)] for s in SIDES)
+           for r in range(1, m + 1) for d in range(1, r + 1)}
+    return Grid(m, tri)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 7])
+@pytest.mark.parametrize("kept, broken", [(reflect_edge, rotate_edge),
+                                          (rotate_edge, reflect_edge)])
+def test_is_symmetric_needs_both_maps(m, kept, broken):
+    g = labelled_by_class(m, kept)
+    assert all(g.label_at(kept(e, m)) == v for e, v in g.items())
+    assert not all(g.label_at(broken(e, m)) == v for e, v in g.items())
+    assert not g.is_symmetric()

@@ -157,3 +157,12 @@ class TestParser:
         for bad in ("x +", "(x", "x ^ y", "3 $ 4"):
             with pytest.raises(ValueError):
                 parse_ratfunc(bad)
+
+    def test_power_size_cap(self):
+        # x has degree 1 and coefficient bits 1: a size of 2 per unit
+        assert parse_ratfunc("x^500") == X ** 500
+        assert parse_ratfunc("x^-500") == X ** -500
+        assert parse_ratfunc("1^1000") == 1
+        for bad in ("x^501", "x^-501", "3^501", "((1+x)^30)^30"):
+            with pytest.raises(ValueError, match="too large"):
+                parse_ratfunc(bad)
