@@ -167,9 +167,22 @@ def cmd_reduce(args) -> int:
 
 # -- diag / hankel / symbolic / asymptotics --------------------------------------
 
+# The leftmost diagonal to depth s is one reduction chain whose labels grow
+# with s, and its cost grows about as s^5: s = 160 takes ~50 s and ~85 MiB.
+_DIAG_MAX_S = 160
+
+
+def _check_depth(flag: str, value: int, depth: int) -> None:
+    """Refuse a ``flag`` ``value`` that needs the diagonal to s = depth."""
+    if depth > _DIAG_MAX_S:
+        raise UsageError(f"{flag} {value} needs the diagonal to s = {depth}, "
+                         f"past the limit s <= {_DIAG_MAX_S}")
+
+
 def cmd_diag(args) -> int:
     if args.max_s < 1:
         raise UsageError(f"--max-s must be >= 1, got {args.max_s}")
+    _check_depth("--max-s", args.max_s, args.max_s)
     diag = ca.diagonal_sequence(args.max_s)
     header = ["s", "L"]
     rows = []
@@ -185,6 +198,7 @@ def cmd_diag(args) -> int:
 def cmd_hankel(args) -> int:
     if args.max_k < 2:
         raise UsageError(f"--max-k must be >= 2, got {args.max_k}")
+    _check_depth("--max-k", args.max_k, 2 * (args.max_k + 1))
     diag = ca.diagonal_sequence(2 * (args.max_k + 1))
     seq = sequences.nprime_sequence(2 * args.max_k, diag)
     conjecture = sequences.verify_determinant_conjecture(args.max_k, seq)
@@ -206,20 +220,23 @@ def cmd_symbolic(args) -> int:
 
 
 def _parse_rows(spec: str) -> list[int]:
-    out = []
+    ranges = []
     try:
         for part in spec.split(","):
             part = part.strip()
             if ".." in part:
                 a, b = part.split("..")
-                out.extend(range(int(a), int(b) + 1))
+                ranges.append((int(a), int(b)))
             elif part:
-                out.append(int(part))
+                ranges.append((int(part), int(part)))
     except ValueError:  # a bad number, or more than one ".." in a part
-        out = []
-    if not out or any(s < 1 for s in out):
+        ranges = []
+    ranges = [(a, b) for a, b in ranges if a <= b]
+    if not ranges or any(a < 1 for a, _ in ranges):
         raise UsageError(f"bad row spec {spec!r}")
-    return out
+    deepest = max(b for _, b in ranges)
+    _check_depth("--rows", spec, deepest)
+    return [s for a, b in ranges for s in range(a, b + 1)]
 
 
 def cmd_asymptotics(args) -> int:
@@ -275,8 +292,9 @@ def cmd_oracle(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_k < 2:
         raise UsageError(f"--max-k must be >= 2, got {args.max_k}")
-    arr = ca.build_array(max(args.max_cols, args.max_k + 3, 5))
     smax = max(2 * args.max_k + 2, 20)
+    _check_depth("--max-k", args.max_k, smax)
+    arr = ca.build_array(max(args.max_cols, args.max_k + 3, 5))
     diag = ca.diagonal_sequence(smax)
     seq = sequences.nprime_sequence(smax, diag)
     reports = [

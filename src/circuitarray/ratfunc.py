@@ -180,10 +180,18 @@ class RationalFunction:
 
 # -- expression parsing ------------------------------------------------------
 
-# A power's cost grows with |exponent| times its base's degree plus
-# coefficient bits: x^-999999999, 2^999999999 or (1+x)^100000 would run for
-# minutes or exhaust memory, and ((1+x)^50)^50 nests the growth.
-_MAX_POWER_SIZE = 1000
+# The cost of building a value grows with its size: its degree plus its
+# coefficient bits.  x^-999999999, 2^999999999 or (1+x)^100000 would run
+# for minutes or exhaust memory, and so would a product of many powers that
+# are each small enough, such as eight factors (1+x)^499.  So the parse
+# spends from one budget: every operation costs the size its result can
+# reach, charged before the result is built.
+_MAX_PARSE_SIZE = 1000
+
+
+def _size(value: RationalFunction) -> int:
+    return max(p.degree + max(map(abs, p.coeffs), default=0).bit_length()
+               for p in (value.numer, value.denom))
 
 
 def _tokenize(text: str) -> list:
@@ -213,6 +221,14 @@ class _Parser:
     def __init__(self, tokens: list):
         self.tokens = tokens
         self.pos = 0
+        self.budget = _MAX_PARSE_SIZE
+
+    def spend(self, size: int, what: str) -> None:
+        """Charge one operation's result size to the parse's budget."""
+        self.budget -= size
+        if self.budget < 0:
+            raise ValueError(f"{what} too large: the expression exceeds "
+                             f"the size budget of {_MAX_PARSE_SIZE}")
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -233,6 +249,7 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.term()
+            self.spend(_size(value) + _size(rhs), f"operation {op!r}")
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -241,6 +258,7 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.factor()
+            self.spend(_size(value) + _size(rhs), f"operation {op!r}")
             value = value * rhs if op == "*" else value / rhs
         return value
 
@@ -258,10 +276,7 @@ class _Parser:
             exponent = self.take()
             if not isinstance(exponent, int):
                 raise ValueError("exponent must be an integer")
-            size = max(p.degree + max(map(abs, p.coeffs), default=0)
-                       .bit_length() for p in (value.numer, value.denom))
-            if exponent * size > _MAX_POWER_SIZE:
-                raise ValueError(f"power ^{sign * exponent} too large")
+            self.spend(exponent * _size(value), f"power ^{sign * exponent}")
             value = value ** (sign * exponent)
         return value
 

@@ -49,6 +49,7 @@ polynomials for rational functions, so the chain runs over both fields.
 from __future__ import annotations
 
 from bisect import bisect_right
+from fractions import Fraction
 
 from .fields import FieldContract, fast_rationals
 from .grid import (SIDES, EdgeRef, Grid, GridError, determining_triangles,
@@ -64,10 +65,18 @@ def delta(x, y, z):
 
 
 def wye(x, y, z):
-    """Triangle edge opposite the star leg x, given the other legs y and z."""
-    if x == 0:
-        raise ZeroDivisionError("wye with zero opposite leg")
-    return y + z + y * z / x
+    """Triangle edge opposite the star leg x, given the other legs y and z.
+
+    y + z + y*z/x over one denominator: with x = p/P, y = q/Q and z = r/R
+    it is (p(qR + rQ) + qrP) / (pQR), built by the labels' own
+    (numerator, denominator) constructor, which normalises it once and
+    raises ZeroDivisionError for a zero leg x.
+    """
+    p, P = x.numerator, x.denominator
+    q, Q = y.numerator, y.denominator
+    r, R = z.numerator, z.denominator
+    qr = q * r
+    return _label_type(x, y, z)(p * (q * R + r * Q) + qr * P, p * Q * R)
 
 
 def series_merge(r1, r2):
@@ -76,11 +85,31 @@ def series_merge(r1, r2):
 
 
 def triangle_legs(L, R, B):
-    """Star legs (apex, bottom-left, bottom-right) of one upright triangle."""
-    s = L + R + B
-    if s == 0:
-        raise ZeroDivisionError("delta-wye with zero edge sum")
-    return (L * R / s, B * L / s, R * B / s)
+    """Star legs (apex, bottom-left, bottom-right) of one upright triangle.
+
+    delta(L, R, B), delta(B, L, R) and delta(R, B, L) over one denominator:
+    with L = a/α, R = b/β, B = c/γ and S = aβγ + bαγ + cαβ they are abγ/S,
+    caβ/S and bcα/S, each built by the labels' own (numerator, denominator)
+    constructor, which normalises it once and raises ZeroDivisionError for
+    a zero edge sum.
+    """
+    a, al = L.numerator, L.denominator
+    b, be = R.numerator, R.denominator
+    c, ga = B.numerator, B.denominator
+    abe, bal = a * be, b * al
+    s = (abe + bal) * ga + c * al * be
+    make = _label_type(L, R, B)
+    return make(a * b * ga, s), make(c * abe, s), make(c * bal, s)
+
+
+def _label_type(*labels):
+    """Type of the first label that is not a plain int: Fraction, mpq or
+    RationalFunction, whose (numerator, denominator) constructor builds the
+    kernel's results.  Plain int labels alone give Fraction."""
+    for v in labels:
+        if type(v) is not int:
+            return type(v)
+    return Fraction
 
 
 def child_edge(parent: Grid, r: int, d: int, side: str):

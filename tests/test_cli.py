@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from circuitarray.cli import main
+from circuitarray.cli import _DIAG_MAX_S, main
 from circuitarray.graphs import WeightedGraph
 from circuitarray.grid import Grid
 from circuitarray.reports import Report
@@ -212,6 +212,8 @@ def test_malformed_graph_json_is_a_usage_error(tmp_path, capsys, text, field):
      "x^-999999999"],
     ["--n", "5", "--steps", "2", "--field", "symbolic", "--boundary",
      "((1+x)^30)^30"],
+    ["--n", "5", "--steps", "2", "--field", "symbolic", "--boundary",
+     "*".join(["(1+x)^499"] * 8)],
 ])
 def test_bad_boundary_is_a_usage_error(capsys, argv):
     start = time.perf_counter()
@@ -234,6 +236,13 @@ def test_bad_boundary_is_a_usage_error(capsys, argv):
     (["reduce", "--n", "401", "--steps", "1"], "--n"),
     (["asymptotics", "--rows", "1..2..3"], "bad row spec '1..2..3'"),
     (["asymptotics", "--rows", "..5"], "bad row spec '..5'"),
+    # each depth is refused before a diagonal chain or a row list is built
+    (["diag", "--max-s", str(_DIAG_MAX_S + 1)], f"s <= {_DIAG_MAX_S}"),
+    (["hankel", "--max-k", str(_DIAG_MAX_S // 2)], f"s <= {_DIAG_MAX_S}"),
+    (["verify", "--max-k", str(_DIAG_MAX_S // 2)], f"s <= {_DIAG_MAX_S}"),
+    (["asymptotics", "--rows", "1..1000000000000"], f"s <= {_DIAG_MAX_S}"),
+    (["asymptotics", "--rows", f"1,{_DIAG_MAX_S + 1}"], f"s <= {_DIAG_MAX_S}"),
+    (["asymptotics", "--rows=-1000000000000..3"], "bad row spec"),
 ])
 def test_bad_argument_is_a_usage_error(capsys, argv, needle):
     assert needle in usage_error(capsys, argv)

@@ -166,3 +166,11 @@ class TestParser:
         for bad in ("x^501", "x^-501", "3^501", "((1+x)^30)^30"):
             with pytest.raises(ValueError, match="too large"):
                 parse_ratfunc(bad)
+
+    def test_size_budget_spans_the_whole_expression(self):
+        # each factor fits the budget on its own, the product does not
+        assert parse_ratfunc("(1+x)^300") == (1 + X) ** 300
+        for bad in ("(1+x)^300*(1+x)^300", "*".join(["(1+x)^499"] * 8),
+                    "+".join(["x^100"] * 10)):
+            with pytest.raises(ValueError, match="size budget"):
+                parse_ratfunc(bad)

@@ -5,8 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from circuitarray.cli import main
 from circuitarray.fields import RATIONALS
 from circuitarray.grid import Grid, GridError, all_one_grid
+from circuitarray.polynomial import Polynomial
 from circuitarray.ratfunc import RATFUNCS, RationalFunction
 from circuitarray.reduction import (_band_step, _cone_starts, child_edge,
                                     delta, reduce_k, reduce_once,
@@ -47,6 +49,75 @@ def test_triangle_legs_align_with_delta():
     assert apex == delta(L, R, B)
     assert bl == delta(B, L, R)
     assert br == delta(R, B, L)
+
+
+def _operator_wye(x, y, z):
+    # the textbook form, one field operation at a time
+    return y + z + y * z / x
+
+
+def _random_fraction(rng, bits):
+    return F(rng.getrandbits(bits) + 1, rng.getrandbits(bits) + 1)
+
+
+def _random_ratfunc(rng):
+    def poly():
+        while True:
+            p = Polynomial(rng.randint(-9, 9) for _ in range(rng.randint(1, 4)))
+            if not p.is_zero:
+                return p
+    return RationalFunction(poly(), poly())
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: _random_fraction(rng, 8),
+    lambda rng: _random_fraction(rng, 2000),
+    _random_ratfunc,
+], ids=["small-fractions", "2000-bit-fractions", "ratfuncs"])
+def test_fused_kernel_matches_operator_forms(draw):
+    # triangle_legs and wye build each result over one denominator; delta
+    # and the operator wye normalise after every field operation
+    rng = random.Random(12)
+    for _ in range(40):
+        L, R, B = draw(rng), draw(rng), draw(rng)
+        assert triangle_legs(L, R, B) == (delta(L, R, B), delta(B, L, R),
+                                          delta(R, B, L))
+        assert wye(L, R, B) == _operator_wye(L, R, B)
+
+
+def test_fused_kernel_takes_int_labels():
+    rng = random.Random(13)
+    for _ in range(20):
+        labels = [_random_fraction(rng, 8) for _ in range(3)]
+        i = rng.randrange(3)
+        labels[i] = rng.randint(1, 9)
+        L, R, B = labels
+        legs = triangle_legs(L, R, B)
+        assert legs == (delta(L, R, B), delta(B, L, R), delta(R, B, L))
+        assert wye(L, R, B) == _operator_wye(L, R, B)
+        assert all(type(v) is F for v in legs + (wye(L, R, B),))
+    assert triangle_legs(1, 1, 1) == (F(1, 3),) * 3
+    assert type(wye(1, 1, 1)) is F and wye(1, 1, 1) == 3
+
+
+def test_fused_kernel_rejects_zero_denominators():
+    x = RationalFunction.x()
+    one = RATFUNCS.one
+    for L, R, B in ((F(1), F(1), F(-2)), (x, one, -(x + 1))):
+        with pytest.raises(ZeroDivisionError):
+            triangle_legs(L, R, B)
+    for y, z in ((F(1), F(2)), (x, one)):
+        with pytest.raises(ZeroDivisionError):
+            wye(0 * y, y, z)
+
+
+def test_zero_edge_sum_on_the_symbolic_boundary_is_a_usage_error(capsys):
+    code = main(["reduce", "--n", "6", "--steps", "1", "--field", "symbolic",
+                 "--boundary=-2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("error: bad --boundary '-2': zero edge sum at triangle "
+                   "(2,1)\n")
 
 
 def test_delta_wye_round_trip_at_a_site():
