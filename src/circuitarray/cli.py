@@ -168,11 +168,11 @@ def cmd_reduce(args) -> int:
 # -- diag / hankel / symbolic / asymptotics --------------------------------------
 
 # The leftmost diagonal to depth s is one reduction chain whose labels grow
-# with s, and its cost grows about as s^5: s = 160 takes ~50 s and ~85 MiB.
+# with s, and its cost grows about as s^5: s = 160 takes ~55 s and ~85 MiB.
 _DIAG_MAX_S = 160
 
 
-def _check_depth(flag: str, value: int, depth: int) -> None:
+def _check_depth(flag: str, value: int | str, depth: int) -> None:
     """Refuse a ``flag`` ``value`` that needs the diagonal to s = depth."""
     if depth > _DIAG_MAX_S:
         raise UsageError(f"{flag} {value} needs the diagonal to s = {depth}, "

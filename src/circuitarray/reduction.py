@@ -23,8 +23,14 @@ One kernel, ``_child_triple``, places parent star legs into a child
 (L, R, B) triple; ``triangle_legs`` is the only star-leg computation and
 ``wye`` the only wye.  ``reduce_once`` calls the kernel for every triangle
 of a grid and ``_band_step`` for the runs of the chain below.
-``child_edge`` places the legs edge by edge on its own and is the
-reference for the kernel's placement; ``circuitarray.graphs``'
+``triangle_legs`` and ``wye`` do not chain field operations, each of which
+would normalise its own result: they form every output over one
+denominator from their inputs' ``numerator`` and ``denominator`` and build
+it with the label type's own (numerator, denominator) constructor, so each
+output label is normalised once, in every field.  ``delta`` and the
+operator form ``y + z + y*z/x`` are the textbook references for those two
+formulas.  ``child_edge`` places the legs edge by edge on its own and is
+the reference for the kernel's placement; ``circuitarray.graphs``'
 ``graph_level_reduce`` performs the reduction as graph surgery, shares no
 code with this module and checks the formulas themselves.  ``reduce_once``,
 through ``reduce_k``, in turn checks the chain's cone, runs and memos.
@@ -75,8 +81,7 @@ def wye(x, y, z):
     p, P = x.numerator, x.denominator
     q, Q = y.numerator, y.denominator
     r, R = z.numerator, z.denominator
-    qr = q * r
-    return _label_type(x, y, z)(p * (q * R + r * Q) + qr * P, p * Q * R)
+    return _label_type(x, y, z)(p * (q * R + r * Q) + q * r * P, p * Q * R)
 
 
 def series_merge(r1, r2):
