@@ -83,7 +83,6 @@ class CircuitArray:
     """Columns of exact rationals; column j holds rows 0..2(j-1)."""
 
     columns: list[list[Fraction]]
-    provenance: list[list[Provenance]]
 
     @property
     def column_count(self) -> int:
@@ -100,6 +99,13 @@ class CircuitArray:
             raise ArrayError(f"row {i} out of range for column {j} "
                              f"(0 <= i <= {2 * (j - 1)})")
         return col[i]
+
+    def provenance(self, i: int, j: int) -> Provenance:
+        """Where entry (i, j) is read: row 2j-1 of the j-times-reduced
+        all-one 4j-grid (any larger start gives the same entry)."""
+        self.column(j)  # refuses a column not built
+        d, side = entry_position(i, j)
+        return Provenance(4 * j, j, 2 * j - 1, d, side)
 
     def diagonal(self) -> list[Fraction]:
         """Leftmost diagonal: bottom entry of each column."""
@@ -118,22 +124,11 @@ class CircuitArray:
                     f"expected 1 - 3/9^{j}")
 
 
-def default_column_grid_size(j: int) -> int:
-    """Start-grid size for column j; 4j keeps the read row in the stable
-    region (entries do not change for any larger start)."""
-    return 4 * j
-
-
-def _read_column(j: int, triples: dict, n: int) -> tuple[list[Fraction], list[Provenance]]:
+def _read_column(j: int, triples: dict) -> list[Fraction]:
     """Entries of column j from its row-(2j-1) triples {d: (L, R, B)}."""
-    row = 2 * j - 1
-    entries, prov = [], []
-    for i in range(2 * j - 1):
-        d, side = entry_position(i, j)
-        value = triples[d][0 if side == "L" else 1]
-        entries.append(as_fraction(value))
-        prov.append(Provenance(n, j, row, d, side))
-    return entries, prov
+    reads = [entry_position(i, j) for i in range(2 * j - 1)]
+    return [as_fraction(triples[d][0 if side == "L" else 1])
+            for d, side in reads]
 
 
 def build_array(C: int) -> CircuitArray:
@@ -141,32 +136,24 @@ def build_array(C: int) -> CircuitArray:
 
     Column j is read after j steps of the chain on the all-one 4C-grid; its
     entries equal those of the j-times-reduced all-one 4j-grid, which is
-    what the provenance records.
+    what ``CircuitArray.provenance`` reports.
     """
     if C < 1:
         raise ArrayError(f"need at least one column, got C={C}")
-    results = [_read_column(j, triples, default_column_grid_size(j))
-               for j, triples in enumerate(reduce_array(C), start=1)]
-    arr = CircuitArray([entries for entries, _ in results],
-                       [prov for _, prov in results])
+    arr = CircuitArray([_read_column(j, triples)
+                        for j, triples in enumerate(reduce_array(C), start=1)])
     arr.validate()
     return arr
 
 
 def build_array_direct(C: int) -> CircuitArray:
     """Like build_array but via full grid reductions (slow reference path)."""
-    columns, provenance = [], []
+    columns = []
     for j in range(1, C + 1):
-        n = default_column_grid_size(j)
-        g = reduce_k(all_one_grid(n), j)
-        col, prov = [], []
-        for i in range(2 * j - 1):
-            d, side = entry_position(i, j)
-            col.append(g.label(2 * j - 1, d, side))
-            prov.append(Provenance(n, j, 2 * j - 1, d, side))
-        columns.append(col)
-        provenance.append(prov)
-    arr = CircuitArray(columns, provenance)
+        g = reduce_k(all_one_grid(4 * j), j)
+        columns.append(_read_column(
+            j, {d: g.triangle(2 * j - 1, d) for d in range(1, j + 1)}))
+    arr = CircuitArray(columns)
     arr.validate()
     return arr
 
@@ -275,8 +262,7 @@ def verify_row_recursions(arr: CircuitArray) -> Report:
                    bad is None,
                    "" if bad is None else
                    f"column {bad[0]}: recursion gives {bad[1]}, array holds {bad[2]}")
-    if C >= 4:
-        report.note(f"entry (3,4) computed as {format_rational(arr.entry(3, 4))}")
+    report.note(f"entry (3,4) computed as {format_rational(arr.entry(3, 4))}")
     return report
 
 
@@ -310,11 +296,10 @@ def closed_form_row(i: int, s: int) -> Fraction:
     raise ArrayError(f"no closed form implemented for row {i}")
 
 
-def verify_closed_forms(arr: CircuitArray, smax: int | None = None) -> Report:
+def verify_closed_forms(arr: CircuitArray) -> Report:
     """Rows 0..2 closed forms against array entries for all in-domain s."""
     report = Report("closed-forms")
-    C = arr.column_count
-    smax = C if smax is None else min(smax, C)
+    smax = arr.column_count
     for i, smin in ((0, 1), (1, 2), (2, 2)):
         bad = None
         for s in range(smin, smax + 1):
@@ -329,7 +314,7 @@ def verify_closed_forms(arr: CircuitArray, smax: int | None = None) -> Report:
     return report
 
 
-def verify_row01_recurrences(arr: CircuitArray, smax: int | None = None) -> Report:
+def verify_row01_recurrences(arr: CircuitArray) -> Report:
     """First-order recurrences of the reduced numerators and denominators.
 
     Row 0 in lowest terms is (3^(2s-1) - 1)/3^(2s-1): denominators multiply
@@ -337,8 +322,7 @@ def verify_row01_recurrences(arr: CircuitArray, smax: int | None = None) -> Repo
     (2*numerator, 2*denominator) with 2N = 9*(2N') + 8 and 2D = 9*(2D') + 24.
     """
     report = Report("row-0/1-recurrences")
-    C = arr.column_count
-    smax = C if smax is None else min(smax, C)
+    smax = arr.column_count
 
     row0 = [arr.entry(0, s) for s in range(1, smax + 1)]
     ok_d = all(b.denominator == 9 * a.denominator for a, b in zip(row0, row0[1:]))
@@ -409,7 +393,7 @@ def verify_uniform_center(n: int, s: int) -> Report:
 
 # -- composed spot checks -------------------------------------------------------
 
-def verify_composition_spotchecks(kmax: int, arr: CircuitArray | None = None) -> Report:
+def verify_composition_spotchecks(kmax: int, arr: CircuitArray) -> Report:
     """Row-2 entries rebuilt from one wye/delta composition of earlier entries.
 
     For k = 0..kmax, the entry C[2, 3+k] (= the left label at (5+2k, 2+k)
@@ -424,8 +408,6 @@ def verify_composition_spotchecks(kmax: int, arr: CircuitArray | None = None) ->
     concrete grid neighborhood.  Also cross-checks the array-position
     classifier against the build layout.
     """
-    if arr is None:
-        arr = build_array(kmax + 3)
     if arr.column_count < kmax + 3:
         raise ArrayError(f"need {kmax + 3} columns for kmax={kmax}")
     report = Report("composition-spotchecks")

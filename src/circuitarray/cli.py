@@ -74,7 +74,8 @@ def _render_array(arr: ca.CircuitArray, fmt: str) -> str:
         cols = []
         for j in range(1, C + 1):
             entries = []
-            for i, (v, p) in enumerate(zip(arr.column(j), arr.provenance[j - 1])):
+            for i, v in enumerate(arr.column(j)):
+                p = arr.provenance(i, j)
                 entries.append({"row": i, "value": format_rational(v),
                                 "edge": {"r": p.r, "d": p.d, "side": p.side},
                                 "reductions": p.reductions, "n": p.n})
@@ -93,18 +94,24 @@ def _render_array(arr: ca.CircuitArray, fmt: str) -> str:
 
 def cmd_array(args) -> int:
     if args.action == "build":
-        if args.cols < 1:
-            raise UsageError(f"--cols must be >= 1, got {args.cols}")
+        if not 1 <= args.cols <= _ARRAY_MAX_COLS:
+            raise UsageError(f"--cols must be in 1..{_ARRAY_MAX_COLS}, "
+                             f"got {args.cols}")
         arr = ca.build_array(args.cols)
         _write(_render_array(arr, args.format), args.out)
         return 0
-    arr = ca.build_array(max(args.max_cols, 5))
+    if args.max_k < 0:
+        raise UsageError(f"--max-k must be >= 0, got {args.max_k}")
+    max_s = (_REDUCE_MAX_N - 2) // 4  # its largest grid is the (4s + 2)-grid
+    if not 1 <= args.max_s <= max_s:
+        raise UsageError(f"--max-s must be in 1..{max_s}, got {args.max_s}")
+    arr = ca.build_array(_array_width(args))
     suites = {
         "recursions": lambda: ca.verify_row_recursions(arr),
         "closed-forms": lambda: ca.verify_closed_forms(arr),
         "uniform-center": lambda: _uniform_center_all(args.max_s),
         "spotchecks": lambda: ca.verify_composition_spotchecks(
-            args.max_k, arr if arr.column_count >= args.max_k + 3 else None),
+            args.max_k, arr),
     }
     if args.suite == "all":
         reports = [fn() for fn in suites.values()]
@@ -171,12 +178,25 @@ def cmd_reduce(args) -> int:
 # with s, and its cost grows about as s^5: s = 160 takes ~55 s and ~85 MiB.
 _DIAG_MAX_S = 160
 
+# C array columns are one reduction chain on the all-one 4C-grid; its cost
+# grows about as C^5, and C = 112 takes ~50 s and ~80 MiB, as s = 160 does.
+_ARRAY_MAX_COLS = 112
+
 
 def _check_depth(flag: str, value: int | str, depth: int) -> None:
     """Refuse a ``flag`` ``value`` that needs the diagonal to s = depth."""
     if depth > _DIAG_MAX_S:
         raise UsageError(f"{flag} {value} needs the diagonal to s = {depth}, "
                          f"past the limit s <= {_DIAG_MAX_S}")
+
+
+def _array_width(args) -> int:
+    """Columns for --max-cols and for the spot checks to k = --max-k."""
+    cols = max(args.max_cols, args.max_k + 3, 5)
+    if cols > _ARRAY_MAX_COLS:
+        raise UsageError(f"--max-cols/--max-k need {cols} array columns, "
+                         f"past the limit C <= {_ARRAY_MAX_COLS}")
+    return cols
 
 
 def cmd_diag(args) -> int:
@@ -198,13 +218,12 @@ def cmd_diag(args) -> int:
 def cmd_hankel(args) -> int:
     if args.max_k < 2:
         raise UsageError(f"--max-k must be >= 2, got {args.max_k}")
-    _check_depth("--max-k", args.max_k, 2 * (args.max_k + 1))
-    diag = ca.diagonal_sequence(2 * (args.max_k + 1))
-    seq = sequences.nprime_sequence(2 * args.max_k, diag)
-    conjecture = sequences.verify_determinant_conjecture(args.max_k, seq)
-    exclusion = sequences.lhrcc_ruled_out(
-        args.max_k, sequences.nprime_sequence(2 * (args.max_k + 1), diag))
-    return _emit_reports([conjecture, exclusion], args.verbose)
+    S = 2 * (args.max_k + 1)
+    _check_depth("--max-k", args.max_k, S)
+    seq = sequences.nprime_sequence(S, ca.diagonal_sequence(S))
+    return _emit_reports([
+        sequences.verify_determinant_conjecture(args.max_k, seq),
+        sequences.lhrcc_ruled_out(args.max_k, seq)], args.verbose)
 
 
 def cmd_symbolic(args) -> int:
@@ -213,7 +232,8 @@ def cmd_symbolic(args) -> int:
     except sequences.SequenceError as exc:
         raise UsageError(f"--max-s: {exc}") from None
     formulas = sequences.symbolic_diagonal(args.max_s)
-    report = sequences.verify_symbolic_patterns(args.max_s, formulas=formulas)
+    report = sequences.verify_symbolic_patterns(
+        args.max_s, ca.diagonal_sequence(args.max_s), formulas)
     for s, f in enumerate(formulas, start=1):
         print(f"L_{s}(x) = {f}")
     return _emit_reports([report], args.verbose)
@@ -241,7 +261,8 @@ def _parse_rows(spec: str) -> list[int]:
 
 def cmd_asymptotics(args) -> int:
     s_values = _parse_rows(args.rows)
-    rows = sequences.asymptotics_table(s_values)
+    rows = sequences.asymptotics_table(
+        s_values, ca.diagonal_sequence(max(s_values)))
     header = list(sequences.ASYMPTOTIC_COLUMNS)
     table = []
     for row in rows:
@@ -292,9 +313,10 @@ def cmd_oracle(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_k < 2:
         raise UsageError(f"--max-k must be >= 2, got {args.max_k}")
-    smax = max(2 * args.max_k + 2, 20)
-    _check_depth("--max-k", args.max_k, smax)
-    arr = ca.build_array(max(args.max_cols, args.max_k + 3, 5))
+    _check_depth("--max-k", args.max_k, 2 * args.max_k + 2)
+    _check_depth("--max-s", args.max_s, args.max_s)
+    smax = max(2 * args.max_k + 2, 20, args.max_s)
+    arr = ca.build_array(_array_width(args))
     diag = ca.diagonal_sequence(smax)
     seq = sequences.nprime_sequence(smax, diag)
     reports = [

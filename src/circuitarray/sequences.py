@@ -21,6 +21,10 @@ Asymptotically, L_s tracks the product A_s = (2/3) * prod_{i=2..s}
 sqrt(pi/(9s)).  The table renderers reproduce the numeric evidence with
 exact columns computed as rationals and only the P-columns in floating
 point.
+
+Every suite here checks only the sequence it is handed and refuses one
+that stops short with ``SequenceError``; only the command line and the
+benchmark build chains, each once, at the depth they need.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
-from .circuit_array import diagonal_sequence
+# perfbench/tracing.py wraps diagonal_sequence at this lookup site; keep the import.
+from .circuit_array import diagonal_sequence  # noqa: F401
 from .fields import FieldContract, format_rational
 from .grid import Grid
 from .polynomial import Polynomial
@@ -46,50 +51,51 @@ class SequenceError(ValueError):
 
 # -- normalized numerators ----------------------------------------------------
 
+def _check_diagonal(diagonal: list, S: int) -> None:
+    if len(diagonal) < S:
+        raise SequenceError(f"need L_1..L_{S}, got {len(diagonal)} values")
+
+
 @dataclass
 class NumeratorSequence:
-    """n'_s = L_s * 2^(4s-7) for s = 2..S, with the reduced (n_s, d_s) pairs."""
+    """n'_s = L_s * 2^(4s-7) for s = 2..S; ``entries[0]`` is n'_2."""
 
-    first_index: int
     entries: list[int]
-    reduced: list[tuple[int, int]]
 
     def nprime(self, s: int) -> int:
-        if not self.first_index <= s < self.first_index + len(self.entries):
+        if not 2 <= s <= len(self.entries) + 1:
             raise SequenceError(f"n'_{s} not computed")
-        return self.entries[s - self.first_index]
+        return self.entries[s - 2]
 
 
-def nprime_sequence(S: int, diagonal: list[Fraction] | None = None) -> NumeratorSequence:
-    """Normalized numerators for s = 2..S.
+def nprime_sequence(S: int, diagonal: list[Fraction]) -> NumeratorSequence:
+    """Normalized numerators for s = 2..S of ``diagonal`` (L_1, L_2, ...).
 
     Raises if some L_s * 2^(4s-7) is not an integer; that would break the
     premise of the determinant analysis and must surface loudly.
     """
     if S < 2:
         raise SequenceError(f"need S >= 2 (the s=1 scaling 2^-3 is not integral), got {S}")
-    diag = diagonal if diagonal is not None else diagonal_sequence(S)
-    entries, reduced = [], []
+    _check_diagonal(diagonal, S)
+    entries = []
     for s in range(2, S + 1):
-        L = diag[s - 1]
+        L = diagonal[s - 1]
         scale = 2 ** (4 * s - 7)
         if scale % L.denominator != 0:
             raise SequenceError(
                 f"denominator of L_{s} = {format_rational(L)} does not divide "
                 f"2^(4s-7) = {scale}")
         entries.append(L.numerator * (scale // L.denominator))
-        reduced.append((L.numerator, L.denominator))
-    return NumeratorSequence(2, entries, reduced)
+    return NumeratorSequence(entries)
 
 
-def verify_denominator_divisibility(S: int = 20,
-                                    diagonal: list[Fraction] | None = None) -> Report:
+def verify_denominator_divisibility(S: int, diagonal: list[Fraction]) -> Report:
     """d_s | 2^(4s-7) for 2 <= s <= S."""
+    _check_diagonal(diagonal, S)
     report = Report("denominator-divisibility")
-    diag = diagonal if diagonal is not None else diagonal_sequence(S)
     bad = None
     for s in range(2, S + 1):
-        L = diag[s - 1]
+        L = diagonal[s - 1]
         if (2 ** (4 * s - 7)) % L.denominator != 0:
             bad = (s, L)
             break
@@ -156,8 +162,7 @@ def triangular(j: int) -> int:
     return j * (j + 1) // 2
 
 
-def verify_determinant_conjecture(kmax: int,
-                                  seq: NumeratorSequence | None = None) -> Report:
+def verify_determinant_conjecture(kmax: int, seq: NumeratorSequence) -> Report:
     """Hankel determinants det_k for k = 2..kmax are exactly 9^T(k-1).
 
     Under the alternative indexing that views the same matrix as
@@ -166,8 +171,6 @@ def verify_determinant_conjecture(kmax: int,
     """
     if kmax < 2:
         raise SequenceError(f"need kmax >= 2, got {kmax}")
-    if seq is None:
-        seq = nprime_sequence(2 * kmax)
     report = Report("hankel-determinant-conjecture")
     for k in range(2, kmax + 1):
         det = hankel_determinant(seq, k)
@@ -182,26 +185,24 @@ def verify_determinant_conjecture(kmax: int,
     return report
 
 
-def lhrcc_ruled_out(rmax: int, seq: NumeratorSequence | None = None) -> Report:
+def lhrcc_ruled_out(rmax: int, seq: NumeratorSequence) -> Report:
     """No LHRCC of order <= rmax fits the computed n'-prefix.
 
     A sequence obeying an order-r LHRCC has every (r+1) x (r+1) Hankel
     window singular, so one nonzero window per order is a disproof; here
-    every available window is checked and reported.
+    every available window is checked and reported.  The order-rmax window
+    needs n'_2..n'_{2rmax+2}.
     """
     if rmax < 1:
         raise SequenceError(f"need rmax >= 1, got {rmax}")
-    if seq is None:
-        seq = nprime_sequence(2 * (rmax + 1))
+    last = len(seq.entries) + 1
+    if last < 2 * (rmax + 1):
+        raise SequenceError(f"need n'_2..n'_{2 * (rmax + 1)}, got "
+                            f"n'_2..n'_{last}")
     report = Report("lhrcc-exclusion")
-    last = seq.first_index + len(seq.entries) - 1
     for order in range(1, rmax + 1):
         size = order + 1
         starts = range(2, last - 2 * size + 3)
-        if not starts:
-            report.add(f"order {order}: no window available", False,
-                       "sequence too short")
-            continue
         dets = [hankel_determinant(seq, size, start) for start in starts]
         ok = all(d != 0 for d in dets)
         report.add(f"order {order}: all {len(dets)} windows of size {size} "
@@ -312,8 +313,7 @@ def check_reference_range(S: int) -> None:
         raise SequenceError(f"reference formulas cover 1 <= S <= 7, got {S}")
 
 
-def verify_symbolic_patterns(S: int = 7,
-                             diagonal: list[Fraction] | None = None,
+def verify_symbolic_patterns(S: int, diagonal: list[Fraction],
                              formulas: list[RationalFunction] | None = None
                              ) -> Report:
     """Symbolic diagonal vs reference formulas, constants, and x = 9 values.
@@ -323,13 +323,13 @@ def verify_symbolic_patterns(S: int = 7,
     reference presentation for s >= 3, and evaluation at x = 9 against the
     exact diagonal.  Also records the s = 1 finding: the plausible-looking
     variant (x-3)/(x-1) evaluates to 3/4 at x = 9, not 2/3; only the
-    relabeled boundary (x-3)/x reproduces L_1.  ``formulas`` and
-    ``diagonal``, when given, are the precomputed symbolic and exact
-    diagonals to at least S.
+    relabeled boundary (x-3)/x reproduces L_1.  ``diagonal`` is the exact
+    diagonal to at least S; ``formulas``, the symbolic diagonal under test,
+    is computed here when not given.
     """
     check_reference_range(S)
+    _check_diagonal(diagonal, S)
     computed = formulas if formulas is not None else symbolic_diagonal(S)
-    exact = diagonal if diagonal is not None else diagonal_sequence(S)
     report = Report("symbolic-diagonal")
     for s in range(1, S + 1):
         got = computed[s - 1]
@@ -338,9 +338,9 @@ def verify_symbolic_patterns(S: int = 7,
                    got == ref, "" if got == ref else f"pipeline {got}, ref {ref}")
         value = got.eval(9)
         report.add(f"s={s}: value at x=9 equals exact diagonal",
-                   value == exact[s - 1],
-                   "" if value == exact[s - 1] else
-                   f"{value} != {exact[s - 1]}")
+                   value == diagonal[s - 1],
+                   "" if value == diagonal[s - 1] else
+                   f"{value} != {diagonal[s - 1]}")
         if s >= 3:
             const = next(c for (ss, _, c, _) in diagonal_closed_forms() if ss == s)
             want = 3 * 2 ** (4 * (s - 3) + 1)
@@ -425,28 +425,22 @@ def sqrt_pi_approximation(s: int) -> float:
 
 
 def asymptotics_table(s_values: list[int],
-                      diagonal: list[Fraction] | None = None) -> list[AsymptoticRow]:
-    """Rows for the requested s values (diagonal computed up to max(s))."""
+                      diagonal: list[Fraction]) -> list[AsymptoticRow]:
+    """Rows for the requested s values; ``diagonal`` reaches max(s)."""
     if not s_values:
         return []
     if any(s < 1 for s in s_values):
         raise SequenceError("all s values must be >= 1")
     smax = max(s_values)
-    diag = diagonal if diagonal is not None else diagonal_sequence(smax)
-    rows = []
-    a = Fraction(2, 3)
-    approx = {1: a}
+    _check_diagonal(diagonal, smax)
+    approx = [Fraction(2, 3)]  # A_1..A_smax
     for i in range(2, smax + 1):
-        a *= Fraction(2 * i - 2, 2 * i - 1)
-        approx[i] = a
-    for s in s_values:
-        rows.append(AsymptoticRow(s, diag[s - 1], approx[s],
-                                  sqrt_pi_approximation(s)))
-    return rows
+        approx.append(approx[-1] * Fraction(2 * i - 2, 2 * i - 1))
+    return [AsymptoticRow(s, diagonal[s - 1], approx[s - 1],
+                          sqrt_pi_approximation(s)) for s in s_values]
 
 
-def verify_monotonicity(smax: int,
-                        diagonal: list[Fraction] | None = None) -> Report:
+def verify_monotonicity(smax: int, diagonal: list[Fraction]) -> Report:
     """Strict decrease of the approximation gaps from s = 3 on.
 
     L-A and L/A are compared exactly as rationals; A-P and A/P use floats

@@ -90,8 +90,10 @@ def test_columns_independent_of_start_size():
 
 
 def test_provenance_records_reads(arr6):
-    p = arr6.provenance[2][0]
+    p = arr6.provenance(0, 3)
     assert (p.n, p.reductions, p.r, p.d, p.side) == (12, 3, 5, 3, "L")
+    with pytest.raises(ArrayError):
+        arr6.provenance(0, 7)
 
 
 def test_row_recursion_worked_examples():
@@ -165,8 +167,8 @@ def test_uniform_center_nonvacuous_band():
     assert any("rows 3..6" in n for n in named)
 
 
-def test_composition_spotchecks():
-    rep = verify_composition_spotchecks(2)
+def test_composition_spotchecks(arr6):
+    rep = verify_composition_spotchecks(2, arr6)
     assert rep.passed, rep.render(True)
     assert any("89/100" in (c.detail or "") for c in rep.checks)
     assert any("collapsing the band" in n for n in rep.notes)
@@ -207,8 +209,7 @@ def test_array_chain_matches_window_reads_and_oracle():
         for i, value in enumerate(arr.column(j)):
             d, side = entry_position(i, j)
             assert value == g.label(row, d, side), (i, j)
-            assert arr.provenance[j - 1][i] == Provenance(4 * j, j, row, d,
-                                                          side)
+            assert arr.provenance(i, j) == Provenance(4 * j, j, row, d, side)
     assert [t[1][0] for t in chain] == reduce_diagonal(20, field=RATIONALS)
     with pytest.raises(GridError):
         reduce_array(0)

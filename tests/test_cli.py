@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from circuitarray.cli import _DIAG_MAX_S, main
+from circuitarray.cli import _ARRAY_MAX_COLS, _DIAG_MAX_S, main
 from circuitarray.graphs import WeightedGraph
 from circuitarray.grid import Grid
 from circuitarray.reports import Report
@@ -119,6 +119,20 @@ def test_verify_builds_the_array_once(capsys, monkeypatch):
     code, out = run(capsys, "verify", "--max-cols", "4", "--max-k", "2")
     assert code == 0 and "composition-spotchecks" in out
     assert calls == [(5,)]
+
+
+def test_array_verify_builds_one_array_wide_enough(capsys, monkeypatch):
+    from circuitarray import circuit_array
+    calls = count_calls(monkeypatch, circuit_array, "build_array")
+    code, out = run(capsys, "array", "verify", "--max-k", "9")
+    assert code == 0 and "k=9:" in out
+    assert calls == [(12,)]
+
+
+def test_verify_reaches_max_s_past_the_hankel_depth(capsys):
+    code, out = run(capsys, "verify", "--max-s", "30")
+    assert code == 0
+    assert "asymptotic-monotonicity s <= 30" in out
 
 
 def test_asymptotics_rows_spec(capsys):
@@ -243,6 +257,19 @@ def test_bad_boundary_is_a_usage_error(capsys, argv):
     (["asymptotics", "--rows", "1..1000000000000"], f"s <= {_DIAG_MAX_S}"),
     (["asymptotics", "--rows", f"1,{_DIAG_MAX_S + 1}"], f"s <= {_DIAG_MAX_S}"),
     (["asymptotics", "--rows=-1000000000000..3"], "bad row spec"),
+    (["verify", "--max-s", str(_DIAG_MAX_S + 1)], f"s <= {_DIAG_MAX_S}"),
+    # each array width is refused before the array chain is started
+    (["array", "build", "--cols", str(_ARRAY_MAX_COLS + 1)], "--cols"),
+    (["array", "verify", "--max-cols", str(_ARRAY_MAX_COLS + 1)],
+     f"C <= {_ARRAY_MAX_COLS}"),
+    (["array", "verify", "--max-k", str(_ARRAY_MAX_COLS - 2)],
+     f"C <= {_ARRAY_MAX_COLS}"),
+    (["verify", "--max-cols", str(_ARRAY_MAX_COLS + 1)],
+     f"C <= {_ARRAY_MAX_COLS}"),
+    # array verify refuses flags under which a suite checks nothing
+    (["array", "verify", "--max-s", "0"], "--max-s"),
+    (["array", "verify", "--max-k", "-1"], "--max-k"),
+    (["array", "verify", "--max-s", "100"], "--max-s must be in 1..99"),
 ])
 def test_bad_argument_is_a_usage_error(capsys, argv, needle):
     assert needle in usage_error(capsys, argv)

@@ -40,14 +40,13 @@ def test_nprime_values(seq14):
     assert seq14.nprime(4) == 178        # 89/256 * 2^9; 256 divides 512
     assert seq14.nprime(5) == 2521
     assert seq14.nprime(6) == 36526
-    assert seq14.reduced[2] == (89, 256)
 
 
-def test_nprime_bounds(seq14):
+def test_nprime_bounds(seq14, diag14):
     with pytest.raises(SequenceError):
         seq14.nprime(1)
     with pytest.raises(SequenceError):
-        nprime_sequence(1)
+        nprime_sequence(1, diag14)
 
 
 def test_nprime_integrality_guard():
@@ -164,12 +163,12 @@ def test_symbolic_diagonal_pinned_at_x9_through_s12():
         symbolic_diagonal(0)
 
 
-def test_symbolic_patterns_report():
-    rep = verify_symbolic_patterns(4)
+def test_symbolic_patterns_report(diag14):
+    rep = verify_symbolic_patterns(4, diag14)
     assert rep.passed, rep.render(True)
     assert any("(x-3)/(x-1)" in n and "3/4" in n for n in rep.notes)
     with pytest.raises(SequenceError):
-        verify_symbolic_patterns(8)
+        verify_symbolic_patterns(8, diag14)
 
 
 def test_product_approximation_telescopes():
@@ -199,8 +198,8 @@ def test_render_4dp():
     assert render_4dp(F(-1, 18)) == "-0.0556"
 
 
-def test_asymptotics_first_rows():
-    rows = asymptotics_table([1, 2])
+def test_asymptotics_first_rows(diag14):
+    rows = asymptotics_table([1, 2], diag14)
     r1 = rows[0].columns()
     assert r1["L"] == "0.6667" and r1["A"] == "0.6667"
     assert r1["L-A"] == "0" and r1["L/A"] == "1"
@@ -213,4 +212,22 @@ def test_monotonicity_small(diag14):
     rep = verify_monotonicity(14, diag14)
     assert rep.passed, rep.render(True)
     with pytest.raises(SequenceError):
-        verify_monotonicity(3)
+        verify_monotonicity(3, diag14)
+
+
+@pytest.mark.parametrize("suite", [
+    lambda diag: nprime_sequence(6, diag),
+    lambda diag: verify_denominator_divisibility(6, diag),
+    lambda diag: asymptotics_table([2, 6], diag),
+    lambda diag: verify_monotonicity(6, diag),
+    lambda diag: verify_symbolic_patterns(6, diag),
+], ids=["nprime", "divisibility", "asymptotics", "monotonicity", "symbolic"])
+def test_suites_refuse_a_short_diagonal(diag14, suite):
+    with pytest.raises(SequenceError, match=r"need L_1\.\.L_6, got 5 values"):
+        suite(diag14[:5])
+
+
+def test_lhrcc_refuses_a_short_sequence(diag14):
+    # order 3 reads the 4x4 window n'_2..n'_8; a sequence to n'_7 has none
+    with pytest.raises(SequenceError, match="need n'_2..n'_8, got n'_2..n'_7"):
+        lhrcc_ruled_out(3, nprime_sequence(7, diag14))
