@@ -16,8 +16,8 @@ from .circuit_array import (CircuitArray, Provenance, array_position,
                             verify_closed_forms, verify_composition_spotchecks,
                             verify_row01_recurrences, verify_row_recursions,
                             verify_uniform_center)
-from .fields import (RATIONALS, FieldContract, as_fraction, fast_rationals,
-                     format_rational, parse_rational)
+from .fields import (RATIONALS, FieldContract, format_rational,
+                     parse_rational)
 from .graphs import (WeightedGraph, delta_to_wye, effective_resistance,
                      fibonacci, graph_level_reduce, grid_to_graph, lucas,
                      r_formula_straight, series, straight_2tree,

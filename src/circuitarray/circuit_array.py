@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import as_fraction, format_rational
+from .fields import format_rational
 from .grid import all_one_grid
 # perfbench/tracing.py wraps reduce_window at this lookup site; keep the import.
 from .reduction import (delta, reduce_array, reduce_diagonal,  # noqa: F401
@@ -127,8 +127,7 @@ class CircuitArray:
 def _read_column(j: int, triples: dict) -> list[Fraction]:
     """Entries of column j from its row-(2j-1) triples {d: (L, R, B)}."""
     reads = [entry_position(i, j) for i in range(2 * j - 1)]
-    return [as_fraction(triples[d][0 if side == "L" else 1])
-            for d, side in reads]
+    return [triples[d][0 if side == "L" else 1] for d, side in reads]
 
 
 def build_array(C: int) -> CircuitArray:
@@ -167,7 +166,7 @@ def diagonal_sequence(S: int) -> list[Fraction]:
     """
     if S < 1:
         raise ArrayError(f"need S >= 1, got {S}")
-    values = [as_fraction(v) for v in reduce_diagonal(S)]
+    values = reduce_diagonal(S)
     for a, b in zip(values, values[1:]):
         if not b < a:
             raise ArrayError("leftmost diagonal failed to decrease strictly")

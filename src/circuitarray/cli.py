@@ -14,6 +14,7 @@ reduction chain in one process.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import circuit_array as ca
@@ -102,16 +103,18 @@ def cmd_array(args) -> int:
         return 0
     if args.max_k < 0:
         raise UsageError(f"--max-k must be >= 0, got {args.max_k}")
-    max_s = (_REDUCE_MAX_N - 2) // 4  # its largest grid is the (4s + 2)-grid
-    if not 1 <= args.max_s <= max_s:
-        raise UsageError(f"--max-s must be in 1..{max_s}, got {args.max_s}")
-    arr = ca.build_array(_array_width(args))
+    if not 1 <= args.max_s <= _UNIFORM_CENTER_MAX_S:
+        raise UsageError(f"--max-s must be in 1..{_UNIFORM_CENTER_MAX_S}, "
+                         f"got {args.max_s}")
+    width = _array_width(args)
+    # built on first use: the uniform-center suite alone never reads it
+    array = functools.cache(lambda: ca.build_array(width))
     suites = {
-        "recursions": lambda: ca.verify_row_recursions(arr),
-        "closed-forms": lambda: ca.verify_closed_forms(arr),
+        "recursions": lambda: ca.verify_row_recursions(array()),
+        "closed-forms": lambda: ca.verify_closed_forms(array()),
         "uniform-center": lambda: _uniform_center_all(args.max_s),
         "spotchecks": lambda: ca.verify_composition_spotchecks(
-            args.max_k, arr),
+            args.max_k, array()),
     }
     if args.suite == "all":
         reports = [fn() for fn in suites.values()]
@@ -182,6 +185,11 @@ _DIAG_MAX_S = 160
 # grows about as C^5, and C = 112 takes ~50 s and ~80 MiB, as s = 160 does.
 _ARRAY_MAX_COLS = 112
 
+# `array verify --suite uniform-center --max-s S` fully reduces the all-one
+# 4s- and (4s+2)-grids for every s <= S; its cost grows about as S^4.3, and
+# S = 28 takes ~46 s.
+_UNIFORM_CENTER_MAX_S = 28
+
 
 def _check_depth(flag: str, value: int | str, depth: int) -> None:
     """Refuse a ``flag`` ``value`` that needs the diagonal to s = depth."""
@@ -220,10 +228,24 @@ def cmd_hankel(args) -> int:
         raise UsageError(f"--max-k must be >= 2, got {args.max_k}")
     S = 2 * (args.max_k + 1)
     _check_depth("--max-k", args.max_k, S)
-    seq = sequences.nprime_sequence(S, ca.diagonal_sequence(S))
-    return _emit_reports([
-        sequences.verify_determinant_conjecture(args.max_k, seq),
-        sequences.lhrcc_ruled_out(args.max_k, seq)], args.verbose)
+    return _emit_reports(
+        _hankel_suites(args.max_k, S, ca.diagonal_sequence(S)), args.verbose)
+
+
+def _hankel_suites(kmax: int, S: int, diag: list) -> list[Report]:
+    """The two Hankel suites over n'_2..n'_S, or, when some L_s * 2^(4s-7)
+    is not an integer, both reported failed with the reason."""
+    try:
+        seq = sequences.nprime_sequence(S, diag)
+    except sequences.SequenceError as exc:
+        reports = [Report("hankel-determinant-conjecture"),
+                   Report("lhrcc-exclusion")]
+        for rep in reports:
+            rep.add(f"n'_s = L_s * 2^(4s-7) is an integer for s = 2..{S}",
+                    False, str(exc))
+        return reports
+    return [sequences.verify_determinant_conjecture(kmax, seq),
+            sequences.lhrcc_ruled_out(kmax, seq)]
 
 
 def cmd_symbolic(args) -> int:
@@ -318,16 +340,14 @@ def cmd_verify(args) -> int:
     smax = max(2 * args.max_k + 2, 20, args.max_s)
     arr = ca.build_array(_array_width(args))
     diag = ca.diagonal_sequence(smax)
-    seq = sequences.nprime_sequence(smax, diag)
     reports = [
         ca.verify_row_recursions(arr),
         ca.verify_closed_forms(arr),
         ca.verify_row01_recurrences(arr),
         _uniform_center_all(4),
         ca.verify_composition_spotchecks(args.max_k, arr),
-        sequences.verify_determinant_conjecture(args.max_k, seq),
-        sequences.lhrcc_ruled_out(args.max_k, seq),
-        sequences.verify_denominator_divisibility(min(smax, 20), diag),
+        *_hankel_suites(args.max_k, smax, diag),
+        sequences.verify_denominator_divisibility(smax, diag),
         sequences.verify_symbolic_patterns(7, diag),
         sequences.verify_monotonicity(max(args.max_s, 20), diag),
         graphs.verify_fib_identities(),

@@ -9,11 +9,6 @@ computation; floats appear only when rendering asymptotics tables.
 A :class:`FieldContract` bundles the handful of facts generic code needs
 about a scalar kind (constants, parsing, formatting).  Arithmetic itself is
 ordinary operator arithmetic: every scalar supports ``+ - * /`` and ``==``.
-
-``fast_rationals()`` returns a rational contract backed by ``gmpy2.mpq``
-when gmpy2 is importable.  mpq is exact and interchangeable with Fraction;
-the large grid builders use it internally (roughly 6x faster) and convert
-back to Fraction at their read points.
 """
 
 from __future__ import annotations
@@ -43,14 +38,6 @@ def format_rational(value) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-def as_fraction(value) -> Fraction:
-    """Convert any exact rational scalar (Fraction, mpq, int) to Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(int(value.numerator), int(value.denominator)) \
-        if hasattr(value, "numerator") else Fraction(value)
-
-
 @dataclass(frozen=True)
 class FieldContract:
     """The facts generic grid code needs about a scalar field.
@@ -75,23 +62,4 @@ RATIONALS = FieldContract(
     parse=parse_rational,
     format=format_rational,
 )
-
-
-def fast_rationals() -> FieldContract:
-    """Rational contract backed by gmpy2.mpq when available.
-
-    Falls back to the Fraction-backed contract; results are identical either
-    way, only speed differs.
-    """
-    try:
-        from gmpy2 import mpq
-    except ImportError:
-        return RATIONALS
-    return FieldContract(
-        name="rational",
-        zero=mpq(0),
-        one=mpq(1),
-        parse=lambda s: mpq(parse_rational(s)),
-        format=format_rational,
-    )
 

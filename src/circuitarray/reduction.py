@@ -57,7 +57,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 
-from .fields import FieldContract, fast_rationals
+from .fields import RATIONALS, FieldContract
 from .grid import (SIDES, EdgeRef, Grid, GridError, determining_triangles,
                    symmetry_complete)
 
@@ -108,7 +108,7 @@ def triangle_legs(L, R, B):
 
 
 def _label_type(*labels):
-    """Type of the first label that is not a plain int: Fraction, mpq or
+    """Type of the first label that is not a plain int: Fraction or
     RationalFunction, whose (numerator, denominator) constructor builds the
     kernel's results.  Plain int labels alone give Fraction."""
     for v in labels:
@@ -210,8 +210,7 @@ def reduce_k(grid: Grid, k: int) -> Grid:
     return grid
 
 
-def reduce_window(j: int, n: int, read_dmax: int,
-                  field: FieldContract | None = None) -> dict:
+def reduce_window(j: int, n: int, read_dmax: int) -> dict:
     """Row-(2j-1) label triples of the j-times-reduced all-one n-grid.
 
     The last read of ``_reduce_chain`` on the all-one n-grid with j columns
@@ -219,8 +218,7 @@ def reduce_window(j: int, n: int, read_dmax: int,
     restricted to the chain's cone.  With n < 4j-1 the cone reaches the
     bottom row of the grid.
 
-    Returns {d: (L, R, B)} for d = 1..read_dmax.  ``field`` is an exact
-    rational field and defaults to the fastest available backend.
+    Returns {d: (L, R, B)} for d = 1..read_dmax.
     """
     if j < 1:
         raise GridError(f"column index must be >= 1, got {j}")
@@ -229,34 +227,32 @@ def reduce_window(j: int, n: int, read_dmax: int,
                         f"i.e. n >= {3*j-1}; got n={n}")
     if not 1 <= read_dmax <= j:
         raise GridError(f"read diagonals must lie in 1..j={j}, got {read_dmax}")
-    return _reduce_chain(j, read_dmax, field, n=n)[-1]
+    return _reduce_chain(j, read_dmax, RATIONALS, n=n)[-1]
 
 
-def reduce_array(C: int, field: FieldContract | None = None) -> list[dict]:
+def reduce_array(C: int) -> list[dict]:
     """Row-(2j-1) label triples after j reductions, for columns j = 1..C.
 
     One reduction chain from the all-one 4C-grid (see ``_reduce_chain``).
     Entry j-1 of the result is {d: (L, R, B)} for d = 1..j and equals
     ``reduce_window(j, 4*j, j)``: the cone of row 2j-1 never reaches the
     bottom boundary row, so a larger start grid gives the same labels by the
-    same formulas.  ``field`` is an exact rational field and defaults to the
-    fastest available backend.
+    same formulas.
     """
-    return _reduce_chain(C, C, field)
+    return _reduce_chain(C, C, RATIONALS)
 
 
-def reduce_diagonal(S: int, field: FieldContract | None = None) -> list:
+def reduce_diagonal(S: int) -> list:
     """Left labels of triangle (2s-1, 1) after s reductions, for s = 1..S.
 
     The same chain as ``reduce_array`` on the all-one 4S-grid, reading only
     diagonal 1 of each column.  Each value equals
-    ``reduce_window(s, 4*s, 1)[1][0]``.  ``field`` is an exact rational
-    field and defaults to the fastest available backend.
+    ``reduce_window(s, 4*s, 1)[1][0]``.
     """
-    return [reads[1][0] for reads in _reduce_chain(S, 1, field)]
+    return [reads[1][0] for reads in _reduce_chain(S, 1, RATIONALS)]
 
 
-def _reduce_chain(C: int, width: int, field, boundary=None,
+def _reduce_chain(C: int, width: int, field: FieldContract, boundary=None,
                   n: int | None = None) -> list[dict]:
     """Diagonals 1..min(j, width) of row 2j-1 after j reductions, j = 1..C.
 
@@ -287,8 +283,6 @@ def _reduce_chain(C: int, width: int, field, boundary=None,
     """
     if C < 1:
         raise GridError(f"need at least one column, got {C}")
-    if field is None:
-        field = fast_rationals()
     if n is None:
         n = 4 * C
     one = field.one

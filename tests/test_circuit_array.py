@@ -14,7 +14,6 @@ from circuitarray.circuit_array import (ArrayError, Provenance,
                                         verify_row01_recurrences,
                                         verify_row_recursions,
                                         verify_uniform_center)
-from circuitarray.fields import RATIONALS
 from circuitarray.grid import GridError, all_one_grid
 from circuitarray.reduction import (delta, reduce_array, reduce_diagonal,
                                     reduce_once, reduce_window, wye)
@@ -84,8 +83,8 @@ def test_windowed_build_matches_direct_reductions():
 
 def test_columns_independent_of_start_size():
     for j in range(1, 6):
-        base = reduce_window(j, 4 * j, j, field=RATIONALS)
-        bigger = reduce_window(j, 4 * j + 2, j, field=RATIONALS)
+        base = reduce_window(j, 4 * j, j)
+        bigger = reduce_window(j, 4 * j + 2, j)
         assert base == bigger, f"column {j} changed with start size"
 
 
@@ -182,21 +181,32 @@ def test_diagonal_sequence():
     assert arr.diagonal() == diag[:4]
 
 
-def test_diagonal_chain_matches_window_reads_and_oracle():
-    chain = reduce_diagonal(40, field=RATIONALS)
-    for s in range(1, 41):
-        assert chain[s - 1] == reduce_window(s, 4 * s, 1, field=RATIONALS)[1][0], s
+def test_installed_gmpy2_does_not_change_the_rational_type(monkeypatch):
+    # an importable gmpy2 whose mpq is a Fraction subclass: any value built
+    # from it would fail the exact type check below
+    import sys
+    import types
+    fake = types.ModuleType("gmpy2")
+    fake.mpq = type("mpq", (F,), {})
+    monkeypatch.setitem(sys.modules, "gmpy2", fake)
+    values = list(diagonal_sequence(6))
+    values += [v for col in build_array(4).columns for v in col]
+    values += [v for t in reduce_window(3, 12, 3).values() for v in t]
+    assert len(values) == 6 + 16 + 9
+    assert all(type(v) is F for v in values)
+
+
+def test_diagonal_chain_matches_oracle():
+    chain = reduce_diagonal(40)
     assert diagonal_sequence(20) == chain[:20]
     assert build_array_direct(6).diagonal() == chain[:6]
     with pytest.raises(GridError):
         reduce_diagonal(0)
 
 
-def test_array_chain_matches_window_reads_and_oracle():
-    chain = reduce_array(20, field=RATIONALS)
+def test_array_chain_matches_80_grid_oracle():
+    chain = reduce_array(20)
     assert len(chain) == 20
-    for j in range(1, 13):
-        assert chain[j - 1] == reduce_window(j, 4 * j, j, field=RATIONALS), j
     # one reduce_once pass over the all-one 80-grid holds every column
     # j <= 20 at full width: row 2j-1 after j reductions
     arr = build_array(20)
@@ -210,7 +220,7 @@ def test_array_chain_matches_window_reads_and_oracle():
             d, side = entry_position(i, j)
             assert value == g.label(row, d, side), (i, j)
             assert arr.provenance(i, j) == Provenance(4 * j, j, row, d, side)
-    assert [t[1][0] for t in chain] == reduce_diagonal(20, field=RATIONALS)
+    assert [t[1][0] for t in chain] == reduce_diagonal(20)
     with pytest.raises(GridError):
         reduce_array(0)
     with pytest.raises(ArrayError):

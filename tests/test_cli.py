@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from circuitarray.cli import _ARRAY_MAX_COLS, _DIAG_MAX_S, main
+from circuitarray.cli import (_ARRAY_MAX_COLS, _DIAG_MAX_S,
+                             _UNIFORM_CENTER_MAX_S, main)
 from circuitarray.graphs import WeightedGraph
 from circuitarray.grid import Grid
 from circuitarray.reports import Report
@@ -127,6 +128,36 @@ def test_array_verify_builds_one_array_wide_enough(capsys, monkeypatch):
     code, out = run(capsys, "array", "verify", "--max-k", "9")
     assert code == 0 and "k=9:" in out
     assert calls == [(12,)]
+
+
+def test_uniform_center_alone_builds_no_array(capsys, monkeypatch):
+    from circuitarray import circuit_array
+    calls = count_calls(monkeypatch, circuit_array, "build_array")
+    code, out = run(capsys, "array", "verify", "--suite", "uniform-center",
+                    "--max-s", "2")
+    assert code == 0 and "uniform-center s = 1..2" in out
+    assert calls == []
+
+
+def test_a_failed_divisibility_is_reported(capsys, monkeypatch):
+    from circuitarray import circuit_array
+    real = circuit_array.diagonal_sequence
+
+    def bad_diagonal(S):
+        diag = real(S)
+        diag[4] = F(diag[4].numerator, 3 * diag[4].denominator)  # L_5
+        return diag
+
+    monkeypatch.setattr(circuit_array, "diagonal_sequence", bad_diagonal)
+    code, out = run(capsys, "verify", "--max-cols", "4", "--max-k", "2")
+    assert code == 1
+    assert "[FAIL] denominator-divisibility" in out
+    assert "fails at s=5" in out
+    for suite in ("hankel-determinant-conjecture", "lhrcc-exclusion"):
+        assert f"[FAIL] {suite}" in out
+    assert "denominator of L_5" in out
+    code, out = run(capsys, "hankel", "--max-k", "2")
+    assert code == 1 and "[FAIL] hankel-determinant-conjecture" in out
 
 
 def test_verify_reaches_max_s_past_the_hankel_depth(capsys):
@@ -269,7 +300,8 @@ def test_bad_boundary_is_a_usage_error(capsys, argv):
     # array verify refuses flags under which a suite checks nothing
     (["array", "verify", "--max-s", "0"], "--max-s"),
     (["array", "verify", "--max-k", "-1"], "--max-k"),
-    (["array", "verify", "--max-s", "100"], "--max-s must be in 1..99"),
+    (["array", "verify", "--max-s", str(_UNIFORM_CENTER_MAX_S + 1)],
+     f"--max-s must be in 1..{_UNIFORM_CENTER_MAX_S}"),
 ])
 def test_bad_argument_is_a_usage_error(capsys, argv, needle):
     assert needle in usage_error(capsys, argv)

@@ -4,8 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from circuitarray.fields import (RATIONALS, as_fraction, fast_rationals,
-                                 format_rational, parse_rational)
+from circuitarray.fields import RATIONALS, format_rational, parse_rational
 
 
 def test_parse_and_format_round_trip():
@@ -22,14 +21,6 @@ def test_decimal_exponent_cap():
     for bad in ("1e4300", "1e-4300", "2.5e999999999", "1e+999_999_999 "):
         with pytest.raises(ValueError, match="decimal exponent"):
             parse_rational(bad)
-
-
-def test_fast_backend_matches_fraction():
-    fast = fast_rationals()
-    a, b = fast.parse("26/27"), fast.parse("3")
-    assert as_fraction(a * b) == F(26, 9)
-    assert fast.format(a) == "26/27"
-    assert as_fraction(fast.one - fast.parse("1/3")) == F(2, 3)
 
 
 def test_contract_constants():

@@ -220,7 +220,7 @@ def test_window_matches_full_reduction():
                  (3, 8), (3, 9), (4, 11), (5, 14)):
         g = reduce_k(all_one_grid(n), j)
         for read_dmax in sorted({1, j}):
-            triples = reduce_window(j, n, read_dmax, field=RATIONALS)
+            triples = reduce_window(j, n, read_dmax)
             assert sorted(triples) == list(range(1, read_dmax + 1))
             for d in range(1, read_dmax + 1):
                 assert triples[d] == g.triangle(2 * j - 1, d), (j, n, d)
