@@ -10,10 +10,11 @@ arithmetic and verifies every claimed identity against independent oracles
 rational functions).
 """
 
-from .circuit_array import (CircuitArray, Provenance, array_position,
-                            build_array, build_array_direct, closed_form_row,
-                            diagonal_sequence, entry_position, row_recursion,
-                            verify_closed_forms, verify_composition_spotchecks,
+from .circuit_array import (CircuitArray, Provenance, build_array,
+                            build_array_direct, closed_form_row,
+                            diagonal_sequence, entry_position, reduce_window,
+                            row_recursion, verify_closed_forms,
+                            verify_composition_spotchecks,
                             verify_row01_recurrences, verify_row_recursions,
                             verify_uniform_center)
 from .fields import (RATIONALS, FieldContract, format_rational,
@@ -28,14 +29,14 @@ from .grid import (EdgeRef, Grid, GridError, all_one_grid, corner_distances,
 from .polynomial import Polynomial
 from .ratfunc import RATFUNCS, RationalFunction, parse_ratfunc
 from .reduction import (child_edge, delta, reduce_k, reduce_once,
-                        reduce_window, series_merge, triangle_legs, wye)
+                        series_merge, triangle_legs, wye)
 from .reports import Check, Report
 from .sequences import (AsymptoticRow, NumeratorSequence, asymptotics_table,
                         bareiss_determinant, cofactor_determinant,
                         hankel_determinant, hankel_matrix, lhrcc_ruled_out,
-                        nprime_sequence, product_approximation, render_4dp,
-                        sqrt_pi_approximation, symbolic_diagonal,
-                        symbolic_start_grid, verify_denominator_divisibility,
+                        nprime_sequence, render_4dp, sqrt_pi_approximation,
+                        symbolic_diagonal, symbolic_start_grid,
+                        verify_denominator_divisibility,
                         verify_determinant_conjecture, verify_monotonicity,
                         verify_symbolic_patterns)
 

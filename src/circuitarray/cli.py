@@ -140,6 +140,11 @@ def _uniform_center_all(smax: int) -> Report:
 # ~0.1 GiB and a few seconds for one step.
 _REDUCE_MAX_N = 400
 
+# Over rational functions the labels grow with every step: n = 400 takes
+# ~26, ~42 and ~69 s at 6, 7 and 8 steps, and n = 40 grows 3-5x per step
+# past 6, to over 200 s at 10.
+_SYMBOLIC_REDUCE_MAX_STEPS = 7
+
 
 def cmd_reduce(args) -> int:
     if args.n < 1:
@@ -149,6 +154,9 @@ def cmd_reduce(args) -> int:
     if not 0 <= args.steps < args.n:
         raise UsageError(f"--steps must be in 0..n-1 = 0..{args.n - 1}, "
                          f"got {args.steps}")
+    if args.field == "symbolic" and args.steps > _SYMBOLIC_REDUCE_MAX_STEPS:
+        raise UsageError(f"--steps must be <= {_SYMBOLIC_REDUCE_MAX_STEPS} "
+                         f"with --field symbolic, got {args.steps}")
     text = args.boundary
     if text is None and args.field == "symbolic":
         text = "1 - 3/x"
@@ -273,8 +281,7 @@ def _parse_rows(spec: str) -> list[int]:
                 ranges.append((int(part), int(part)))
     except ValueError:  # a bad number, or more than one ".." in a part
         ranges = []
-    ranges = [(a, b) for a, b in ranges if a <= b]
-    if not ranges or any(a < 1 for a, _ in ranges):
+    if not ranges or any(not 1 <= a <= b for a, b in ranges):
         raise UsageError(f"bad row spec {spec!r}")
     deepest = max(b for _, b in ranges)
     _check_depth("--rows", spec, deepest)

@@ -36,11 +36,9 @@ code with this module and checks the formulas themselves.  ``reduce_once``,
 through ``reduce_k``, in turn checks the chain's cone, runs and memos.
 
 Every band read is one reduction chain, ``_reduce_chain``, from the
-all-one n-grid, reading column j after j steps.  ``reduce_array`` (all
-array columns) and ``reduce_diagonal`` (the leftmost diagonal) run it on
-the 4C-grid and differ only in how many diagonals each column reads;
-``reduce_window`` is the chain's last read on an n-grid of any admissible
-size, including sizes whose cone reaches the bottom row.  The symbolic
+all-one 4C-grid, reading column j after j steps.  ``reduce_array`` (all
+array columns) and ``reduce_diagonal`` (the leftmost diagonal) differ
+only in how many diagonals each column reads.  The symbolic
 diagonal L_s(x) is the same chain with every label 2/3 renamed after step
 1, which is the paper's relabelling of the once-reduced grid's boundary.
 The chain computes exactly the labels of repeated ``reduce_once`` but
@@ -210,34 +208,14 @@ def reduce_k(grid: Grid, k: int) -> Grid:
     return grid
 
 
-def reduce_window(j: int, n: int, read_dmax: int) -> dict:
-    """Row-(2j-1) label triples of the j-times-reduced all-one n-grid.
-
-    The last read of ``_reduce_chain`` on the all-one n-grid with j columns
-    and width ``read_dmax``: the same labels as repeated ``reduce_once``,
-    restricted to the chain's cone.  With n < 4j-1 the cone reaches the
-    bottom row of the grid.
-
-    Returns {d: (L, R, B)} for d = 1..read_dmax.
-    """
-    if j < 1:
-        raise GridError(f"column index must be >= 1, got {j}")
-    if n < 3 * j - 1:
-        raise GridError(f"read row 2j-1={2*j-1} needs n-j >= 2j-1, "
-                        f"i.e. n >= {3*j-1}; got n={n}")
-    if not 1 <= read_dmax <= j:
-        raise GridError(f"read diagonals must lie in 1..j={j}, got {read_dmax}")
-    return _reduce_chain(j, read_dmax, RATIONALS, n=n)[-1]
-
-
 def reduce_array(C: int) -> list[dict]:
     """Row-(2j-1) label triples after j reductions, for columns j = 1..C.
 
     One reduction chain from the all-one 4C-grid (see ``_reduce_chain``).
-    Entry j-1 of the result is {d: (L, R, B)} for d = 1..j and equals
-    ``reduce_window(j, 4*j, j)``: the cone of row 2j-1 never reaches the
-    bottom boundary row, so a larger start grid gives the same labels by the
-    same formulas.
+    Entry j-1 of the result is {d: (L, R, B)} for d = 1..j, the labels of
+    row 2j-1 of the j-times-reduced all-one 4j-grid: the cone of that row
+    never reaches the bottom boundary row, so a larger start grid gives the
+    same labels by the same formulas.
     """
     return _reduce_chain(C, C, RATIONALS)
 
@@ -246,22 +224,20 @@ def reduce_diagonal(S: int) -> list:
     """Left labels of triangle (2s-1, 1) after s reductions, for s = 1..S.
 
     The same chain as ``reduce_array`` on the all-one 4S-grid, reading only
-    diagonal 1 of each column.  Each value equals
-    ``reduce_window(s, 4*s, 1)[1][0]``.
+    diagonal 1 of each column.
     """
     return [reads[1][0] for reads in _reduce_chain(S, 1, RATIONALS)]
 
 
-def _reduce_chain(C: int, width: int, field: FieldContract, boundary=None,
-                  n: int | None = None) -> list[dict]:
+def _reduce_chain(C: int, width: int, field: FieldContract,
+                  boundary=None) -> list[dict]:
     """Diagonals 1..min(j, width) of row 2j-1 after j reductions, j = 1..C.
 
-    One reduction chain from the all-one n-grid, n = 4C unless given (at
-    least 3C-1, so that row 2C-1 survives C steps).  Column j's read needs,
-    c steps into the chain, rows 2j-1 .. min(4j-2c-1, n-c) out to diagonal
+    One reduction chain from the all-one 4C-grid.  Column j's read needs,
+    c steps into the chain, rows 2j-1 .. 4j-2c-1 out to diagonal
     min(j, width) + j - c.  After c reductions the chain keeps only the
     union of the cones of the columns still open (j >= c): row r
-    (2c-1 <= r <= min(4C-2c-1, n-c)) out to diagonal min(width, k) + k - c
+    (2c-1 <= r <= 4C-2c-1) out to diagonal min(width, k) + k - c
     with k = min(C, (r+1)//2), the widest cone of any j <= C with
     2j-1 <= r.  Column c is read after c steps, at the top row of the cone,
     which the next step drops.
@@ -283,17 +259,15 @@ def _reduce_chain(C: int, width: int, field: FieldContract, boundary=None,
     """
     if C < 1:
         raise GridError(f"need at least one column, got {C}")
-    if n is None:
-        n = 4 * C
     one = field.one
     two_thirds = (one + one) / (one + one + one)
-    starts, _ = _cone_starts(C, width, 0, n)
+    starts, _ = _cone_starts(C, width, 0)
     band = [([a], [(one, one, one)]) for a in starts]
     leg_memo: dict = {}
     wye_memo: dict = {}
     columns = []
     for c in range(1, C + 1):
-        band = _band_step(band, n - c + 1, *_cone_starts(C, width, c, n),
+        band = _band_step(band, 4 * C - c + 1, *_cone_starts(C, width, c),
                           leg_memo, wye_memo)
         if c == 1 and boundary is not None:
             band = [(rows, [tuple(boundary if v == two_thirds else v
@@ -304,28 +278,27 @@ def _reduce_chain(C: int, width: int, field: FieldContract, boundary=None,
     return columns
 
 
-def _cone_starts(C: int, width: int, c: int, n: int) -> tuple[list, int]:
+def _cone_starts(C: int, width: int, c: int) -> tuple[list, int]:
     """First row of each diagonal d = 1, 2, ... of the chain's cone after c
-    reductions of the all-one n-grid (see ``_reduce_chain``), and the
-    cone's last row.
+    reductions of the all-one 4C-grid (see ``_reduce_chain``), and the
+    cone's last row 4C-2c-1.
 
     Row r reaches diagonal min(r, g(k) - c) with g(k) = min(width, k) + k and
     k = min(C, (r+1)//2).  g increases strictly with k, so with k the least
     value for which g(k) >= d + c, diagonal d starts at row
-    max(top, d, 2k-1); the cone has no diagonal d once k exceeds C or that
-    row passes the cone's last row min(4C-2c-1, n-c).
+    max(top, d, 2k-1); the cone has no diagonal d once k exceeds C.  For
+    c <= C that row never passes the last row: d + c <= 2k and k <= C.
     """
-    top, last = max(1, 2 * c - 1), min(4 * C - 2 * c - 1, n - c)
+    top, last = max(1, 2 * c - 1), 4 * C - 2 * c - 1
     starts = []
     d = 1
     while True:
         t = d + c
         # g(k) = 2k while k <= width, width + k after
         k = (t + 1) // 2 if (t + 1) // 2 <= width else t - width
-        r = max(top, d, 2 * k - 1)
-        if k > C or r > last:
+        if k > C:
             return starts, last
-        starts.append(r)
+        starts.append(max(top, d, 2 * k - 1))
         d += 1
 
 

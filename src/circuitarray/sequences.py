@@ -409,16 +409,6 @@ def render_4dp(value) -> str:
     return text if text not in ("-0", "") else "0"
 
 
-def product_approximation(s: int) -> Fraction:
-    """A_s = (2/3) * prod_{i=2..s} (1 - 1/(2i-1)), exactly."""
-    if s < 1:
-        raise SequenceError(f"need s >= 1, got {s}")
-    a = Fraction(2, 3)
-    for i in range(2, s + 1):
-        a *= Fraction(2 * i - 2, 2 * i - 1)
-    return a
-
-
 def sqrt_pi_approximation(s: int) -> float:
     """P_s = sqrt(pi / (9 s)) in binary64."""
     return math.sqrt(math.pi / (9 * s))

@@ -5,18 +5,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from circuitarray.circuit_array import (ArrayError, Provenance,
-                                        array_position, build_array,
+from circuitarray import reduction
+from circuitarray.circuit_array import (ArrayError, Provenance, build_array,
                                         build_array_direct, closed_form_row,
                                         diagonal_sequence, entry_position,
-                                        row_recursion, verify_closed_forms,
+                                        reduce_window, row_recursion,
+                                        verify_closed_forms,
                                         verify_composition_spotchecks,
                                         verify_row01_recurrences,
                                         verify_row_recursions,
                                         verify_uniform_center)
 from circuitarray.grid import GridError, all_one_grid
 from circuitarray.reduction import (delta, reduce_array, reduce_diagonal,
-                                    reduce_once, reduce_window, wye)
+                                    reduce_once, wye)
 
 # frozen expected values: columns 1..6, rows 0..2(j-1)
 EXPECTED_COLUMNS = {
@@ -51,15 +52,6 @@ def test_layout_positions():
         entry_position(3, 2)
 
 
-def test_array_position_classifier():
-    assert array_position(3, 5, 2, "R") == (1, 3)
-    assert array_position(3, 5, 3, "L") == (0, 3)
-    assert array_position(3, 5, 1, "L") == (4, 3)
-    assert array_position(3, 5, 3, "R") is None  # would be row -1
-    assert array_position(3, 4, 2, "L") is None  # off the read row
-    assert array_position(2, 3, 1, "B") is None
-
-
 def test_expected_columns(arr6):
     for j, values in EXPECTED_COLUMNS.items():
         assert arr6.column(j) == [F(v) for v in values], f"column {j}"
@@ -79,6 +71,18 @@ def test_windowed_build_matches_direct_reductions():
     fast = build_array(4)
     slow = build_array_direct(4)
     assert fast.columns == slow.columns
+
+
+def test_reference_read_runs_no_chain(monkeypatch):
+    chain_reads = reduce_array(3)
+    chain_array = build_array(3)
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("the reference read ran the reduction chain")
+
+    monkeypatch.setattr(reduction, "_reduce_chain", no_chain)
+    assert reduce_window(3, 12, 3) == chain_reads[-1]
+    assert build_array_direct(3).columns == chain_array.columns
 
 
 def test_columns_independent_of_start_size():

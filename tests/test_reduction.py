@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from circuitarray.circuit_array import reduce_window
 from circuitarray.cli import main
 from circuitarray.fields import RATIONALS
 from circuitarray.grid import Grid, GridError, all_one_grid
@@ -12,8 +13,7 @@ from circuitarray.polynomial import Polynomial
 from circuitarray.ratfunc import RATFUNCS, RationalFunction
 from circuitarray.reduction import (_band_step, _cone_starts, child_edge,
                                     delta, reduce_k, reduce_once,
-                                    reduce_window, series_merge,
-                                    triangle_legs, wye)
+                                    series_merge, triangle_legs, wye)
 
 
 def test_delta_values():
@@ -212,20 +212,6 @@ def test_reduce_matches_child_edge_everywhere():
                 (parent.m, parent.field.name, e)
 
 
-def test_window_matches_full_reduction():
-    # with n < 4j-1 the cone reaches the bottom row, where the formulas of
-    # row m-1 cut the runs in the middle of the chain; the width-1 cone
-    # meets it too
-    for j, n in ((1, 4), (2, 8), (3, 12), (4, 16), (3, 14),
-                 (3, 8), (3, 9), (4, 11), (5, 14)):
-        g = reduce_k(all_one_grid(n), j)
-        for read_dmax in sorted({1, j}):
-            triples = reduce_window(j, n, read_dmax)
-            assert sorted(triples) == list(range(1, read_dmax + 1))
-            for d in range(1, read_dmax + 1):
-                assert triples[d] == g.triangle(2 * j - 1, d), (j, n, d)
-
-
 def test_window_validates_inputs():
     with pytest.raises(GridError, match="n >= "):
         reduce_window(4, 10, 1)
@@ -269,20 +255,19 @@ def test_band_step_matches_reduce_once_on_arbitrary_runs():
 def test_cone_starts_follow_the_row_bound():
     # diagonal d of the chain's cone starts at the first row r whose bound
     # min(r, min(width, k) + k - c), k = min(C, (r+1)//2), reaches d; the
-    # cone ends at row 4C-2c-1 or at the bottom row n-c of a smaller grid
+    # cone ends at row 4C-2c-1
     for C in range(1, 9):
-        for n in range(3 * C - 1, 4 * C + 1):
-            for width in (1, 2, C):
-                for c in range(C + 1):
-                    top = max(1, 2 * c - 1)
-                    last = min(4 * C - 2 * c - 1, n - c)
-                    want = []
-                    for r in range(top, last + 1):
-                        k = min(C, (r + 1) // 2)
-                        while len(want) < min(r, min(width, k) + k - c):
-                            want.append(r)
-                    assert _cone_starts(C, width, c, n) == (want, last), \
-                        (C, n, width, c)
+        for width in (1, 2, C):
+            for c in range(C + 1):
+                top = max(1, 2 * c - 1)
+                last = 4 * C - 2 * c - 1
+                want = []
+                for r in range(top, last + 1):
+                    k = min(C, (r + 1) // 2)
+                    while len(want) < min(r, min(width, k) + k - c):
+                        want.append(r)
+                assert _cone_starts(C, width, c) == (want, last), \
+                    (C, width, c)
 
 
 def test_reduction_generic_over_symbolic_field():

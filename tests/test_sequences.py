@@ -13,10 +13,9 @@ from circuitarray.sequences import (SequenceError,
                                     asymptotics_table, bareiss_determinant,
                                     cofactor_determinant, hankel_determinant,
                                     hankel_matrix, lhrcc_ruled_out,
-                                    nprime_sequence, product_approximation,
+                                    nprime_sequence,
                                     reference_diagonal_formula, render_4dp,
-                                    row0_numerator_contrast,
-                                    sqrt_pi_approximation, symbolic_diagonal,
+                                    row0_numerator_contrast, symbolic_diagonal,
                                     symbolic_start_grid,
                                     verify_denominator_divisibility,
                                     verify_determinant_conjecture,
@@ -171,17 +170,23 @@ def test_symbolic_patterns_report(diag14):
         verify_symbolic_patterns(8, diag14)
 
 
-def test_product_approximation_telescopes():
-    assert product_approximation(1) == F(2, 3)
-    assert product_approximation(2) == F(4, 9)
+@pytest.fixture(scope="module")
+def rows29(diag80):
+    """Asymptotic rows s = 1..29; row s - 1 holds A_s and P_s."""
+    return asymptotics_table(list(range(1, 30)), diag80[0])
+
+
+def test_product_approximation_telescopes(rows29):
+    A = [row.A for row in rows29]
+    assert A[0] == F(2, 3)
+    assert A[1] == F(4, 9)
     for s in range(2, 30):
-        assert (product_approximation(s) / product_approximation(s - 1)
-                == F(2 * s - 2, 2 * s - 1))
+        assert A[s - 1] / A[s - 2] == F(2 * s - 2, 2 * s - 1)
 
 
-def test_sqrt_approximation_converges_to_product():
+def test_sqrt_approximation_converges_to_product(rows29):
     # |A/P - 1| decreasing, below 1% by s = 13
-    gaps = [abs(float(product_approximation(s)) / sqrt_pi_approximation(s) - 1)
+    gaps = [abs(float(rows29[s - 1].A) / rows29[s - 1].P - 1)
             for s in range(3, 21)]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[10] < 0.01  # s = 13
