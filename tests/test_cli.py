@@ -280,12 +280,7 @@ def test_bad_boundary_is_a_usage_error(capsys, argv):
     (["reduce", "--n", "6", "--steps", "1", "--field", "symbolic",
       "--boundary=-2"], "triangle (2,1)"),
     (["reduce", "--n", "401", "--steps", "1"], "--n"),
-    # refused before the symbolic start grid is built
-    (["reduce", "--n", "400", "--steps", str(_SYMBOLIC_REDUCE_MAX_STEPS + 1),
-      "--field", "symbolic"],
-     f"--steps must be <= {_SYMBOLIC_REDUCE_MAX_STEPS} with --field symbolic"),
     (["asymptotics", "--rows", "1..2..3"], "bad row spec '1..2..3'"),
-    (["asymptotics", "--rows", "1..3,5..1"], "bad row spec '1..3,5..1'"),
     (["asymptotics", "--rows", "..5"], "bad row spec '..5'"),
     # each depth is refused before a diagonal chain or a row list is built
     (["diag", "--max-s", str(_DIAG_MAX_S + 1)], f"s <= {_DIAG_MAX_S}"),
@@ -308,6 +303,11 @@ def test_bad_boundary_is_a_usage_error(capsys, argv):
     (["array", "verify", "--max-k", "-1"], "--max-k"),
     (["array", "verify", "--max-s", str(_UNIFORM_CENTER_MAX_S + 1)],
      f"--max-s must be in 1..{_UNIFORM_CENTER_MAX_S}"),
+    (["asymptotics", "--rows", "1..3,5..1"], "bad row spec '1..3,5..1'"),
+    # refused before the symbolic start grid is built
+    (["reduce", "--n", "400", "--steps", str(_SYMBOLIC_REDUCE_MAX_STEPS + 1),
+      "--field", "symbolic"],
+     f"--steps must be <= {_SYMBOLIC_REDUCE_MAX_STEPS} with --field symbolic"),
 ])
 def test_bad_argument_is_a_usage_error(capsys, argv, needle):
     assert needle in usage_error(capsys, argv)
