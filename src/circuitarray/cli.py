@@ -141,9 +141,9 @@ def _uniform_center_all(smax: int) -> Report:
 _REDUCE_MAX_N = 400
 
 # Over rational functions the labels grow with every step: n = 400 takes
-# ~26, ~42 and ~69 s at 6, 7 and 8 steps, and n = 40 grows 3-5x per step
-# past 6, to over 200 s at 10.
-_SYMBOLIC_REDUCE_MAX_STEPS = 7
+# ~19, ~20, ~29 and ~42 s at 6, 7, 8 and 9 steps, and n = 40 grows about
+# 2x per step past 8, to ~6 s at 10 and ~11 s at 11.
+_SYMBOLIC_REDUCE_MAX_STEPS = 8
 
 
 def cmd_reduce(args) -> int:

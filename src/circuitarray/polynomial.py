@@ -5,15 +5,23 @@ the zero polynomial has an empty coefficient tuple and every nonzero
 polynomial has a nonzero leading coefficient.  Polynomials are immutable and
 hashable; equality is structural.
 
-The gcd is computed with a primitive pseudo-remainder sequence: contents are
-factored out so every intermediate stays in integer arithmetic, which avoids
-the coefficient blowup of naive Euclid over the rationals.
+The gcd is the heuristic GCDHEU of Char, Geddes & Gonnet (J. Symbolic
+Comput. 7, 1989): evaluate both primitive inputs at one integer, take the
+integer gcd of the two values and read it back as a polynomial.  The
+candidate is accepted only if it divides both inputs exactly, which makes it
+the gcd, and the two exact quotients are the cofactors.  When a few
+evaluation points give no accepted candidate, a primitive pseudo-remainder
+sequence (PRS) computes the gcd instead; it also serves the tests as the
+reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, isqrt
+
+# Evaluation points GCDHEU tries before the PRS takes over.
+_HEU_GCD_TRIES = 6
 
 
 class Polynomial:
@@ -62,7 +70,7 @@ class Polynomial:
         g = self.content()
         if g <= 1:
             return self
-        return Polynomial(c // g for c in self.coeffs)
+        return _from_ints([c // g for c in self.coeffs])
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -73,33 +81,33 @@ class Polynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Polynomial(out)
+        return _from_ints(out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
+        return _from_ints([-c for c in self.coeffs])
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Polynomial(c * other for c in self.coeffs)
+            return _from_ints([c * other for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return Polynomial()
+            return _from_ints([])
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return Polynomial(out)
+        return _from_ints(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial((1,))
+        result = _from_ints([1])
         base = self
         while k:
             if k & 1:
@@ -133,7 +141,7 @@ class Polynomial:
                     rem[i + j] -= q * c
         if any(rem):
             raise ValueError("inexact polynomial division")
-        return Polynomial(quot)
+        return _from_ints(quot)
 
     # -- gcd ----------------------------------------------------------------
 
@@ -142,23 +150,42 @@ class Polynomial:
         integer polynomial with positive leading coefficient.
 
         Contents are not included; callers that care about integer contents
-        combine this with :meth:`content`.
+        combine this with :meth:`content`, or use :meth:`cofactors`.
         """
-        a, b = self.primitive(), other.primitive()
-        if a.is_zero:
-            g = b
-        elif b.is_zero:
-            g = a
-        else:
-            if a.degree < b.degree:
-                a, b = b, a
-            while not b.is_zero:
-                a = a.pseudo_rem(b).primitive()
-                a, b = b, a
-            g = a
-        if g.leading < 0:
-            g = -g
-        return g
+        if self.is_zero or other.is_zero:
+            g = (other if self.is_zero else self).primitive()
+            return -g if g.leading < 0 else g
+        return self.cofactors(other)[0].primitive()
+
+    def cofactors(self, other: "Polynomial"
+                  ) -> tuple["Polynomial", "Polynomial", "Polynomial"]:
+        """(g, self / g, other / g) for the gcd g over the integers.
+
+        Both polynomials must be nonzero.  g is the gcd of the two contents
+        times :meth:`gcd`, so its leading coefficient is positive and the
+        cofactors share neither a polynomial factor nor an integer content.
+        """
+        if self.is_zero or other.is_zero:
+            raise ValueError("cofactors of the zero polynomial")
+        ca, cb = self.content(), other.content()
+        c = int_gcd(ca, cb)
+        if self.degree == 0 or other.degree == 0:
+            return (_from_ints([c]), _from_ints([x // c for x in self.coeffs]),
+                    _from_ints([x // c for x in other.coeffs]))
+        a = _from_ints([x // ca for x in self.coeffs]) if ca > 1 else self
+        b = _from_ints([x // cb for x in other.coeffs]) if cb > 1 else other
+        found = _heu_gcd(a, b)
+        if found is None:
+            h = _prs_gcd(a, b)
+            found = h, a.divide_exact(h), b.divide_exact(h)
+        h, qa, qb = found
+        if c > 1:
+            h = h * c
+        if ca > c:
+            qa = qa * (ca // c)
+        if cb > c:
+            qb = qb * (cb // c)
+        return h, qa, qb
 
     def pseudo_rem(self, divisor: "Polynomial") -> "Polynomial":
         """Pseudo-remainder of self by divisor (integer-only long division
@@ -175,7 +202,7 @@ class Polynomial:
             rem.pop()
             while rem and rem[-1] == 0:
                 rem.pop()
-        return Polynomial(rem)
+        return _from_ints(rem)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -213,3 +240,81 @@ class Polynomial:
             else:
                 parts.append(f"+ {term}")
         return " ".join(parts)
+
+
+def _from_ints(cs: list) -> Polynomial:
+    """Polynomial from a list of ints, which it strips of trailing zeros.
+
+    The constructor for Polynomial's own results, whose coefficients are
+    ints by construction: it skips the public per-coefficient type check.
+    """
+    while cs and cs[-1] == 0:
+        cs.pop()
+    p = object.__new__(Polynomial)
+    p.coeffs = tuple(cs)
+    return p
+
+
+_ONE = _from_ints([1])
+
+
+def _evaluate(coeffs: tuple, xi: int) -> int:
+    """The integer value at xi of the polynomial with these coefficients."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * xi + c
+    return acc
+
+
+def _from_digits(v: int, xi: int) -> Polynomial:
+    """The polynomial whose coefficients are the symmetric base-xi digits
+    of v, each in (-xi/2, xi/2]: the h with h(xi) = v and small coefficients."""
+    half = xi // 2
+    digits = []
+    while v:
+        v, d = divmod(v, xi)
+        if d > half:
+            d -= xi
+            v += 1
+        digits.append(d)
+    return _from_ints(digits)
+
+
+def _heu_gcd(a: Polynomial, b: Polynomial):
+    """GCDHEU on primitive a, b of degree >= 1: (g, a / g, b / g) with g
+    the primitive gcd (positive leading coefficient), or None.
+
+    The first point xi is 2 min(|a|, |b|) + 2 in the max norm.  From that
+    bound on, a candidate that divides both inputs is their gcd (Char,
+    Geddes & Gonnet), and the division check rejects any other.  Each
+    rejection moves to a larger xi; after _HEU_GCD_TRIES the caller falls
+    back to the PRS.
+    """
+    xi = 2 * min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs))) + 2
+    for _ in range(_HEU_GCD_TRIES):
+        va, vb = _evaluate(a.coeffs, xi), _evaluate(b.coeffs, xi)
+        if va and vb:
+            h = _from_digits(int_gcd(va, vb), xi).primitive()
+            if h.leading < 0:
+                h = -h
+            if h.degree == 0:
+                return _ONE, a, b
+            if h.degree <= min(a.degree, b.degree):
+                try:
+                    return h, a.divide_exact(h), b.divide_exact(h)
+                except ValueError:
+                    pass
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _prs_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Primitive PRS gcd of primitive a, b: the Euclidean remainder
+    sequence with every pseudo-remainder made primitive, so it stays in
+    integer arithmetic without coefficient blowup.  Positive leading
+    coefficient."""
+    if a.degree < b.degree:
+        a, b = b, a
+    while not b.is_zero:
+        a, b = b, a.pseudo_rem(b).primitive()
+    return -a if a.leading < 0 else a

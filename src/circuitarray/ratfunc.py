@@ -20,7 +20,6 @@ read off closed forms that evaluate back to the exact rational pipeline.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
 
 from .fields import FieldContract
 from .polynomial import Polynomial
@@ -38,14 +37,7 @@ class RationalFunction:
         if numer.is_zero:
             numer, denom = _ZERO, _ONE
         else:
-            g = numer.gcd(denom)
-            if g.degree > 0:
-                numer = numer.divide_exact(g)
-                denom = denom.divide_exact(g)
-            c = int_gcd(numer.content(), denom.content())
-            if c > 1:
-                numer = Polynomial(x // c for x in numer.coeffs)
-                denom = Polynomial(x // c for x in denom.coeffs)
+            _, numer, denom = numer.cofactors(denom)
             if denom.leading < 0:
                 numer, denom = -numer, -denom
         self.numer = numer

@@ -1,10 +1,13 @@
 """Polynomials and canonical rational functions."""
 
+import random
 from fractions import Fraction as F
+from math import gcd as int_gcd
 
 import pytest
 
-from circuitarray.polynomial import Polynomial
+from circuitarray import polynomial
+from circuitarray.polynomial import Polynomial, _heu_gcd, _prs_gcd
 from circuitarray.ratfunc import RationalFunction, parse_ratfunc
 
 X = RationalFunction.x()
@@ -75,9 +78,107 @@ class TestPolynomial:
         assert str(poly(0, 2, 0, -5)) == "2*x^1 - 5*x^3"
         assert str(Polynomial()) == "0"
 
+    def test_cofactors_of_a_constant_cancel_contents_only(self):
+        assert poly(-6).cofactors(poly(2, 4)) == (poly(2), poly(-3), poly(1, 2))
+        assert poly(3, 6).cofactors(poly(5)) == (poly(1), poly(3, 6), poly(5))
+        with pytest.raises(ValueError, match="zero polynomial"):
+            Polynomial().cofactors(poly(1, 1))
+
     def test_integer_coefficients_required(self):
         with pytest.raises(TypeError):
             Polynomial((F(1, 2),))
+
+
+def random_poly(rng, degree, bits):
+    cs = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(degree)]
+    return Polynomial(cs + [rng.choice((-1, 1)) * rng.randint(1, 2 ** bits)])
+
+
+def planted(rng, bits=4):
+    g = random_poly(rng, rng.randint(1, 4), bits)
+    return (g * random_poly(rng, rng.randint(0, 4), bits),
+            g * random_poly(rng, rng.randint(0, 4), bits))
+
+
+def negative_leading(rng):
+    a, b = planted(rng)
+    return (-a if a.leading > 0 else a), (-b if b.leading > 0 else b)
+
+
+def wide(rng):
+    return planted(rng, bits=rng.randint(100, 130))
+
+
+def coprime(rng):
+    return random_poly(rng, rng.randint(1, 5), 6), random_poly(rng, rng.randint(1, 5), 6)
+
+
+def one_divides_the_other(rng):
+    g = random_poly(rng, rng.randint(1, 4), 8)
+    return g, g * random_poly(rng, rng.randint(1, 4), 8)
+
+
+PAIRS = [planted, negative_leading, wide, coprime, one_divides_the_other]
+
+
+class TestGcd:
+    """GCDHEU and the cofactors against the primitive PRS as the oracle."""
+
+    @pytest.mark.parametrize("pairs", PAIRS, ids=lambda f: f.__name__)
+    def test_heuristic_matches_prs(self, pairs):
+        rng = random.Random(pairs.__name__)
+        for _ in range(40):
+            a, b = (p.primitive() for p in pairs(rng))
+            found = _heu_gcd(a, b)
+            assert found is not None, (a, b)
+            g, qa, qb = found
+            assert g == _prs_gcd(a, b), (a, b)
+            assert g * qa == a and g * qb == b
+
+    @pytest.mark.parametrize("pairs", PAIRS, ids=lambda f: f.__name__)
+    def test_cofactors(self, pairs):
+        rng = random.Random(pairs.__name__)
+        for _ in range(40):
+            a, b = pairs(rng)
+            g, qa, qb = a.cofactors(b)
+            assert g * qa == a and g * qb == b
+            assert g.leading > 0
+            assert g.content() == int_gcd(a.content(), b.content())
+            assert g.primitive() == a.gcd(b) == _prs_gcd(a.primitive(), b.primitive())
+            assert qa.gcd(qb) == Polynomial((1,))
+            assert int_gcd(qa.content(), qb.content()) == 1
+
+    def test_rejected_candidate_moves_to_a_larger_point(self, monkeypatch):
+        # At the first point the values are scaled by xi + 1, so the read-back
+        # candidate carries a spurious factor x + 1 that divides neither
+        # input; the second point is evaluated honestly.
+        evaluate, points = polynomial._evaluate, []
+
+        def first_point_scaled(coeffs, xi):
+            points.append(xi)
+            v = evaluate(coeffs, xi)
+            return v * (xi + 1) if xi == points[0] else v
+
+        monkeypatch.setattr(polynomial, "_evaluate", first_point_scaled)
+        g = poly(-1, 3) * poly(2, 0, 1)                  # (3x-1)(x^2+2)
+        a, b = g * poly(5, 2), g * poly(-7, 0, 1)
+        assert a.gcd(b) == g == _prs_gcd(a, b)
+        assert len(set(points)) == 2 and points[0] < points[-1]
+
+    def test_prs_fallback_after_every_point_is_rejected(self, monkeypatch):
+        evaluate, points = polynomial._evaluate, set()
+
+        def always_scaled(coeffs, xi):
+            points.add(xi)
+            return evaluate(coeffs, xi) * (xi + 1)
+
+        monkeypatch.setattr(polynomial, "_evaluate", always_scaled)
+        g = poly(-1, 3) * poly(2, 0, 1)
+        a, b = g * poly(5, 2) * 6, g * poly(-7, 0, 1) * -4
+        assert _heu_gcd(a.primitive(), b.primitive()) is None
+        assert len(points) == polynomial._HEU_GCD_TRIES
+        assert a.gcd(b) == g == _prs_gcd(a.primitive(), b.primitive())
+        assert a.cofactors(b) == (g * 2, poly(5, 2) * 3, poly(-7, 0, 1) * -2)
 
 
 class TestRationalFunction:

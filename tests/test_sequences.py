@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from circuitarray import polynomial
 from circuitarray.circuit_array import diagonal_sequence
 from circuitarray.polynomial import Polynomial
 from circuitarray.ratfunc import RATFUNCS, RationalFunction
@@ -160,6 +161,14 @@ def test_symbolic_diagonal_pinned_at_x9_through_s12():
         assert f.denominator == c * x1 ** (s - 1), s
     with pytest.raises(SequenceError):
         symbolic_diagonal(0)
+
+
+def test_symbolic_diagonal_is_the_same_over_the_prs_gcd(monkeypatch):
+    # GCDHEU accepts only a candidate that divides both sides, so turning it
+    # off (every gcd then runs the PRS) must leave each L_s(x) unchanged.
+    forms = symbolic_diagonal(12)
+    monkeypatch.setattr(polynomial, "_heu_gcd", lambda a, b: None)
+    assert symbolic_diagonal(12) == forms
 
 
 def test_symbolic_patterns_report(diag14):
