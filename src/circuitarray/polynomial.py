@@ -268,7 +268,8 @@ def _evaluate(coeffs: tuple, xi: int) -> int:
 
 def _from_digits(v: int, xi: int) -> Polynomial:
     """The polynomial whose coefficients are the symmetric base-xi digits
-    of v, each in (-xi/2, xi/2]: the h with h(xi) = v and small coefficients."""
+    of v, each in (-xi/2, xi/2]: the h with h(xi) = v and small coefficients.
+    For v > 0 its leading coefficient is positive."""
     half = xi // 2
     digits = []
     while v:
@@ -295,15 +296,12 @@ def _heu_gcd(a: Polynomial, b: Polynomial):
         va, vb = _evaluate(a.coeffs, xi), _evaluate(b.coeffs, xi)
         if va and vb:
             h = _from_digits(int_gcd(va, vb), xi).primitive()
-            if h.leading < 0:
-                h = -h
             if h.degree == 0:
                 return _ONE, a, b
-            if h.degree <= min(a.degree, b.degree):
-                try:
-                    return h, a.divide_exact(h), b.divide_exact(h)
-                except ValueError:
-                    pass
+            try:
+                return h, a.divide_exact(h), b.divide_exact(h)
+            except ValueError:
+                pass
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
     return None
 
