@@ -7,7 +7,12 @@ integers.  Their Hankel determinants (matrices constant along
 anti-diagonals, built from consecutive n'-values) turn out to be exact
 powers of 9 with triangular-number exponents; since they never vanish, the
 n'-sequence satisfies no linear homogeneous recursion with constant
-coefficients (LHRCC) of any order covered by the computed windows.
+coefficients (LHRCC) of any order covered by the computed windows.  Every
+window's determinant comes from one condensation table per sequence
+(Desnanot-Jacobi for Hankel matrices, Dodgson 1866), each entry one exact
+division of products of smaller windows; Bareiss elimination fills the
+entries whose divisor vanishes and, with cofactor expansion, is the oracle
+the tests hold the table to.
 
 The symbolic pipeline replays the grid reduction over the rational-function
 field: relabel the boundary of a once-reduced all-one grid as 1 - 3/x
@@ -31,8 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
+from functools import cached_property
 
 # perfbench/tracing.py wraps diagonal_sequence at this lookup site; keep the import.
 from .circuit_array import diagonal_sequence  # noqa: F401
@@ -56,9 +61,12 @@ def _check_diagonal(diagonal: list, S: int) -> None:
         raise SequenceError(f"need L_1..L_{S}, got {len(diagonal)} values")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NumeratorSequence:
-    """n'_s = L_s * 2^(4s-7) for s = 2..S; ``entries[0]`` is n'_2."""
+    """n'_s = L_s * 2^(4s-7) for s = 2..S; ``entries[0]`` is n'_2.
+
+    ``entries`` must not change once ``hankel_table`` has been read.
+    """
 
     entries: list[int]
 
@@ -66,6 +74,27 @@ class NumeratorSequence:
         if not 2 <= s <= len(self.entries) + 1:
             raise SequenceError(f"n'_{s} not computed")
         return self.entries[s - 2]
+
+    @cached_property
+    def hankel_table(self) -> list[list[int]]:
+        """``hankel_table[k][n]``: determinant of the k x k Hankel window
+        whose top-left entry is ``entries[n]``, for every window that fits.
+
+        Desnanot-Jacobi on the window gives H_k^(n) * H_{k-2}^(n+2) =
+        H_{k-1}^(n) * H_{k-1}^(n+2) - (H_{k-1}^(n+1))^2, with H_0 = 1 and
+        H_1^(n) = ``entries[n]``: one exact division per entry.  An entry
+        whose divisor is 0 is eliminated from its own window instead.
+        """
+        N = len(self.entries)
+        table = [[1] * (N + 1), list(self.entries)]
+        for k in range(2, (N + 1) // 2 + 1):
+            up, up2 = table[k - 1], table[k - 2]
+            table.append([
+                (up[n] * up[n + 2] - up[n + 1] ** 2) // up2[n + 2]
+                if up2[n + 2] else
+                bareiss_determinant(hankel_matrix(self, k, n + 2))
+                for n in range(N - 2 * k + 2)])
+        return table
 
 
 def nprime_sequence(S: int, diagonal: list[Fraction]) -> NumeratorSequence:
@@ -107,7 +136,11 @@ def verify_denominator_divisibility(S: int, diagonal: list[Fraction]) -> Report:
 # -- determinants -------------------------------------------------------------
 
 def bareiss_determinant(matrix: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination."""
+    """Exact determinant of an integer matrix by fraction-free elimination.
+
+    Fills the Hankel condensation entries whose divisor vanishes, and is
+    the oracle the condensation table is tested against.
+    """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise SequenceError("determinant needs a square matrix")
@@ -153,9 +186,18 @@ def hankel_matrix(seq: NumeratorSequence, k: int, start: int = 2) -> list[list[i
 def hankel_determinant(seq: NumeratorSequence, k: int, start: int = 2) -> int:
     """Determinant of the k x k Hankel matrix with top-left n'_start.
 
-    Needs n'_start .. n'_{start+2k-2}.
+    Needs n'_start .. n'_{start+2k-2}, and reads the value from the
+    sequence's condensation table (``NumeratorSequence.hankel_table``);
+    ``bareiss_determinant(hankel_matrix(seq, k, start))`` is its oracle.
     """
-    return bareiss_determinant(hankel_matrix(seq, k, start))
+    if k < 1:
+        raise SequenceError(f"need k >= 1, got {k}")
+    last = len(seq.entries) + 1
+    if not 2 <= start <= last:
+        raise SequenceError(f"n'_{start} not computed")
+    if start + 2 * k - 2 > last:
+        raise SequenceError(f"n'_{last + 1} not computed")
+    return seq.hankel_table[k][start - 2]
 
 
 def triangular(j: int) -> int:
@@ -202,13 +244,11 @@ def lhrcc_ruled_out(rmax: int, seq: NumeratorSequence) -> Report:
     report = Report("lhrcc-exclusion")
     for order in range(1, rmax + 1):
         size = order + 1
-        starts = range(2, last - 2 * size + 3)
-        dets = [hankel_determinant(seq, size, start) for start in starts]
+        dets = seq.hankel_table[size]  # windows at starts 2, 3, ...
         ok = all(d != 0 for d in dets)
         report.add(f"order {order}: all {len(dets)} windows of size {size} "
                    f"nonsingular", ok,
-                   "" if ok else f"zero window at start "
-                   f"{list(starts)[dets.index(0)]}")
+                   "" if ok else f"zero window at start {dets.index(0) + 2}")
     return report
 
 
@@ -398,15 +438,20 @@ ASYMPTOTIC_COLUMNS = ("s", "L", "A", "L-A", "L/A", "P", "A-P", "A/P", "L-P", "L/
 
 def render_4dp(value) -> str:
     """Render to 4 decimal places, ties away from zero, trailing zeros
-    stripped (0.5, 1.125, 0 rather than 0.5000, 1.1250, 0.0000)."""
-    if isinstance(value, Fraction):
-        dec = Decimal(value.numerator) / Decimal(value.denominator)
-    else:
-        dec = Decimal(value)
-    text = str(dec.quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP))
-    if "." in text:
-        text = text.rstrip("0").rstrip(".")
-    return text if text not in ("-0", "") else "0"
+    stripped (0.5, 1.125, 0 rather than 0.5000, 1.1250, 0.0000).
+
+    The exact value is rounded once, in integers; a float converts to its
+    exact binary value first.
+    """
+    q = Fraction(value)
+    units, rest = divmod(abs(q.numerator) * 10 ** 4, q.denominator)
+    if 2 * rest >= q.denominator:
+        units += 1
+    if units == 0:
+        return "0"
+    whole, frac = divmod(units, 10 ** 4)
+    sign = "-" if q < 0 else ""
+    return f"{sign}{whole}.{frac:04d}".rstrip("0").rstrip(".")
 
 
 def sqrt_pi_approximation(s: int) -> float:

@@ -5,12 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from circuitarray import polynomial
+from circuitarray import polynomial, sequences
 from circuitarray.circuit_array import diagonal_sequence
 from circuitarray.polynomial import Polynomial
 from circuitarray.ratfunc import RATFUNCS, RationalFunction
 from circuitarray.reduction import _reduce_chain, reduce_once
-from circuitarray.sequences import (SequenceError,
+from circuitarray.sequences import (NumeratorSequence, SequenceError,
                                     asymptotics_table, bareiss_determinant,
                                     cofactor_determinant, hankel_determinant,
                                     hankel_matrix, lhrcc_ruled_out,
@@ -85,6 +85,63 @@ def test_bareiss_handles_zero_pivots():
     assert bareiss_determinant([[1, 2], [2, 4]]) == 0
 
 
+def count_bareiss_calls(monkeypatch) -> list:
+    """Route the module's Bareiss calls through a counter; returns it."""
+    calls = []
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return bareiss_determinant(matrix)
+
+    monkeypatch.setattr(sequences, "bareiss_determinant", counted)
+    return calls
+
+
+def test_condensation_table_matches_bareiss_on_the_diagonal(diag80,
+                                                            monkeypatch):
+    seq = nprime_sequence(80, diag80[0])
+    calls = count_bareiss_calls(monkeypatch)
+    table = seq.hankel_table
+    assert calls == []  # no window of the diagonal has a zero divisor
+    last = len(seq.entries) + 1
+    for k in range(1, 13):
+        for start in range(2, last - 2 * k + 3):
+            assert table[k][start - 2] == hankel_determinant(seq, k, start) \
+                == bareiss_determinant(hankel_matrix(seq, k, start)), (k, start)
+
+
+def test_condensation_table_matches_oracles_on_zero_heavy_sequences(
+        monkeypatch):
+    # Entries drawn from {-1, 0, 0, 1, 2} make singular windows common, so
+    # many condensation divisors vanish and the Bareiss fallback runs.
+    calls = count_bareiss_calls(monkeypatch)
+    rng = random.Random(17)
+    for _ in range(120):
+        seq = NumeratorSequence([rng.choice((-1, 0, 0, 1, 2))
+                                 for _ in range(rng.randint(1, 15))])
+        last = len(seq.entries) + 1
+        for k in range(1, 8):
+            for start in range(2, last - 2 * k + 3):
+                m = hankel_matrix(seq, k, start)
+                det = hankel_determinant(seq, k, start)
+                assert det == bareiss_determinant(m), (seq.entries, k, start)
+                if k <= 5:
+                    assert det == cofactor_determinant(m), (seq.entries, k,
+                                                            start)
+    assert len(calls) > 100
+
+
+def test_hankel_determinant_refuses_a_window_past_the_sequence():
+    seq = NumeratorSequence(list(range(1, 16)))  # n'_2..n'_16
+    assert hankel_determinant(seq, 8) == 0  # n'_2..n'_16, the widest window
+    for k, start, missing in ((9, 2, 17), (8, 3, 17), (2, 16, 17),
+                              (1, 17, 17), (3, 1, 1), (3, 20, 20)):
+        with pytest.raises(SequenceError, match=f"^n'_{missing} not computed$"):
+            hankel_determinant(seq, k, start)
+    with pytest.raises(SequenceError, match="need k >= 1, got 0"):
+        hankel_determinant(seq, 0)
+
+
 def test_determinant_conjecture(seq14, diag80):
     rep = verify_determinant_conjecture(4, seq14)
     assert rep.passed, rep.render(True)
@@ -105,9 +162,29 @@ def test_diagonal_recurrence_conjecture(diag80):
             (10 * n + 3) * L[n + 1] - 2 * (n - 1) * L[n], n
 
 
-def test_lhrcc_exclusion(seq14):
+def test_lhrcc_exclusion(seq14, diag80):
     rep = lhrcc_ruled_out(4, seq14)
     assert rep.passed, rep.render(True)
+    # every order the numerators n'_2..n'_80 reach: orders 1..39
+    rep = lhrcc_ruled_out(39, nprime_sequence(80, diag80[0]))
+    assert rep.passed, rep.render(True)
+    assert len(rep.checks) == 39
+
+
+def test_lhrcc_finds_the_row0_recursion():
+    # 3^(2s-1) - 1 obeys N_{s+1} = 9 N_s + 8, so every window of size >= 3
+    # is singular and condensation divides by zero from size 5 on.
+    seq = NumeratorSequence([3 ** (2 * s - 1) - 1 for s in range(1, 16)])
+    assert lhrcc_ruled_out(6, seq).render(True).splitlines() == [
+        "[FAIL] lhrcc-exclusion (1/6 checks)",
+        "    ok  order 1: all 13 windows of size 2 nonsingular",
+        *(f"    FAIL order {r}: all {15 - 2 * r} windows of size {r + 1} "
+          f"nonsingular -- zero window at start 2" for r in range(2, 7))]
+    for start in range(2, 15):
+        assert hankel_determinant(seq, 2, start) == -192 * 9 ** (start - 2)
+    for k in range(3, 9):
+        assert [hankel_determinant(seq, k, start)
+                for start in range(2, 19 - 2 * k)] == [0] * (17 - 2 * k)
 
 
 def test_row0_numerators_do_satisfy_a_recursion():
@@ -210,6 +287,19 @@ def test_render_4dp():
     assert render_4dp(F(13, 32)) == "0.4063"  # exact tie rounds up
     assert render_4dp(F(1, 18)) == "0.0556"
     assert render_4dp(F(-1, 18)) == "-0.0556"
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_render_4dp_rounds_the_exact_value_once(sign):
+    tie, eps = F(12345, 10 ** 5), F(1, 10 ** 40)
+    mark = "-" if sign < 0 else ""
+    assert render_4dp(sign * (tie - eps)) == mark + "0.1234"
+    assert render_4dp(sign * tie) == mark + "0.1235"
+    assert render_4dp(sign * (tie + eps)) == mark + "0.1235"
+    assert render_4dp(sign * F(10 ** 30)) == mark + "1" + "0" * 30
+    assert render_4dp(sign * F(1, 20001)) == "0"  # no "-0"
+    assert render_4dp(sign * 0.125) == mark + "0.125"  # floats exactly too
+    assert render_4dp(sign * 0.00015) == mark + "0.0001"  # binary64 < tie
 
 
 def test_asymptotics_first_rows(diag14):
