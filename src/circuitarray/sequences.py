@@ -447,10 +447,8 @@ def render_4dp(value) -> str:
     units, rest = divmod(abs(q.numerator) * 10 ** 4, q.denominator)
     if 2 * rest >= q.denominator:
         units += 1
-    if units == 0:
-        return "0"
     whole, frac = divmod(units, 10 ** 4)
-    sign = "-" if q < 0 else ""
+    sign = "-" if q < 0 and units else ""
     return f"{sign}{whole}.{frac:04d}".rstrip("0").rstrip(".")
 
 
