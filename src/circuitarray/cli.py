@@ -355,7 +355,8 @@ def cmd_verify(args) -> int:
         ca.verify_composition_spotchecks(args.max_k, arr),
         *_hankel_suites(args.max_k, smax, diag),
         sequences.verify_denominator_divisibility(smax, diag),
-        sequences.verify_symbolic_patterns(7, diag),
+        sequences.verify_symbolic_patterns(7, diag,
+                                           sequences.symbolic_diagonal(7)),
         sequences.verify_monotonicity(max(args.max_s, 20), diag),
         graphs.verify_fib_identities(),
         graphs.verify_2tree_formula(),
@@ -363,7 +364,7 @@ def cmd_verify(args) -> int:
         properties.transform_soundness_suite(seed=args.seed, graphs=40),
         properties.field_axiom_suite("rational", seed=args.seed),
         properties.field_axiom_suite("symbolic", seed=args.seed, rounds=25),
-        properties.metric_suite(seed=args.seed, graphs=10),
+        properties.metric_suite(seed=args.seed),
         properties.symmetry_suite(seed=args.seed),
     ]
     return _emit_reports(reports, args.verbose)
@@ -381,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, fmt=("markdown", "csv", "json")):
         p.add_argument("--format", choices=fmt, default="markdown")
         p.add_argument("--out", metavar="PATH", default=None)
-        p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("array", help="build or verify the circuit array")
     asub = p.add_subparsers(dest="action", required=True)
@@ -454,8 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     po.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("verify", help="run every verification suite")
-    p.add_argument("--all", action="store_true",
-                   help="included for symmetry; the default already runs all")
     p.add_argument("--max-cols", type=int, default=8)
     p.add_argument("--max-k", type=int, default=5)
     p.add_argument("--max-s", type=int, default=20)

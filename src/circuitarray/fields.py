@@ -44,7 +44,7 @@ class FieldContract:
 
     ``ordered`` is true for scalar kinds supporting ``<`` (used to enforce
     strict positivity of resistance labels; rational functions are not
-    ordered and skip that check).
+    ordered, so only a zero label is refused there).
     """
 
     name: str

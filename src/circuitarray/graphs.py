@@ -534,15 +534,15 @@ def r_formula_straight(n: int, u: int, v: int) -> Fraction:
     return Fraction(total, fibonacci(2 * n - 2))
 
 
-def verify_fib_identities(mmax: int = 50, nmax: int = 30) -> Report:
+def verify_fib_identities() -> Report:
     """Exact verification of two Fibonacci/Lucas identities.
 
-    First, for every m <= mmax:
+    First, for every m <= 50:
 
         sum_{i=1}^{m} F_i F_{i+1} / (L_i L_{i+1})
             = ((m+1) L_{m+1} - F_{m+1}) / (5 L_{m+1}).
 
-    Second, for every n <= nmax and k = 3..n-2:
+    Second, for every n <= 30 and k = 3..n-2:
 
         sum_{j=3}^{k} (-1)^j F_{n-2j+1} (F_n + F_{j-2} F_{n-j-1})
             = -F_{k-2} F_{k+1} F_{n-k-2} F_{n+1-k}.
@@ -551,7 +551,7 @@ def verify_fib_identities(mmax: int = 50, nmax: int = 30) -> Report:
     running = Fraction(0)
     ok = True
     first_bad = None
-    for m in range(1, mmax + 1):
+    for m in range(1, 51):
         running += Fraction(fibonacci(m) * fibonacci(m + 1),
                             lucas(m) * lucas(m + 1))
         rhs = Fraction((m + 1) * lucas(m + 1) - fibonacci(m + 1),
@@ -560,13 +560,13 @@ def verify_fib_identities(mmax: int = 50, nmax: int = 30) -> Report:
             ok = False
             first_bad = (m, running, rhs)
             break
-    report.add(f"product-ratio sum identity, m <= {mmax}", ok,
+    report.add("product-ratio sum identity, m <= 50", ok,
                "" if ok else f"fails at m={first_bad[0]}: "
                f"{first_bad[1]} != {first_bad[2]}")
 
     ok = True
     first_bad = None
-    for n in range(5, nmax + 1):
+    for n in range(5, 31):
         acc = 0
         for k in range(3, n - 1):
             j = k
@@ -580,16 +580,16 @@ def verify_fib_identities(mmax: int = 50, nmax: int = 30) -> Report:
                 break
         if not ok:
             break
-    report.add(f"alternating telescoping identity, n <= {nmax}", ok,
+    report.add("alternating telescoping identity, n <= 30", ok,
                "" if ok else f"fails at n={first_bad[0]}, k={first_bad[1]}: "
                f"{first_bad[2]} != {first_bad[3]}")
     return report
 
 
-def verify_2tree_formula(nmax: int = 12) -> Report:
-    """Closed 2-tree formula vs the Laplacian oracle, all pairs, n <= nmax."""
+def verify_2tree_formula() -> Report:
+    """Closed 2-tree formula vs the Laplacian oracle, all pairs, n <= 12."""
     report = Report("straight-2tree-formula")
-    for n in range(3, nmax + 1):
+    for n in range(3, 13):
         g = straight_2tree(n)
         bad = None
         for u in range(1, n + 1):

@@ -159,8 +159,12 @@ class Grid:
         for (r, d), triple in self._tri.items():
             if len(triple) != 3:
                 raise GridError(f"triangle ({r},{d}) needs 3 labels")
-            if self.field.ordered and not all(v > zero for v in triple):
-                raise GridError(f"non-positive resistance label at triangle ({r},{d})")
+            if self.field.ordered:
+                if not all(v > zero for v in triple):
+                    raise GridError(f"non-positive resistance label at "
+                                    f"triangle ({r},{d})")
+            elif zero in triple:
+                raise GridError(f"zero resistance label at triangle ({r},{d})")
 
     # -- access ----------------------------------------------------------
 
@@ -279,14 +283,14 @@ class Grid:
         return Grid(m, triangles, field=field, reductions=reductions)
 
 
-def all_one_grid(n: int, field: FieldContract = RATIONALS) -> Grid:
-    """The n-grid whose resistance labels are uniformly the field's one."""
+def all_one_grid(n: int) -> Grid:
+    """The rational n-grid whose resistance labels are uniformly 1."""
     if n < 1:
         raise GridError(f"grid size must be >= 1, got {n}")
-    one = field.one
+    one = RATIONALS.one
     tri = {(r, d): (one, one, one)
            for r in range(1, n + 1) for d in range(1, r + 1)}
-    g = Grid(n, tri, field=field, reductions=0, _validate=False)
+    g = Grid(n, tri, reductions=0, _validate=False)
     g._symmetric = True
     return g
 

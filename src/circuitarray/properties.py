@@ -125,9 +125,9 @@ def field_axiom_suite(kind: str = "rational", seed: int = 0,
     return report
 
 
-def metric_suite(seed: int = 0, graphs: int = 25) -> Report:
-    """Effective resistance behaves as a metric on random connected graphs:
-    symmetric, positive, and satisfying the triangle inequality.
+def metric_suite(seed: int = 0) -> Report:
+    """Effective resistance behaves as a metric on 10 random connected
+    graphs: symmetric, positive, and satisfying the triangle inequality.
 
     Symmetry compares R(u, v) with R(v, u) on a copy whose vertices were
     inserted in reverse order.  That copy is grounded at another vertex and
@@ -137,7 +137,7 @@ def metric_suite(seed: int = 0, graphs: int = 25) -> Report:
     rng = random.Random(seed)
     report = Report(f"resistance-metric seed={seed}")
     sym_ok = pos_ok = tri_ok = True
-    for _ in range(graphs):
+    for _ in range(10):
         g = random_connected_graph(rng, 7)
         verts = g.vertices
         mirror = WeightedGraph()
@@ -154,19 +154,19 @@ def metric_suite(seed: int = 0, graphs: int = 25) -> Report:
             return r[(u, v)] if (u, v) in r else r[(v, u)]
         for u, v, w in combinations(verts, 3):
             tri_ok &= dist(u, w) <= dist(u, v) + dist(v, w)
-    report.add(f"symmetry on {graphs} graphs", sym_ok)
+    report.add("symmetry on 10 graphs", sym_ok)
     report.add("positivity", pos_ok)
     report.add("triangle inequality", tri_ok)
     return report
 
 
-def symmetry_suite(seed: int = 0, rounds: int = 12) -> Report:
-    """Grid symmetry machinery: involution/order-3 laws, boundary counts,
-    and preservation of symmetry under reduction."""
+def symmetry_suite(seed: int = 0) -> Report:
+    """Grid symmetry machinery on 12 random grid sizes: involution/order-3
+    laws, boundary counts, and preservation of symmetry under reduction."""
     rng = random.Random(seed)
     report = Report(f"grid-symmetry seed={seed}")
     refl_ok = rot_ok = bnd_ok = cnt_ok = keep_ok = True
-    for _ in range(rounds):
+    for _ in range(12):
         m = rng.randint(2, 12)
         g = all_one_grid(m)
         refs = list(g.edge_refs())
@@ -238,27 +238,26 @@ def transform_soundness_suite(seed: int = 0, graphs: int = 100) -> Report:
     return report
 
 
-def dual_pipeline_suite(seed: int = 0, random_grids: int = 25,
-                        nmax_all_one: int = 8) -> Report:
+def dual_pipeline_suite(seed: int = 0) -> Report:
     """Closed-form reduction agrees with the graph-level reducer label for
-    label, on all-one grids and on random positive-rational grids."""
+    label, on the all-one grids n = 3..8 and on 25 random positive-rational
+    grids."""
     rng = random.Random(seed)
     report = Report(f"dual-pipeline seed={seed}")
     bad = None
-    for n in range(3, nmax_all_one + 1):
+    for n in range(3, 9):
         g = all_one_grid(n)
         if reduce_once(g) != graph_level_reduce(g):
             bad = f"all-one {n}-grid"
             break
-    report.add(f"all-one grids n = 3..{nmax_all_one}", bad is None,
-               bad or "")
+    report.add("all-one grids n = 3..8", bad is None, bad or "")
     bad = None
-    for idx in range(random_grids):
+    for idx in range(25):
         n = rng.choice([3, 4, 5])
         g = random_grid(rng, n)
         if reduce_once(g) != graph_level_reduce(g):
             bad = f"random grid #{idx} (n={n})"
             break
-    report.add(f"{random_grids} random positive-rational grids (n = 3..5)",
+    report.add("25 random positive-rational grids (n = 3..5)",
                bad is None, bad or "")
     return report

@@ -82,11 +82,6 @@ def wye(x, y, z):
     return _label_type(x, y, z)(p * (q * R + r * Q) + q * r * P, p * Q * R)
 
 
-def series_merge(r1, r2):
-    """Resistance of two resistors in series."""
-    return r1 + r2
-
-
 def triangle_legs(L, R, B):
     """Star legs (apex, bottom-left, bottom-right) of one upright triangle.
 
@@ -141,14 +136,14 @@ def child_edge(parent: Grid, r: int, d: int, side: str):
 
     if side == "L":
         if d == 1:
-            return series_merge(leg(r, 1)[1], leg(r + 1, 1)[0])
+            return leg(r, 1)[1] + leg(r + 1, 1)[0]
         return wye(leg(r, d - 1)[2], leg(r, d)[1], leg(r + 1, d)[0])
     if side == "R":
         if d == r:
-            return series_merge(leg(r, r)[2], leg(r + 1, r + 1)[0])
+            return leg(r, r)[2] + leg(r + 1, r + 1)[0]
         return wye(leg(r, d + 1)[1], leg(r, d)[2], leg(r + 1, d + 1)[0])
     if r == mc:
-        return series_merge(leg(m, d)[2], leg(m, d + 1)[1])
+        return leg(m, d)[2] + leg(m, d + 1)[1]
     return wye(leg(r + 2, d + 1)[0], leg(r + 1, d)[2], leg(r + 1, d + 1)[1])
 
 

@@ -252,18 +252,6 @@ def lhrcc_ruled_out(rmax: int, seq: NumeratorSequence) -> Report:
     return report
 
 
-def row0_numerator_contrast() -> tuple[list[int], int]:
-    """Row-0 numerators and their vanishing 3x3 Hankel window determinant.
-
-    The top-row numerators 2, 26, 242, ... satisfy N = 9N' + 8 (an order-2
-    LHRCC after homogenization), so their order-3 windows are singular;
-    the diagonal's numerators behave in exactly the opposite way.
-    """
-    nums = [(3 ** (2 * s - 1) - 1) for s in range(1, 8)]
-    det = cofactor_determinant([[nums[a + b] for b in range(3)] for a in range(3)])
-    return nums, det
-
-
 # -- symbolic pipeline --------------------------------------------------------
 
 def symbolic_start_grid(m: int, boundary=None,
@@ -354,8 +342,7 @@ def check_reference_range(S: int) -> None:
 
 
 def verify_symbolic_patterns(S: int, diagonal: list[Fraction],
-                             formulas: list[RationalFunction] | None = None
-                             ) -> Report:
+                             formulas: list[RationalFunction]) -> Report:
     """Symbolic diagonal vs reference formulas, constants, and x = 9 values.
 
     Checks, for s = 1..S (S <= 7): canonical equality with the reference
@@ -364,15 +351,17 @@ def verify_symbolic_patterns(S: int, diagonal: list[Fraction],
     exact diagonal.  Also records the s = 1 finding: the plausible-looking
     variant (x-3)/(x-1) evaluates to 3/4 at x = 9, not 2/3; only the
     relabeled boundary (x-3)/x reproduces L_1.  ``diagonal`` is the exact
-    diagonal to at least S; ``formulas``, the symbolic diagonal under test,
-    is computed here when not given.
+    diagonal and ``formulas`` the symbolic diagonal under test, each to at
+    least S.
     """
     check_reference_range(S)
     _check_diagonal(diagonal, S)
-    computed = formulas if formulas is not None else symbolic_diagonal(S)
+    if len(formulas) < S:
+        raise SequenceError(f"need L_1(x)..L_{S}(x), got {len(formulas)} "
+                            f"formulas")
     report = Report("symbolic-diagonal")
     for s in range(1, S + 1):
-        got = computed[s - 1]
+        got = formulas[s - 1]
         ref = reference_diagonal_formula(s)
         report.add(f"s={s}: pipeline formula matches reference (canonical)",
                    got == ref, "" if got == ref else f"pipeline {got}, ref {ref}")
@@ -394,7 +383,7 @@ def verify_symbolic_patterns(S: int, diagonal: list[Fraction],
     variant = RationalFunction(_x_minus_3(), _poly(-1, 1))
     report.note(f"s=1: variant (x-3)/(x-1) evaluates to "
                 f"{format_rational(variant.eval(9))} at x=9; the boundary "
-                f"relabel (x-3)/x gives {format_rational(computed[0].eval(9))}")
+                f"relabel (x-3)/x gives {format_rational(formulas[0].eval(9))}")
     return report
 
 

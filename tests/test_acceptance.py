@@ -23,7 +23,8 @@ from circuitarray.properties import (dual_pipeline_suite, field_axiom_suite,
 from circuitarray.sequences import (asymptotics_table, cofactor_determinant,
                                     hankel_determinant, hankel_matrix,
                                     lhrcc_ruled_out, nprime_sequence,
-                                    triangular, verify_determinant_conjecture,
+                                    symbolic_diagonal, triangular,
+                                    verify_determinant_conjecture,
                                     verify_monotonicity,
                                     verify_symbolic_patterns)
 
@@ -83,7 +84,7 @@ def test_criterion_01_table_reproduction():
 
 
 def test_criterion_02_dual_pipeline():
-    rep = dual_pipeline_suite(seed=0, random_grids=25, nmax_all_one=8)
+    rep = dual_pipeline_suite(seed=0)
     assert rep.passed, rep.render(True)
     ok(2, "dual-pipeline equality (all-one n=3..8 + 25 random grids)")
 
@@ -150,7 +151,7 @@ def test_criterion_08_denominator_divisibility(diag80):
 
 def test_criterion_09_symbolic_pipeline(diag80):
     values, _ = diag80
-    rep = verify_symbolic_patterns(7, values[:7])
+    rep = verify_symbolic_patterns(7, values[:7], symbolic_diagonal(7))
     assert rep.passed, rep.render(True)
     assert any("(x-3)/(x-1)" in n for n in rep.notes), "s=1 finding missing"
     ok(9, "symbolic formulas s = 2..7 canonical, constants 3*2^(4(s-3)+1), "
@@ -173,7 +174,7 @@ def test_criterion_10_asymptotics(diag80):
 
 
 def test_criterion_11_fibonacci_identities():
-    rep = verify_fib_identities(mmax=50, nmax=30)
+    rep = verify_fib_identities()
     assert rep.passed, rep.render(True)
     for n in range(3, 13):
         g = straight_2tree(n)
@@ -187,6 +188,6 @@ def test_criterion_12_property_suites():
     for seed in (0, 1, 2):
         assert field_axiom_suite("rational", seed=seed).passed
         assert field_axiom_suite("symbolic", seed=seed, rounds=20).passed
-        assert metric_suite(seed=seed, graphs=10).passed
-        assert symmetry_suite(seed=seed, rounds=8).passed
+        assert metric_suite(seed=seed).passed
+        assert symmetry_suite(seed=seed).passed
     ok(12, "field, metric, and symmetry property suites under 3 seeds")

@@ -1,14 +1,16 @@
 """CLI surface: subcommands, formats, determinism, exit codes."""
 
 import json
+import shlex
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from circuitarray.cli import (_ARRAY_MAX_COLS, _DIAG_MAX_S,
                              _SYMBOLIC_REDUCE_MAX_STEPS,
-                             _UNIFORM_CENTER_MAX_S, main)
+                             _UNIFORM_CENTER_MAX_S, build_parser, main)
 from circuitarray.graphs import WeightedGraph
 from circuitarray.grid import Grid
 from circuitarray.reports import Report
@@ -308,9 +310,39 @@ def test_bad_boundary_is_a_usage_error(capsys, argv):
     (["reduce", "--n", "400", "--steps", str(_SYMBOLIC_REDUCE_MAX_STEPS + 1),
       "--field", "symbolic"],
      f"--steps must be <= {_SYMBOLIC_REDUCE_MAX_STEPS} with --field symbolic"),
+    # a zero label is refused over rational functions as over rationals
+    (["reduce", "--n", "3", "--steps", "2", "--field", "symbolic",
+      "--boundary", "x-x"], "zero resistance label at triangle (1,1)"),
 ])
 def test_bad_argument_is_a_usage_error(capsys, argv, needle):
     assert needle in usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["diag", "--max-s", "3", "--verbose"],
+    ["array", "build", "--cols", "2", "--verbose"],
+    ["asymptotics", "--rows", "1", "--verbose"],
+    ["verify", "--all"],
+])
+def test_flags_no_command_reads_are_refused(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_readme_cli_block_parses(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines()
+             if line.startswith("circuitarray ")]
+    assert len(lines) >= 10
+    for line in lines:
+        # of each a|b|c choice the first stands for the line
+        argv = [word.split("|")[0] for word in shlex.split(line)[1:]]
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{line}: {capsys.readouterr().err.strip()}")
 
 
 def test_python_dash_m_runs_the_cli():

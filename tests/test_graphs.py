@@ -319,16 +319,18 @@ def test_fibonacci_and_lucas():
 
 def test_fib_identities_small_values():
     # m=1: 1/3 = (2*3 - 1)/15;  m=2: 1/2 = (3*4 - 2)/20
-    rep = verify_fib_identities(mmax=2, nmax=7)
-    assert rep.passed
+    term = [F(fibonacci(i) * fibonacci(i + 1), lucas(i) * lucas(i + 1))
+            for i in (1, 2)]
+    assert term[0] == F(2 * lucas(2) - fibonacci(2), 5 * lucas(2)) == F(1, 3)
+    assert sum(term) == F(3 * lucas(3) - fibonacci(3), 5 * lucas(3)) == F(1, 2)
     lhs = -fibonacci(2) * (fibonacci(7) + fibonacci(1) * fibonacci(3))
     assert lhs == -15
     assert -(fibonacci(1) * fibonacci(4) * fibonacci(2) * fibonacci(5)) == -15
 
 
 def test_identity_and_formula_reports():
-    assert verify_fib_identities(10, 12).passed
-    assert verify_2tree_formula(7).passed
+    assert verify_fib_identities().passed
+    assert verify_2tree_formula().passed
 
 
 def test_symmetric_grid_graph_invariant_under_reflection():

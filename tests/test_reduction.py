@@ -13,7 +13,7 @@ from circuitarray.polynomial import Polynomial
 from circuitarray.ratfunc import RATFUNCS, RationalFunction
 from circuitarray.reduction import (_band_step, _cone_starts, child_edge,
                                     delta, reduce_k, reduce_once,
-                                    series_merge, triangle_legs, wye)
+                                    triangle_legs, wye)
 
 
 def test_delta_values():
@@ -28,12 +28,6 @@ def test_wye_values():
     assert wye(F(1), F(1), F(1)) == 3
     assert wye(delta(F(1), F(1), F(2, 3)), delta(F(1), F(1), F(1)),
                delta(F(1), F(1), F(1))) == F(26, 27)
-
-
-def test_series_merge():
-    assert series_merge(F(1), F(1)) == 2
-    assert series_merge(F(1, 3), F(1, 3)) == F(2, 3)
-    assert series_merge(F(3, 8), F(1, 3)) == F(17, 24)
 
 
 def test_degenerate_sites_raise():

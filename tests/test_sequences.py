@@ -16,7 +16,7 @@ from circuitarray.sequences import (NumeratorSequence, SequenceError,
                                     hankel_matrix, lhrcc_ruled_out,
                                     nprime_sequence,
                                     reference_diagonal_formula, render_4dp,
-                                    row0_numerator_contrast, symbolic_diagonal,
+                                    symbolic_diagonal,
                                     symbolic_start_grid,
                                     verify_denominator_divisibility,
                                     verify_determinant_conjecture,
@@ -188,7 +188,11 @@ def test_lhrcc_finds_the_row0_recursion():
 
 
 def test_row0_numerators_do_satisfy_a_recursion():
-    nums, det3 = row0_numerator_contrast()
+    # N = 9N' + 8 is an order-2 LHRCC after homogenization, so every 3x3
+    # window is singular; the diagonal's numerators behave the opposite way
+    nums = [3 ** (2 * s - 1) - 1 for s in range(1, 8)]
+    det3 = cofactor_determinant([[nums[a + b] for b in range(3)]
+                                 for a in range(3)])
     assert nums[:4] == [2, 26, 242, 2186]
     assert all(b == 9 * a + 8 for a, b in zip(nums, nums[1:]))
     assert det3 == 0
@@ -249,11 +253,15 @@ def test_symbolic_diagonal_is_the_same_over_the_prs_gcd(monkeypatch):
 
 
 def test_symbolic_patterns_report(diag14):
-    rep = verify_symbolic_patterns(4, diag14)
+    forms = symbolic_diagonal(7)
+    rep = verify_symbolic_patterns(4, diag14, forms)
     assert rep.passed, rep.render(True)
     assert any("(x-3)/(x-1)" in n and "3/4" in n for n in rep.notes)
     with pytest.raises(SequenceError):
-        verify_symbolic_patterns(8, diag14)
+        verify_symbolic_patterns(8, diag14, forms)
+    with pytest.raises(SequenceError, match=r"need L_1\(x\)\.\.L_4\(x\), "
+                                            r"got 3 formulas"):
+        verify_symbolic_patterns(4, diag14, forms[:3])
 
 
 @pytest.fixture(scope="module")
@@ -324,7 +332,7 @@ def test_monotonicity_small(diag14):
     lambda diag: verify_denominator_divisibility(6, diag),
     lambda diag: asymptotics_table([2, 6], diag),
     lambda diag: verify_monotonicity(6, diag),
-    lambda diag: verify_symbolic_patterns(6, diag),
+    lambda diag: verify_symbolic_patterns(6, diag, symbolic_diagonal(6)),
 ], ids=["nprime", "divisibility", "asymptotics", "monotonicity", "symbolic"])
 def test_suites_refuse_a_short_diagonal(diag14, suite):
     with pytest.raises(SequenceError, match=r"need L_1\.\.L_6, got 5 values"):
