@@ -208,6 +208,8 @@ def _check_depth(flag: str, value: int | str, depth: int) -> None:
 
 def _array_width(args) -> int:
     """Columns for --max-cols and for the spot checks to k = --max-k."""
+    if args.max_cols < 1:
+        raise UsageError(f"--max-cols must be >= 1, got {args.max_cols}")
     cols = max(args.max_cols, args.max_k + 3, 5)
     if cols > _ARRAY_MAX_COLS:
         raise UsageError(f"--max-cols/--max-k need {cols} array columns, "
@@ -343,6 +345,8 @@ def cmd_verify(args) -> int:
     if args.max_k < 2:
         raise UsageError(f"--max-k must be >= 2, got {args.max_k}")
     _check_depth("--max-k", args.max_k, 2 * args.max_k + 2)
+    if args.max_s < 1:
+        raise UsageError(f"--max-s must be >= 1, got {args.max_s}")
     _check_depth("--max-s", args.max_s, args.max_s)
     smax = max(2 * args.max_k + 2, 20, args.max_s)
     arr = ca.build_array(_array_width(args))

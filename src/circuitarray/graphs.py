@@ -11,10 +11,12 @@ every pair of an unchanged graph is answered from one factorization, and
 later queries mostly read entries that earlier ones computed.
 
 The three equivalent-circuit transformations (series, delta-wye, wye-delta)
-are implemented directly on graphs, and ``graph_level_reduce`` performs the
-five-step grid reduction purely as graph surgery.  None of this shares code
-with the closed-form child-edge formulas in circuitarray.reduction, which is
-the point: the two pipelines must agree label for label.
+are implemented directly on graphs and edit the graph they are given in
+place (copy it first to keep it); ``graph_level_reduce`` applies them to
+one graph, performing the five-step grid reduction purely as graph surgery.
+None of this shares code with the closed-form child-edge formulas in
+circuitarray.reduction, which is the point: the two pipelines must agree
+label for label.
 
 Straight linear 2-trees and their Fibonacci resistance formula live here
 too, together with exact verification of two Fibonacci/Lucas summation
@@ -114,9 +116,6 @@ class WeightedGraph:
 
     def degree(self, v) -> int:
         return len(self._adj[v])
-
-    def vertex_count(self) -> int:
-        return len(self._adj)
 
     def is_connected(self) -> bool:
         if not self._adj:
@@ -321,53 +320,17 @@ def _inverse_entry(factor: tuple, i: int, j: int) -> Fraction:
 
 
 # -- the three circuit transformations ---------------------------------------
+# Each checks its site before it changes anything, so a rejected site leaves
+# the graph as it was.
 
-def delta_to_wye(g: WeightedGraph, triangle, center=None) -> WeightedGraph:
-    """Replace the 3-edge loop on the given vertices by a star.
-
-    External effective resistances are preserved.  ``center`` names the new
-    star vertex; when omitted an unused integer id is chosen.  Returns a new
-    graph; ``g`` is left unchanged.
-    """
-    out = g.copy()
-    _delta_to_wye(out, triangle, center)
-    return out
-
-
-def wye_to_delta(g: WeightedGraph, center) -> WeightedGraph:
-    """Replace the degree-3 star at ``center`` by a triangle on its leaves.
-
-    Returns a new graph; ``g`` is left unchanged.
-    """
-    out = g.copy()
-    _wye_to_delta(out, center)
-    return out
-
-
-def series(g: WeightedGraph, through) -> WeightedGraph:
-    """Merge the two edges at a degree-2 vertex into one series edge.
-
-    Returns a new graph; ``g`` is left unchanged.
-    """
-    out = g.copy()
-    _series(out, through)
-    return out
-
-
-# The in-place forms below check the site before they change anything, so a
-# rejected site leaves the graph as it was.  ``graph_level_reduce`` applies
-# them to one graph: copying per transform would make it quadratic in the
-# number of triangles.
-
-def _delta_to_wye(g: WeightedGraph, triangle, center) -> None:
+def delta_to_wye(g: WeightedGraph, triangle, center) -> None:
+    """Replace the 3-edge loop on the given vertices by a star whose new
+    vertex is ``center``.  External effective resistances are preserved."""
     x, y, z = triangle
     for (p, q) in ((x, y), (y, z), (x, z)):
         if not g.has_edge(p, q):
             raise GraphError(f"delta-wye site must be a triangle; missing edge "
                              f"({p!r}, {q!r})")
-    if center is None:
-        ints = [v for v in g.vertices if isinstance(v, int)]
-        center = (max(ints) + 1) if ints else 0
     if center in g._adj:
         raise GraphError(f"center {center!r} already in graph")
     c_xy = g.resistance_of(x, y)
@@ -382,7 +345,8 @@ def _delta_to_wye(g: WeightedGraph, triangle, center) -> None:
     g.add_edge(center, z, c_xz * c_yz / s)
 
 
-def _wye_to_delta(g: WeightedGraph, center) -> None:
+def wye_to_delta(g: WeightedGraph, center) -> None:
+    """Replace the degree-3 star at ``center`` by a triangle on its leaves."""
     if center not in g._adj:
         raise GraphError(f"no vertex {center!r}")
     nbrs = g.neighbors(center)
@@ -400,7 +364,8 @@ def _wye_to_delta(g: WeightedGraph, center) -> None:
     g.add_edge(x, y, cross / t)
 
 
-def _series(g: WeightedGraph, through) -> None:
+def series(g: WeightedGraph, through) -> None:
+    """Merge the two edges at a degree-2 vertex into one series edge."""
     if through not in g._adj:
         raise GraphError(f"no vertex {through!r}")
     nbrs = g.neighbors(through)
@@ -448,7 +413,7 @@ def graph_level_reduce(grid: Grid) -> Grid:
             apex = (r - 1, d - 1)
             bl = (r, d - 1)
             br = (r, d)
-            _delta_to_wye(g, (apex, bl, br), ("c", r, d))
+            delta_to_wye(g, (apex, bl, br), ("c", r, d))
 
     corners = {(0, 0), (m, 0), (m, m)}
     tails = [v for v in g.vertices if g.degree(v) == 1]
@@ -459,16 +424,16 @@ def graph_level_reduce(grid: Grid) -> Grid:
 
     for v in list(g.vertices):
         if isinstance(v, tuple) and len(v) == 2 and g.degree(v) == 2:
-            _series(g, v)
+            series(g, v)
 
     for v in list(g.vertices):
         if isinstance(v, tuple) and len(v) == 2:
             if g.degree(v) != 3:
                 raise GraphError(f"interior vertex {v} has degree {g.degree(v)}, "
                                  "expected 3")
-            _wye_to_delta(g, v)
+            wye_to_delta(g, v)
 
-    if g.vertex_count() != m * (m + 1) // 2:
+    if len(g.vertices) != m * (m + 1) // 2:
         raise GraphError("reduction left an unexpected vertex set")
 
     mc = m - 1

@@ -58,9 +58,6 @@ def triangle_count(m: int) -> int:
 def edge_count(m: int) -> int:
     return 3 * triangle_count(m)
 
-def vertex_count(m: int) -> int:
-    return (m + 1) * (m + 2) // 2
-
 
 # -- symmetry maps -----------------------------------------------------------
 
@@ -174,10 +171,6 @@ class Grid:
     def label(self, r: int, d: int, side: str):
         return self._tri[(r, d)][SIDES.index(side)]
 
-    def label_at(self, ref: EdgeRef):
-        validate_edge_ref(ref, self.m)
-        return self._tri[(ref.r, ref.d)][SIDES.index(ref.side)]
-
     def edge_refs(self) -> Iterator[EdgeRef]:
         for r in range(1, self.m + 1):
             for d in range(1, r + 1):
@@ -189,10 +182,6 @@ class Grid:
             yield EdgeRef(r, d, "L"), L
             yield EdgeRef(r, d, "R"), R
             yield EdgeRef(r, d, "B"), B
-
-    @property
-    def edge_count(self) -> int:
-        return edge_count(self.m)
 
     def is_symmetric(self) -> bool:
         """True when labels are invariant under reflection and rotation."""
@@ -295,31 +284,24 @@ def all_one_grid(n: int) -> Grid:
     return g
 
 
-def symmetry_complete(partial: Mapping, m: int, *,
+def symmetry_complete(sector: Mapping[tuple[int, int], tuple], m: int, *,
                       field: FieldContract = RATIONALS,
                       reductions: int = 0) -> Grid:
-    """Extend labels on the determining region to a full symmetric grid.
+    """Extend label triples on the determining sector to a full symmetric grid.
 
-    ``partial`` carries labels for edges of ``determining_triangles(m)``
-    (keys may be EdgeRef or plain (r, d, side) tuples); every edge takes the
-    label given for its orbit.  Keys outside the determining region, two
-    distinct values for one orbit, or a grid edge whose orbit has no value
-    are all errors.  (Two keys in one orbit are legal as long as the values
-    agree, so e.g. a 1-grid is determined by its L label alone.)
+    ``sector`` maps the triangles of ``determining_triangles(m)`` to their
+    (L, R, B) triples, as the reduction kernel produces them; every edge
+    takes the label given for its orbit.  Two distinct values for one orbit,
+    or a grid edge whose orbit has no value, are errors.
     """
     labels = {}
-    for key, value in partial.items():
-        ref = EdgeRef(*key)
-        validate_edge_ref(ref, m)
-        a, b, c = corner_distances(ref.r, ref.d, m)
-        if not a <= b <= c:
-            raise GridError(f"edge {tuple(ref)} is outside the determining region")
-        orbit = _orbit_key(ref.r, ref.d, SIDES.index(ref.side), m)
-        existing = labels.setdefault(orbit, value)
-        if existing != value:
-            raise GridError(
-                f"inconsistent symmetry overlap at {tuple(ref)}: "
-                f"{field.format(existing)} vs {field.format(value)}")
+    for (r, d), triple in sector.items():
+        for i, value in enumerate(triple):
+            existing = labels.setdefault(_orbit_key(r, d, i, m), value)
+            if existing != value:
+                raise GridError(
+                    f"inconsistent symmetry overlap at ({r},{d},{SIDES[i]}): "
+                    f"{field.format(existing)} vs {field.format(value)}")
 
     tri = {}
     for r in range(1, m + 1):

@@ -19,18 +19,19 @@ from .reduction import reduce_once
 from .reports import Report
 
 
-def random_rational(rng: random.Random, span: int = 30) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, span))
+def random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-30, 30), rng.randint(1, 30))
 
 
-def random_positive_rational(rng: random.Random, span: int = 9) -> Fraction:
-    return Fraction(rng.randint(1, span), rng.randint(1, span))
+def random_positive_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(1, 9), rng.randint(1, 9))
 
 
-def random_ratfunc(rng: random.Random, degree: int = 2) -> RationalFunction:
+def random_ratfunc(rng: random.Random) -> RationalFunction:
+    """A quotient of two polynomials of degree <= 2, coefficients in -5..5."""
     def poly(allow_zero: bool) -> Polynomial:
         while True:
-            p = Polynomial([rng.randint(-5, 5) for _ in range(degree + 1)])
+            p = Polynomial([rng.randint(-5, 5) for _ in range(3)])
             if allow_zero or not p.is_zero:
                 return p
     return RationalFunction(poly(True), poly(False))
@@ -217,14 +218,16 @@ def transform_soundness_suite(seed: int = 0, graphs: int = 100) -> Report:
         if not candidates:
             continue
         kind, site = rng.choice(candidates)
+        h = g.copy()
         if kind == "delta_to_wye":
-            h = delta_to_wye(g, site)
+            # vertices are 0..n-1, so n is a new id
+            delta_to_wye(h, site, len(verts))
             retained = verts
         elif kind == "wye_to_delta":
-            h = wye_to_delta(g, site)
+            wye_to_delta(h, site)
             retained = [v for v in verts if v != site]
         else:
-            h = series(g, site)
+            series(h, site)
             retained = [v for v in verts if v != site]
         applied[kind] += 1
         for u, v in combinations(retained, 2):

@@ -22,7 +22,9 @@ functions.
 One kernel, ``_child_triple``, places parent star legs into a child
 (L, R, B) triple; ``triangle_legs`` is the only star-leg computation and
 ``wye`` the only wye.  ``reduce_once`` calls the kernel for every triangle
-of a grid and ``_band_step`` for the runs of the chain below.
+of a grid, or, when the grid is symmetric, for the triangles of the child's
+determining sector only and hands those triples to ``symmetry_complete``;
+``_band_step`` calls it for the runs of the chain below.
 ``triangle_legs`` and ``wye`` do not chain field operations, each of which
 would normalise its own result: they form every output over one
 denominator from their inputs' ``numerator`` and ``denominator`` and build
@@ -56,7 +58,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from .fields import RATIONALS, FieldContract
-from .grid import (SIDES, EdgeRef, Grid, GridError, determining_triangles,
+from .grid import (SIDES, Grid, GridError, determining_triangles,
                    symmetry_complete)
 
 
@@ -173,19 +175,18 @@ def _reduce_triangles(tri, m, out_triangles):
 def reduce_once(grid: Grid) -> Grid:
     """Reduce an m-grid to the equivalent (m-1)-grid.
 
-    Symmetric grids are reduced on the determining region only and completed
-    by symmetry; general grids are reduced edge by edge.  Both paths agree
+    Symmetric grids are reduced on the determining sector only, and its
+    child triples are completed by symmetry (``symmetry_complete``);
+    general grids are reduced triangle by triangle.  Both paths agree
     with the independent graph-level reducer (see circuitarray.graphs).
     """
     if grid.m < 2:
         raise GridError("cannot reduce: grid size m >= 2 required")
     mc = grid.m - 1
     if grid.is_symmetric():
-        out = determining_triangles(mc)
-        child = _reduce_triangles(grid._tri, grid.m, out)
-        partial = {EdgeRef(r, d, s): child[(r, d)][i]
-                   for (r, d) in out for i, s in enumerate(SIDES)}
-        return symmetry_complete(partial, mc, field=grid.field,
+        sector = _reduce_triangles(grid._tri, grid.m,
+                                   determining_triangles(mc))
+        return symmetry_complete(sector, mc, field=grid.field,
                                  reductions=grid.reductions + 1)
     out = [(r, d) for r in range(1, mc + 1) for d in range(1, r + 1)]
     child = _reduce_triangles(grid._tri, grid.m, out)

@@ -313,6 +313,10 @@ def test_bad_boundary_is_a_usage_error(capsys, argv):
     # a zero label is refused over rational functions as over rationals
     (["reduce", "--n", "3", "--steps", "2", "--field", "symbolic",
       "--boundary", "x-x"], "zero resistance label at triangle (1,1)"),
+    # a depth or width below 1 is refused, not run as a vacuous pass
+    (["verify", "--max-s", "-5"], "--max-s must be >= 1"),
+    (["verify", "--max-cols", "-3"], "--max-cols must be >= 1"),
+    (["array", "verify", "--max-cols", "-1"], "--max-cols must be >= 1"),
 ])
 def test_bad_argument_is_a_usage_error(capsys, argv, needle):
     assert needle in usage_error(capsys, argv)

@@ -194,37 +194,61 @@ def test_parallel_edges_merge_by_conductance():
         g.add_edge(1, 1, F(1))
 
 
+def path_graph():
+    g = WeightedGraph()
+    g.add_edge(0, 1, F(1))
+    g.add_edge(1, 2, F(2))
+    return g
+
+
+def star_graph():
+    g = WeightedGraph()
+    for v in (1, 2, 3):
+        g.add_edge(0, v, F(v))
+    return g
+
+
 def test_delta_wye_examples():
-    star = delta_to_wye(unit_triangle(), (0, 1, 2), center="c")
-    assert all(star.resistance_of("c", v) == F(1, 3) for v in (0, 1, 2))
-    back = wye_to_delta(star, "c")
-    assert sorted(r for _, _, r in back.edges()) == [F(1)] * 3
+    g = unit_triangle()
+    delta_to_wye(g, (0, 1, 2), "c")
+    assert all(g.resistance_of("c", v) == F(1, 3) for v in (0, 1, 2))
+    wye_to_delta(g, "c")
+    assert sorted(r for _, _, r in g.edges()) == [F(1)] * 3
 
 
 def test_series_example():
-    g = WeightedGraph()
-    g.add_edge(0, 1, F(1))
-    g.add_edge(1, 2, F(1))
-    h = series(g, 1)
-    assert h.resistance_of(0, 2) == F(2)
-    with pytest.raises(GraphError, match="degree 2"):
-        series(g, 0)
+    g = path_graph()
+    series(g, 1)
+    assert g.resistance_of(0, 2) == F(3)
+    assert g.vertices == [0, 2]
 
 
-def test_public_transforms_leave_their_input_unchanged():
-    g = unit_triangle()
+@pytest.mark.parametrize("make, transform, site, match", [
+    # delta-wye: each triangle edge missing in turn, a missing vertex, and
+    # a center that is already a vertex
+    (star_graph, delta_to_wye, ((1, 2, 0), "c"), "missing edge"),
+    (star_graph, delta_to_wye, ((0, 1, 2), "c"), "missing edge"),
+    (path_graph, delta_to_wye, ((0, 1, 2), "c"), "missing edge"),
+    (unit_triangle, delta_to_wye, ((0, 1, 99), "c"), "missing edge"),
+    (unit_triangle, delta_to_wye, ((0, 1, 2), 2), "already in graph"),
+    # wye-delta and series: a wrong degree either way, a missing vertex
+    (unit_triangle, wye_to_delta, (0,), "degree 3"),
+    (star_graph, wye_to_delta, (1,), "degree 3"),
+    (unit_triangle, wye_to_delta, ("c",), "no vertex"),
+    (star_graph, series, (0,), "degree 2"),
+    (path_graph, series, (0,), "degree 2"),
+    (path_graph, series, (7,), "no vertex"),
+], ids=["delta-no-xy", "delta-no-yz", "delta-no-xz", "delta-no-vertex",
+        "delta-center-exists", "wye-degree-2", "wye-degree-1",
+        "wye-no-vertex", "series-degree-3", "series-degree-1",
+        "series-no-vertex"])
+def test_rejected_transform_leaves_the_graph_as_it_was(make, transform, site,
+                                                        match):
+    g = make()
     before = g.to_json()
-    star = delta_to_wye(g, (0, 1, 2), center="c")
+    with pytest.raises(GraphError, match=match):
+        transform(g, *site)
     assert g.to_json() == before
-    before = star.to_json()
-    wye_to_delta(star, "c")
-    assert star.to_json() == before
-    path = WeightedGraph()
-    path.add_edge(0, 1, F(1))
-    path.add_edge(1, 2, F(2))
-    before = path.to_json()
-    series(path, 1)
-    assert path.to_json() == before
 
 
 def test_transforms_preserve_resistance_on_fixed_graph():
@@ -235,11 +259,13 @@ def test_transforms_preserve_resistance_on_fixed_graph():
         g.add_edge(u, v, r)
     base = {(u, v): effective_resistance(g, u, v)
             for u, v in combinations(range(5), 2)}
-    h = delta_to_wye(g, (0, 1, 2))
+    h = g.copy()
+    delta_to_wye(h, (0, 1, 2), 5)
     for (u, v), r in base.items():
         assert effective_resistance(h, u, v) == r
     assert g.degree(1) == 3
-    h2 = wye_to_delta(g, 1)
+    h2 = g.copy()
+    wye_to_delta(h2, 1)
     for (u, v), r in base.items():
         if 1 not in (u, v):
             assert effective_resistance(h2, u, v) == r
@@ -247,11 +273,11 @@ def test_transforms_preserve_resistance_on_fixed_graph():
 
 def test_grid_to_graph_counts():
     g1 = grid_to_graph(all_one_grid(1))
-    assert g1.vertex_count() == 3 and len(g1.edges()) == 3
+    assert len(g1.vertices) == 3 and len(g1.edges()) == 3
     g2 = grid_to_graph(all_one_grid(2))
-    assert g2.vertex_count() == 6 and len(g2.edges()) == 9
+    assert len(g2.vertices) == 6 and len(g2.edges()) == 9
     g3 = grid_to_graph(all_one_grid(3))
-    assert g3.vertex_count() == 10 and len(g3.edges()) == 18
+    assert len(g3.vertices) == 10 and len(g3.edges()) == 18
     # resistance between two adjacent corners of the 3-grid graph
     r = effective_resistance(g3, (0, 0), (3, 0))
     assert r > 0 and r.denominator > 1
@@ -261,7 +287,7 @@ def test_json_round_trip_keeps_the_factor_and_every_resistance():
     # rows 10 and up would sort between rows 1 and 2 by repr, off the band
     g = grid_to_graph(all_one_grid(11))
     h = WeightedGraph.from_json(g.to_json())
-    assert h.vertex_count() == g.vertex_count() == 78
+    assert len(h.vertices) == len(g.vertices) == 78
 
     def fill(graph):
         return sum(len(col) for col in _ldl(graph)[1])

@@ -8,17 +8,17 @@ from circuitarray.grid import (SIDES, EdgeRef, Grid, GridError, _orbit_key,
                                all_one_grid, corner_distances,
                                determining_triangles, edge_count, is_boundary,
                                reflect_edge, rotate_edge, symmetry_complete,
-                               triangle_count, validate_edge_ref, vertex_count)
+                               triangle_count, validate_edge_ref)
 from circuitarray.reduction import reduce_k, reduce_once
 
 
 def test_all_one_grid_counts():
     g = all_one_grid(3)
-    assert g.edge_count == 18
+    assert edge_count(g.m) == len(list(g.items())) == 18
     assert all(v == 1 for _, v in g.items())
     assert all_one_grid(1).triangle(1, 1) == (1, 1, 1)
-    assert all_one_grid(4).edge_count == 30
-    assert vertex_count(3) == 10 and triangle_count(4) == 10
+    assert edge_count(all_one_grid(4).m) == 30
+    assert triangle_count(4) == 10
 
 
 def test_bad_size_rejected():
@@ -125,33 +125,28 @@ def test_sector_small_cases():
 
 def test_symmetry_complete_once_reduced_pattern():
     # the 2-grid determined by one triangle: boundary 2/3, base 1
-    partial = {(1, 1, "L"): F(2, 3), (1, 1, "R"): F(2, 3), (1, 1, "B"): F(1)}
-    g = symmetry_complete(partial, 2, reductions=1)
+    g = symmetry_complete({(1, 1): (F(2, 3), F(2, 3), F(1))}, 2, reductions=1)
     assert g == reduce_once(all_one_grid(3))
 
 
 def test_symmetry_complete_single_label_orbit():
-    g = symmetry_complete({(1, 1, "L"): F(5, 7)}, 1)
+    # the three edges of a 1-grid are one orbit
+    g = symmetry_complete({(1, 1): (F(5, 7),) * 3}, 1)
     assert g.triangle(1, 1) == (F(5, 7), F(5, 7), F(5, 7))
 
 
 def test_symmetry_complete_round_trip():
     for n, k in ((5, 1), (9, 2), (12, 3)):
         g = reduce_k(all_one_grid(n), k)
-        restricted = {(r, d, s): g.label(r, d, s)
-                      for (r, d) in determining_triangles(g.m) for s in SIDES}
-        assert symmetry_complete(restricted, g.m, reductions=k) == g
+        sector = {t: g.triangle(*t) for t in determining_triangles(g.m)}
+        assert symmetry_complete(sector, g.m, reductions=k) == g
 
 
 def test_symmetry_complete_rejects_bad_input():
-    with pytest.raises(GridError, match="outside the determining region"):
-        symmetry_complete({(2, 2, "L"): F(1)}, 3)
-    with pytest.raises(GridError, match="inconsistent"):
-        symmetry_complete({(1, 1, "L"): F(1), (1, 1, "R"): F(2),
-                           (1, 1, "B"): F(1)}, 1)
+    with pytest.raises(GridError, match=r"inconsistent .* at \(1,1,R\)"):
+        symmetry_complete({(1, 1): (F(1), F(2), F(1))}, 1)
     with pytest.raises(GridError, match="not reached"):
-        symmetry_complete({(1, 1, "L"): F(1), (1, 1, "R"): F(1),
-                           (1, 1, "B"): F(1)}, 3)
+        symmetry_complete({(1, 1): (F(1), F(1), F(1))}, 3)
 
 
 def test_positive_labels_enforced_for_rationals():
@@ -226,6 +221,6 @@ def labelled_by_class(m, mapping):
                                           (rotate_edge, reflect_edge)])
 def test_is_symmetric_needs_both_maps(m, kept, broken):
     g = labelled_by_class(m, kept)
-    assert all(g.label_at(kept(e, m)) == v for e, v in g.items())
-    assert not all(g.label_at(broken(e, m)) == v for e, v in g.items())
+    assert all(g.label(*kept(e, m)) == v for e, v in g.items())
+    assert not all(g.label(*broken(e, m)) == v for e, v in g.items())
     assert not g.is_symmetric()

@@ -202,7 +202,7 @@ def test_reduce_matches_child_edge_everywhere():
     for parent in parents:
         child = reduce_once(parent)
         for e in child.edge_refs():
-            assert child.label_at(e) == child_edge(parent, e.r, e.d, e.side), \
+            assert child.label(*e) == child_edge(parent, e.r, e.d, e.side), \
                 (parent.m, parent.field.name, e)
 
 
