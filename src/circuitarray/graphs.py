@@ -58,8 +58,9 @@ class WeightedGraph:
     def add_edge(self, u, v, resistance) -> None:
         if u == v:
             raise GraphError(f"self-loop at {u!r} rejected")
-        r = Fraction(resistance)
-        if r <= 0:
+        r = (resistance if type(resistance) is Fraction
+             else Fraction(resistance))
+        if r.numerator <= 0:
             raise GraphError(f"resistance must be positive, got {r}")
         nbrs = self._adj.setdefault(u, {})
         existing = nbrs.get(v)

@@ -47,7 +47,8 @@ The chain computes exactly the labels of repeated ``reduce_once`` but
 restricts work to the triangles that can influence the requested reads.
 It stores each diagonal of its cone as runs of equal label triples along
 the rows and reduces them with ``_band_step``, run by run, so a step costs
-per run instead of per triangle.  The memos are keyed on each label's
+per run instead of per triangle.  Its leg and wye memos last one step, so
+the chain holds one step of labels.  They are keyed on each label's
 ``numerator`` and ``denominator``: integers for exact rationals, hashable
 polynomials for rational functions, so the chain runs over both fields.
 """
@@ -259,12 +260,9 @@ def _reduce_chain(C: int, width: int, field: FieldContract,
     two_thirds = (one + one) / (one + one + one)
     starts, _ = _cone_starts(C, width, 0)
     band = [([a], [(one, one, one)]) for a in starts]
-    leg_memo: dict = {}
-    wye_memo: dict = {}
     columns = []
     for c in range(1, C + 1):
-        band = _band_step(band, 4 * C - c + 1, *_cone_starts(C, width, c),
-                          leg_memo, wye_memo)
+        band = _band_step(band, 4 * C - c + 1, *_cone_starts(C, width, c))
         if c == 1 and boundary is not None:
             band = [(rows, [tuple(boundary if v == two_thirds else v
                                   for v in t) for t in triples])
@@ -304,8 +302,7 @@ def _run_at(runs, r):
     return values[bisect_right(rows, r) - 1]
 
 
-def _band_step(band: list, m: int, starts: list, last: int, leg_memo: dict,
-               wye_memo: dict) -> list:
+def _band_step(band: list, m: int, starts: list, last: int) -> list:
     """Child cone of one reduction of an m-grid, diagonals stored as runs.
 
     ``band[d-1]`` is (rows, triples): parent diagonal d holds triples[i]
@@ -319,20 +316,22 @@ def _band_step(band: list, m: int, starts: list, last: int, leg_memo: dict,
     such segment is evaluated once, star legs once per parent run, and
     equal neighbouring results are merged.
 
-    ``leg_memo`` and ``wye_memo`` persist across the steps of one chain.
-    They, and the merge, are keyed on each label's (numerator, denominator)
-    pair: integers for exact rationals, which hash far faster than the
-    scalars themselves (``Fraction.__hash__`` computes a modular inverse),
-    and canonical polynomials for rational functions, which compare
-    structurally.
+    The leg and wye memos last this one step: the only values that recur
+    across steps are the all-one ones, which each step recomputes once, so
+    a longer memo would only keep old labels alive.  They, and the merge,
+    are keyed on each label's (numerator, denominator) pair: integers for
+    exact rationals, which hash far faster than the scalars themselves
+    (``Fraction.__hash__`` computes a modular inverse), and canonical
+    polynomials for rational functions, which compare structurally.
     """
+    leg_memo: dict = {}
     legs = [(rows, [_star_legs(t, leg_memo) for t in triples])
             for rows, triples in band]
 
     def leg(r, d):
         return _run_at(legs[d - 1], r)
 
-    wye3 = _memo_wye(wye_memo)
+    wye3 = _memo_wye({})
     mc = m - 1
     child = []
     for d, a in enumerate(starts, start=1):

@@ -194,6 +194,28 @@ def test_parallel_edges_merge_by_conductance():
         g.add_edge(1, 1, F(1))
 
 
+@pytest.mark.parametrize("resistance, shown", [
+    (F(0), "0"), (F(-2, 3), "-2/3"), (0, "0"), (-4, "-4"),
+    ("0", "0"), ("-5/3", "-5/3"),
+])
+def test_nonpositive_resistance_is_refused(resistance, shown):
+    g = WeightedGraph()
+    with pytest.raises(GraphError) as err:
+        g.add_edge(0, 1, resistance)
+    assert str(err.value) == f"resistance must be positive, got {shown}"
+    assert g.vertices == []
+
+
+@pytest.mark.parametrize("resistance, want", [
+    (F(2, 7), F(2, 7)), (3, F(3)), ("5/3", F(5, 3)),
+])
+def test_resistance_taken_as_a_fraction(resistance, want):
+    g = WeightedGraph()
+    g.add_edge(0, 1, resistance)
+    r = g.resistance_of(0, 1)
+    assert type(r) is F and r == want
+
+
 def path_graph():
     g = WeightedGraph()
     g.add_edge(0, 1, F(1))

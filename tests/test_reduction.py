@@ -1,6 +1,7 @@
 """Transformation functions, one-step reduction, windowed column reads."""
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -12,8 +13,8 @@ from circuitarray.grid import Grid, GridError, all_one_grid
 from circuitarray.polynomial import Polynomial
 from circuitarray.ratfunc import RATFUNCS, RationalFunction
 from circuitarray.reduction import (_band_step, _cone_starts, child_edge,
-                                    delta, reduce_k, reduce_once,
-                                    triangle_legs, wye)
+                                    delta, reduce_diagonal, reduce_k,
+                                    reduce_once, triangle_legs, wye)
 
 
 def test_delta_values():
@@ -235,7 +236,7 @@ def test_band_step_matches_reduce_once_on_arbitrary_runs():
                     triples.append(tri[(r, d)])
             band.append((rows, triples))
         want = reduce_once(Grid(m, tri, field=RATIONALS))
-        child = _band_step(band, m, list(range(1, m)), m - 1, {}, {})
+        child = _band_step(band, m, list(range(1, m)), m - 1)
         assert len(child) == m - 1
         for d, (rows, triples) in enumerate(child, start=1):
             assert rows[0] == d
@@ -244,6 +245,20 @@ def test_band_step_matches_reduce_once_on_arbitrary_runs():
             for start, end, t in zip(rows, ends, triples):
                 for r in range(start, end):
                     assert t == want.triangle(r, d), (m, r, d)
+
+
+def test_chain_holds_one_step_of_labels(diag80):
+    # The chain's memos last one step.  Memos kept for the whole chain hold
+    # every label it has made, a traced peak of about 1 MiB here; one
+    # step's labels take under 0.1 MiB.
+    tracemalloc.start()
+    try:
+        values = reduce_diagonal(48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values == diag80[0][:48]
+    assert peak < 0.4 * 2 ** 20, peak
 
 
 def test_cone_starts_follow_the_row_bound():
