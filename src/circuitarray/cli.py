@@ -186,11 +186,11 @@ def cmd_reduce(args) -> int:
 # -- diag / hankel / symbolic / asymptotics --------------------------------------
 
 # The leftmost diagonal to depth s is one reduction chain whose labels grow
-# with s, and its cost grows about as s^5: s = 160 takes ~55 s and ~85 MiB.
+# with s, and its cost grows about as s^5: s = 160 takes ~47 s and ~18 MiB.
 _DIAG_MAX_S = 160
 
 # C array columns are one reduction chain on the all-one 4C-grid; its cost
-# grows about as C^5, and C = 112 takes ~50 s and ~80 MiB, as s = 160 does.
+# grows about as C^5, and C = 112 takes ~43 s and ~53 MiB to build.
 _ARRAY_MAX_COLS = 112
 
 # `array verify --suite uniform-center --max-s S` fully reduces the all-one
