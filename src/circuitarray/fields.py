@@ -14,6 +14,7 @@ ordinary operator arithmetic: every scalar supports ``+ - * /`` and ``==``.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
@@ -32,10 +33,36 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
+def int_digit_limit() -> int:
+    """CPython's bound on the digits of an int converted to or from str
+    (``sys.get_int_max_str_digits``), or 0 where there is none."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    return get_limit() if get_limit else 0
+
+
+def _decimal(n: int) -> str:
+    """``str(n)`` for an integer of any length, also past ``int_digit_limit``.
+
+    Within the limit this is ``str(n)``.  Past it, n is split at 10**k, k
+    about half its digits, and each part is converted the same way; the
+    process-wide limit is left alone.
+    """
+    try:
+        return str(n)
+    except ValueError:  # past the limit
+        pass
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # log10(2) > 0.3: at most half the digits
+    high, low = divmod(n, 10 ** k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 def format_rational(value) -> str:
-    """Render an exact rational as ``"p/q"`` (or ``"p"`` when q is 1)."""
+    """Render an exact rational as ``"p/q"`` (or ``"p"`` when q is 1), in
+    full at any length."""
     n, d = value.numerator, value.denominator
-    return str(n) if d == 1 else f"{n}/{d}"
+    return _decimal(n) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
 
 
 @dataclass(frozen=True)

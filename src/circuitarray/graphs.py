@@ -8,12 +8,17 @@ Z = (L·D·Lᵀ)⁻¹.  Only the entries of Z that queries reach are computed,
 by Takahashi's recurrence over the columns of L (selected inversion), and
 each graph keeps its factor and those entries until it is mutated.  So
 every pair of an unchanged graph is answered from one factorization, and
-later queries mostly read entries that earlier ones computed.
+later queries mostly read entries that earlier ones computed.  Each entry
+of Z is summed as one integer numerator over a running denominator and
+normalised once.
 
 The three equivalent-circuit transformations (series, delta-wye, wye-delta)
 are implemented directly on graphs and edit the graph they are given in
 place (copy it first to keep it); ``graph_level_reduce`` applies them to
 one graph, performing the five-step grid reduction purely as graph surgery.
+Each resistance a transformation or a parallel merge makes is written over
+one denominator from its inputs' numerators and denominators and normalised
+once, by one gcd, instead of through a chain of Fraction operators.
 None of this shares code with the closed-form child-edge formulas in
 circuitarray.reduction, which is the point: the two pipelines must agree
 label for label.
@@ -26,6 +31,7 @@ identities that arise from such circuits.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .fields import RATIONALS
 from .grid import Grid, GridError
@@ -65,8 +71,11 @@ class WeightedGraph:
         nbrs = self._adj.setdefault(u, {})
         existing = nbrs.get(v)
         if existing is not None:
-            # parallel edges combine by adding conductances
-            r = existing * r / (existing + r)
+            # parallel edges combine by adding conductances: a/α ∥ b/β is
+            # ab/(aβ + bα)
+            a, alpha = existing.numerator, existing.denominator
+            b, beta = r.numerator, r.denominator
+            r = Fraction(a * b, a * beta + b * alpha)
         nbrs[v] = r
         self._adj.setdefault(v, {})[u] = r
         self._factor = None
@@ -304,7 +313,12 @@ def _inverse_entry(factor: tuple, i: int, j: int) -> Fraction:
         if (i, j) in Z:
             stack.pop()
             continue
-        total = 1 / pivots[j] if i == j else 0
+        # the sum is kept as num/den over a common denominator, one gcd a
+        # term, and normalised once
+        if i == j:
+            num, den = pivots[j].denominator, pivots[j].numerator
+        else:
+            num, den = 0, 1
         ready = True
         for k, l in columns[j].items():
             pair = (i, k) if i >= k else (k, i)
@@ -313,9 +327,13 @@ def _inverse_entry(factor: tuple, i: int, j: int) -> Fraction:
                 stack.append(pair)
                 ready = False
             elif ready:
-                total -= l * zik
+                tn = l.numerator * zik.numerator
+                td = l.denominator * zik.denominator
+                g = gcd(den, td)
+                num = num * (td // g) - tn * (den // g)
+                den *= td // g
         if ready:
-            Z[i, j] = total
+            Z[i, j] = Fraction(num, den)
             stack.pop()
     return Z[key]
 
@@ -334,16 +352,21 @@ def delta_to_wye(g: WeightedGraph, triangle, center) -> None:
                              f"({p!r}, {q!r})")
     if center in g._adj:
         raise GraphError(f"center {center!r} already in graph")
+    # c_xy = a/α, c_yz = b/β, c_xz = c/γ; each leg is the product of its two
+    # edges over their sum, (aβγ + bαγ + cαβ)/(αβγ)
     c_xy = g.resistance_of(x, y)
     c_yz = g.resistance_of(y, z)
     c_xz = g.resistance_of(x, z)
-    s = c_xy + c_yz + c_xz
+    a, alpha = c_xy.numerator, c_xy.denominator
+    b, beta = c_yz.numerator, c_yz.denominator
+    c, gamma = c_xz.numerator, c_xz.denominator
+    s = a * beta * gamma + b * alpha * gamma + c * alpha * beta
     g.remove_edge(x, y)
     g.remove_edge(y, z)
     g.remove_edge(x, z)
-    g.add_edge(center, x, c_xy * c_xz / s)
-    g.add_edge(center, y, c_xy * c_yz / s)
-    g.add_edge(center, z, c_xz * c_yz / s)
+    g.add_edge(center, x, Fraction(a * c * beta, s))
+    g.add_edge(center, y, Fraction(a * b * gamma, s))
+    g.add_edge(center, z, Fraction(b * c * alpha, s))
 
 
 def wye_to_delta(g: WeightedGraph, center) -> None:
@@ -355,14 +378,19 @@ def wye_to_delta(g: WeightedGraph, center) -> None:
         raise GraphError(f"wye-delta site must have degree 3, "
                          f"got degree {len(nbrs)} at {center!r}")
     x, y, z = nbrs
+    # legs p = a/α, q = b/β, t = c/γ; each edge is (pq + qt + tp) over the
+    # opposite leg, and pq + qt + tp = (abγ + bcα + caβ)/(αβγ)
     p = g.resistance_of(center, x)
     q = g.resistance_of(center, y)
     t = g.resistance_of(center, z)
-    cross = p * q + q * t + t * p
+    a, alpha = p.numerator, p.denominator
+    b, beta = q.numerator, q.denominator
+    c, gamma = t.numerator, t.denominator
+    k = a * b * gamma + b * c * alpha + c * a * beta
     g.remove_vertex(center)
-    g.add_edge(y, z, cross / p)
-    g.add_edge(x, z, cross / q)
-    g.add_edge(x, y, cross / t)
+    g.add_edge(y, z, Fraction(k, a * beta * gamma))
+    g.add_edge(x, z, Fraction(k, alpha * b * gamma))
+    g.add_edge(x, y, Fraction(k, alpha * beta * c))
 
 
 def series(g: WeightedGraph, through) -> None:
@@ -374,9 +402,12 @@ def series(g: WeightedGraph, through) -> None:
         raise GraphError(f"series site must have degree 2, "
                          f"got degree {len(nbrs)} at {through!r}")
     x, y = nbrs
-    r = g.resistance_of(through, x) + g.resistance_of(through, y)
+    p = g.resistance_of(through, x)
+    q = g.resistance_of(through, y)
+    a, alpha = p.numerator, p.denominator
+    b, beta = q.numerator, q.denominator
     g.remove_vertex(through)
-    g.add_edge(x, y, r)
+    g.add_edge(x, y, Fraction(a * beta + b * alpha, alpha * beta))
 
 
 # -- grid <-> graph ----------------------------------------------------------

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from circuitarray.circuit_array import CircuitArray, build_array
 from circuitarray.cli import (_ARRAY_MAX_COLS, _DIAG_MAX_S,
                              _SYMBOLIC_REDUCE_MAX_STEPS,
-                             _UNIFORM_CENTER_MAX_S, build_parser, main)
+                             _UNIFORM_CENTER_MAX_S, _render_array,
+                             build_parser, main)
 from circuitarray.graphs import WeightedGraph
 from circuitarray.grid import Grid
 from circuitarray.reports import Report
@@ -42,6 +44,41 @@ def test_array_build_json_round_trips(capsys):
     values = [e["value"] for c in data["columns"] for e in c["entries"]]
     assert values == ["2/3", "26/27", "13/12", "1/2"]
     assert all(F(v) > 0 for v in values)
+
+
+def read_long_rational(text):
+    """A rendered rational read back in chunks of digits, so that parsing
+    stays inside the default digit limit that rendering went past."""
+    def read_int(digits):
+        n = 0
+        for k in range(0, len(digits), 1000):
+            chunk = digits[k:k + 1000]
+            n = n * 10 ** len(chunk) + int(chunk)
+        return n
+    num, _, den = text.partition("/")
+    return F(read_int(num), read_int(den or "1"))
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+def test_array_renders_labels_past_the_digit_limit(fmt):
+    import csv
+    columns = build_array(2).columns
+    big = F(3 ** 9100 + 2, 2 ** 15000)  # 4342 and 4516 digits
+    columns[1][1] = big  # two columns: row and column order agree
+    text = _render_array(CircuitArray(columns), fmt)
+    if fmt == "json":
+        cells = [e["value"] for col in json.loads(text)["columns"]
+                 for e in col["entries"]]
+    else:
+        lines = text.splitlines()
+        if fmt == "markdown":
+            rows = [[c.strip() for c in line.strip("|").split("|")]
+                    for line in lines[2:]]
+        else:
+            rows = list(csv.reader(lines[1:]))
+        cells = [c for row in rows for c in row[1:] if c]
+    assert [read_long_rational(c) for c in cells] == \
+        [v for col in columns for v in col]
 
 
 def test_array_verify_all(capsys):

@@ -23,6 +23,19 @@ def test_decimal_exponent_cap():
             parse_rational(bad)
 
 
+def test_format_rational_prints_integers_past_the_digit_limit():
+    """CPython's str() refuses an int of more than 4300 digits; the
+    rendering goes round it without lifting the limit."""
+    big = 10 ** 4300 + 12345  # 4301 digits
+    text = "1" + "0" * 4295 + "12345"
+    assert format_rational(F(big)) == text
+    assert format_rational(F(-big)) == "-" + text
+    assert format_rational(F(big, 7)) == text + "/7"
+    assert format_rational(F(3, 10 ** 9000)) == "3/1" + "0" * 9000
+    with pytest.raises(ValueError):
+        str(big)
+
+
 def test_contract_constants():
     assert RATIONALS.zero == 0 and RATIONALS.one == 1
     assert RATIONALS.ordered

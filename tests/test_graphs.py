@@ -1,12 +1,15 @@
 """Graph oracle: exact resistance, transforms, graph-level reduction,
 2-trees and Fibonacci identities."""
 
+import ast
 import random
 from fractions import Fraction as F
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
+from circuitarray import graphs, reduction
 from circuitarray.graphs import (GraphError, WeightedGraph, _ldl,
                                  delta_to_wye, effective_resistance, fibonacci,
                                  graph_level_reduce, grid_to_graph, lucas,
@@ -291,6 +294,74 @@ def test_transforms_preserve_resistance_on_fixed_graph():
     for (u, v), r in base.items():
         if 1 not in (u, v):
             assert effective_resistance(h2, u, v) == r
+
+
+def shared_factor_labels(rng, count):
+    """Positive labels whose denominators share factors with each other, so
+    a swapped numerator or denominator does not cancel away."""
+    return [F(rng.randint(1, 90), rng.choice((4, 6, 9, 10, 12, 15, 18, 30))
+              * rng.randint(1, 7)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_transforms_match_their_operator_forms(seed):
+    """Every resistance a transform makes equals its textbook form, written
+    here with Fraction operators."""
+    rng = random.Random(seed)
+    x, y, z, p, q, t, e, r = shared_factor_labels(rng, 8)
+
+    g = WeightedGraph()
+    for u, v, w in ((0, 1, x), (1, 2, y), (0, 2, z)):
+        g.add_edge(u, v, w)
+    delta_to_wye(g, (0, 1, 2), "c")
+    total = x + y + z
+    assert g.resistance_of("c", 0) == x * z / total
+    assert g.resistance_of("c", 1) == x * y / total
+    assert g.resistance_of("c", 2) == z * y / total
+
+    g = WeightedGraph()
+    for v, w in ((0, p), (1, q), (2, t)):
+        g.add_edge("c", v, w)
+    wye_to_delta(g, "c")
+    cross = p * q + q * t + t * p
+    assert g.resistance_of(1, 2) == cross / p
+    assert g.resistance_of(0, 2) == cross / q
+    assert g.resistance_of(0, 1) == cross / t
+
+    g = WeightedGraph()
+    g.add_edge(0, "m", p)
+    g.add_edge("m", 1, q)
+    series(g, "m")
+    assert g.resistance_of(0, 1) == p + q
+
+    g = WeightedGraph()
+    g.add_edge(0, 1, e)
+    g.add_edge(1, 0, r)
+    assert g.resistance_of(0, 1) == g.resistance_of(1, 0) == e * r / (e + r)
+
+
+def imported_names(module):
+    """Every dotted name a module's source imports, relative ones included;
+    ``from .a import b`` gives both "a" and "a.b"."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.add(base)
+            names.update(f"{base}.{alias.name}".lstrip(".")
+                         for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module, other", [(graphs, "reduction"),
+                                           (reduction, "graphs")])
+def test_graph_oracle_and_kernel_import_nothing_of_each_other(module, other):
+    """The graph surgery is the ground truth for the closed-form kernel, so
+    neither module may use the other."""
+    names = imported_names(module)
+    assert names and not any(other in name.split(".") for name in names)
 
 
 def test_grid_to_graph_counts():

@@ -186,6 +186,9 @@ def test_json_round_trip():
     ('{"m": 1, "reductions": -1, "labels": [{"r": 1, "d": 1, "side": "L", '
      '"value": "1"}, {"r": 1, "d": 1, "side": "R", "value": "1"}, '
      '{"r": 1, "d": 1, "side": "B", "value": "1"}]}', '"reductions"'),
+    pytest.param('{"m": 1, "labels": [{"r": 1, "d": 1, "side": "L", '
+                 '"value": "1/' + "3" * 4301 + '"}]}',
+                 "more than 4300 digits", id="label-past-the-digit-limit"),
 ])
 def test_malformed_grid_json_is_a_one_line_grid_error(text, needle):
     with pytest.raises(GridError) as exc:
