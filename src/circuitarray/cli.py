@@ -137,12 +137,17 @@ def _uniform_center_all(smax: int) -> Report:
 # -- reduce ----------------------------------------------------------------------
 
 # The whole n-grid is held in memory, about n^2 labels: n = 400 takes
-# ~0.1 GiB and a few seconds for one step.
+# ~60 MiB and ~1 s for each of the first steps.
 _REDUCE_MAX_N = 400
 
+# The labels grow with every step: over the rationals the all-one
+# n = 400 grid takes ~11, ~22, ~39, ~52 and ~74 s at 10, 20, 30, 35 and 40
+# steps, and 32 steps take ~40 s and ~85 MiB.
+_REDUCE_MAX_STEPS = 32
+
 # Over rational functions the labels grow with every step: n = 400 takes
-# ~19, ~20, ~29 and ~42 s at 6, 7, 8 and 9 steps, and n = 40 grows about
-# 2x per step past 8, to ~6 s at 10 and ~11 s at 11.
+# ~19 s at 8 steps and ~22 s at 9, and n = 40 grows about 2x per step
+# past 8.
 _SYMBOLIC_REDUCE_MAX_STEPS = 8
 
 
@@ -154,6 +159,9 @@ def cmd_reduce(args) -> int:
     if not 0 <= args.steps < args.n:
         raise UsageError(f"--steps must be in 0..n-1 = 0..{args.n - 1}, "
                          f"got {args.steps}")
+    if args.field == "rational" and args.steps > _REDUCE_MAX_STEPS:
+        raise UsageError(f"--steps must be <= {_REDUCE_MAX_STEPS} "
+                         f"with --field rational, got {args.steps}")
     if args.field == "symbolic" and args.steps > _SYMBOLIC_REDUCE_MAX_STEPS:
         raise UsageError(f"--steps must be <= {_SYMBOLIC_REDUCE_MAX_STEPS} "
                          f"with --field symbolic, got {args.steps}")
@@ -186,16 +194,16 @@ def cmd_reduce(args) -> int:
 # -- diag / hankel / symbolic / asymptotics --------------------------------------
 
 # The leftmost diagonal to depth s is one reduction chain whose labels grow
-# with s, and its cost grows about as s^5: s = 160 takes ~47 s and ~18 MiB.
+# with s, and its cost grows about as s^5: s = 160 takes ~37 s and ~18 MiB.
 _DIAG_MAX_S = 160
 
 # C array columns are one reduction chain on the all-one 4C-grid; its cost
-# grows about as C^5, and C = 112 takes ~43 s and ~53 MiB to build.
+# grows about as C^5, and C = 112 takes ~31 s and ~41 MiB to build.
 _ARRAY_MAX_COLS = 112
 
 # `array verify --suite uniform-center --max-s S` fully reduces the all-one
 # 4s- and (4s+2)-grids for every s <= S; its cost grows about as S^4.3, and
-# S = 28 takes ~46 s.
+# S = 28 takes ~33 s.
 _UNIFORM_CENTER_MAX_S = 28
 
 

@@ -40,6 +40,18 @@ def int_digit_limit() -> int:
     return get_limit() if get_limit else 0
 
 
+def digit_limit_error(text) -> str | None:
+    """Why ``text`` could not be read, when a number in it has more digits
+    than ``int_digit_limit``: one short line that names the bound and not
+    the value.  None for any other text, whose own error says more."""
+    limit = int_digit_limit()
+    if limit and type(text) is str and re.search(
+            rf"\d{{{limit + 1}}}", text.replace("_", "")):
+        return (f"has an integer of more than {limit} digits, the most "
+                "Python reads from a string")
+    return None
+
+
 def _decimal(n: int) -> str:
     """``str(n)`` for an integer of any length, also past ``int_digit_limit``.
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .fields import RATIONALS
+from .fields import RATIONALS, digit_limit_error
 from .grid import Grid, GridError
 from .reports import Report
 
@@ -209,6 +209,9 @@ class WeightedGraph:
                     raise ValueError
                 r = RATIONALS.parse(r) if type(r) is str else Fraction(r)
             except (ValueError, ZeroDivisionError):
+                too_long = digit_limit_error(r)
+                if too_long:
+                    raise GraphError(f"{where}.r {too_long}") from None
                 raise GraphError(f"{where}.r must be an exact rational, "
                                  f"got {r!r}") from None
             try:

@@ -25,10 +25,9 @@ are sorted), which meets every orbit; see ``determining_triangles``.
 from __future__ import annotations
 
 import json
-import re
 from typing import Iterator, Mapping, NamedTuple
 
-from .fields import RATIONALS, FieldContract, int_digit_limit
+from .fields import RATIONALS, FieldContract, digit_limit_error
 
 SIDES = ("L", "R", "B")
 
@@ -259,12 +258,9 @@ class Grid:
                     raise ValueError
                 triple[idx] = field.parse(value)
             except (ValueError, ZeroDivisionError):
-                limit = int_digit_limit()
-                if limit and type(value) is str and re.search(
-                        rf"\d{{{limit + 1}}}", value.replace("_", "")):
-                    raise GridError(f"labels[{i}].value has an integer of "
-                                    f"more than {limit} digits, the most "
-                                    "Python reads from a string") from None
+                too_long = digit_limit_error(value)
+                if too_long:
+                    raise GridError(f"labels[{i}].value {too_long}") from None
                 raise GridError(f"labels[{i}].value must be a {field.name} "
                                 f"label string, got {value!r}") from None
         triangles = {}

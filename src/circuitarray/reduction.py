@@ -29,13 +29,20 @@ determining sector only and hands those triples to ``symmetry_complete``;
 would normalise its own result: they form every output over one
 denominator from their inputs' ``numerator`` and ``denominator`` and build
 it with the label type's own (numerator, denominator) constructor, so each
-output label is normalised once, in every field.  ``delta`` and the
-operator form ``y + z + y*z/x`` are the textbook references for those two
-formulas.  ``child_edge`` places the legs edge by edge on its own and is
-the reference for the kernel's placement; ``circuitarray.graphs``'
-``graph_level_reduce`` performs the reduction as graph surgery, shares no
-code with this module and checks the formulas themselves.  ``reduce_once``,
-through ``reduce_k``, in turn checks the chain's cone, runs and memos.
+output label is normalised once, in every field.  Both also take a
+shorter form when two inputs are equal, compared by numerator and
+denominator as the memos compare them.  Inside the uniform center the
+right label equals the base label, so most triangles of the chain have
+R = B: their apex and bottom-left legs are then one value, built once, and
+the wye of legs x = z is the sum 2y + z.  These forms cancel the equal
+factor by algebra; unequal inputs take the general formulas.  ``delta``
+and the operator form ``y + z + y*z/x`` are the textbook references for
+those two formulas.  ``child_edge`` places the legs edge by edge on its
+own and is the reference for the kernel's placement;
+``circuitarray.graphs``' ``graph_level_reduce`` performs the reduction as
+graph surgery, shares no code with this module and checks the formulas
+themselves.  ``reduce_once``, through ``reduce_k``, in turn checks the
+chain's cone, runs and memos.
 
 Every band read is one reduction chain, ``_reduce_chain``, from the
 all-one 4C-grid, reading column j after j steps.  ``reduce_array`` (all
@@ -77,11 +84,19 @@ def wye(x, y, z):
     y + z + y*z/x over one denominator: with x = p/P, y = q/Q and z = r/R
     it is (p(qR + rQ) + qrP) / (pQR), built by the labels' own
     (numerator, denominator) constructor, which normalises it once and
-    raises ZeroDivisionError for a zero leg x.
+    raises ZeroDivisionError for a zero leg x.  When x = z (equal
+    numerator and denominator), y*z/x cancels to y and the edge is
+    2y + z = (2qR + rQ) / (QR), a two-label-wide sum; a zero x still
+    raises.  The chain meets x = z in about half its wyes, the legs of the
+    uniform center's equal right and base labels.
     """
     p, P = x.numerator, x.denominator
     q, Q = y.numerator, y.denominator
     r, R = z.numerator, z.denominator
+    if p == r and P == R:
+        if x == 0:
+            raise ZeroDivisionError("wye with a zero leg")
+        return _label_type(x, y, z)(2 * q * R + r * Q, Q * R)
     return _label_type(x, y, z)(p * (q * R + r * Q) + q * r * P, p * Q * R)
 
 
@@ -92,14 +107,21 @@ def triangle_legs(L, R, B):
     with L = a/α, R = b/β, B = c/γ and S = aβγ + bαγ + cαβ they are abγ/S,
     caβ/S and bcα/S, each built by the labels' own (numerator, denominator)
     constructor, which normalises it once and raises ZeroDivisionError for
-    a zero edge sum.
+    a zero edge sum.  When R = B (equal numerator and denominator), as the
+    uniform center's right and base labels are, S = β(aβ + 2bα): the apex
+    and bottom-left legs are both ab/(aβ + 2bα), built once, and the
+    bottom-right leg is b²α/(β(aβ + 2bα)).
     """
     a, al = L.numerator, L.denominator
     b, be = R.numerator, R.denominator
     c, ga = B.numerator, B.denominator
-    abe, bal = a * be, b * al
-    s = (abe + bal) * ga + c * al * be
     make = _label_type(L, R, B)
+    abe, bal = a * be, b * al
+    if b == c and be == ga:
+        t = abe + 2 * bal
+        apex = make(a * b, t)
+        return apex, apex, make(b * bal, be * t)
+    s = (abe + bal) * ga + c * al * be
     return make(a * b * ga, s), make(c * abe, s), make(c * bal, s)
 
 

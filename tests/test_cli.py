@@ -10,7 +10,7 @@ import pytest
 
 from circuitarray.circuit_array import CircuitArray, build_array
 from circuitarray.cli import (_ARRAY_MAX_COLS, _DIAG_MAX_S,
-                             _SYMBOLIC_REDUCE_MAX_STEPS,
+                             _REDUCE_MAX_STEPS, _SYMBOLIC_REDUCE_MAX_STEPS,
                              _UNIFORM_CENTER_MAX_S, _render_array,
                              build_parser, main)
 from circuitarray.graphs import WeightedGraph
@@ -354,6 +354,9 @@ def test_bad_boundary_is_a_usage_error(capsys, argv):
     (["verify", "--max-s", "-5"], "--max-s must be >= 1"),
     (["verify", "--max-cols", "-3"], "--max-cols must be >= 1"),
     (["array", "verify", "--max-cols", "-1"], "--max-cols must be >= 1"),
+    # refused before the all-one grid is built
+    (["reduce", "--n", "400", "--steps", str(_REDUCE_MAX_STEPS + 1)],
+     f"--steps must be <= {_REDUCE_MAX_STEPS} with --field rational"),
 ])
 def test_bad_argument_is_a_usage_error(capsys, argv, needle):
     assert needle in usage_error(capsys, argv)

@@ -16,9 +16,11 @@ from circuitarray.graphs import (GraphError, WeightedGraph, _ldl,
                                  r_formula_straight, series, straight_2tree,
                                  verify_2tree_formula, verify_fib_identities,
                                  wye_to_delta)
+from circuitarray.fields import RATIONALS
 from circuitarray.grid import Grid, all_one_grid
 from circuitarray.properties import random_connected_graph, random_grid
 from circuitarray.reduction import reduce_once
+from circuitarray.sequences import symbolic_start_grid
 
 
 def unit_triangle():
@@ -392,6 +394,16 @@ def test_json_round_trip_keeps_the_factor_and_every_resistance():
         assert type(r) is F and r == effective_resistance(g, a, b), (a, b)
 
 
+def test_json_resistance_past_the_digit_limit_names_the_bound():
+    text = ('{"n": 2, "edges": [{"u": 0, "v": 1, "r": "1/' + "3" * 4301
+            + '"}]}')
+    with pytest.raises(GraphError) as exc:
+        WeightedGraph.from_json(text)
+    message = str(exc.value)
+    assert "edges[0].r" in message and "more than 4300 digits" in message
+    assert "\n" not in message and len(message) < 100
+
+
 def test_graph_level_reduce_matches_formula_reduction():
     for n in (3, 4, 5, 6):
         g = all_one_grid(n)
@@ -399,6 +411,29 @@ def test_graph_level_reduce_matches_formula_reduction():
     rng = random.Random(3)
     for _ in range(5):
         g = random_grid(rng, rng.choice([3, 4, 5]))
+        assert graph_level_reduce(g) == reduce_once(g)
+
+
+def test_graph_level_reduce_matches_the_equal_label_forms():
+    # reduce_once and the chain share triangle_legs' R = B form and the
+    # wye's x = z form; graph surgery shares neither.  The boundary grid
+    # of 1 - 3/x0 has R = B inside its uniform center at every step.
+    x0 = F(10 ** 30 + 7, 3 ** 20)
+    g = symbolic_start_grid(9, 1 - 3 / x0, RATIONALS)
+    for _ in range(3):
+        assert any(R == B for R, B in (t[1:] for t in g._tri.values()))
+        assert graph_level_reduce(g) == reduce_once(g)
+        g = reduce_once(g)
+    assert max(v.denominator.bit_length() for t in g._tri.values()
+               for v in t) > 500
+    rng = random.Random(22)
+    for _ in range(4):
+        n = rng.choice([4, 5, 6])
+        big = {(r, d): F(rng.getrandbits(300) + 1, rng.getrandbits(300) + 1)
+               for r in range(1, n + 1) for d in range(1, r + 1)}
+        planted = {(r, d): (L, big[(r, d)], big[(r, d)])
+                   for (r, d), (L, _, _) in random_grid(rng, n)._tri.items()}
+        g = Grid(n, planted)
         assert graph_level_reduce(g) == reduce_once(g)
 
 

@@ -44,6 +44,14 @@ def test_degenerate_sites_raise():
     for y, z in ((F(1), F(1)), (x, one)):
         with pytest.raises(ZeroDivisionError):
             wye(0 * y, y, z)
+    # the equal-label forms: a zero leg x = z, and R = B with
+    # aβ + 2bα = 0
+    for y in (F(1), x):
+        with pytest.raises(ZeroDivisionError):
+            wye(0 * y, y, 0 * y)
+    for L, R in ((F(-2, 3), F(1, 3)), (-2 * x, x)):
+        with pytest.raises(ZeroDivisionError):
+            triangle_legs(L, R, R)
 
 
 def test_triangle_legs_align_with_delta():
@@ -72,20 +80,35 @@ def _random_ratfunc(rng):
     return RationalFunction(poly(), poly())
 
 
+def _check_kernel(L, R, B):
+    # the references divide with /, which makes a float of two ints
+    Lf, Rf, Bf = (F(v) if type(v) is int else v for v in (L, R, B))
+    assert triangle_legs(L, R, B) == (delta(Lf, Rf, Bf), delta(Bf, Lf, Rf),
+                                      delta(Rf, Bf, Lf))
+    assert wye(L, R, B) == _operator_wye(Lf, Rf, Bf)
+
+
 @pytest.mark.parametrize("draw", [
     lambda rng: _random_fraction(rng, 8),
     lambda rng: _random_fraction(rng, 2000),
     _random_ratfunc,
-], ids=["small-fractions", "2000-bit-fractions", "ratfuncs"])
+    lambda rng: rng.randint(1, 9),
+], ids=["small-fractions", "2000-bit-fractions", "ratfuncs", "int-labels"])
 def test_fused_kernel_matches_operator_forms(draw):
     # triangle_legs and wye build each result over one denominator; delta
     # and the operator wye normalise after every field operation
     rng = random.Random(12)
     for _ in range(40):
         L, R, B = draw(rng), draw(rng), draw(rng)
-        assert triangle_legs(L, R, B) == (delta(L, R, B), delta(B, L, R),
-                                          delta(R, B, L))
-        assert wye(L, R, B) == _operator_wye(L, R, B)
+        _check_kernel(L, R, B)
+        # planted equal labels, each a separate object: R = B takes
+        # triangle_legs' R = B form, and (L, R, L) the wye's x = z form
+        _check_kernel(L, R, _copy(R))
+        _check_kernel(L, R, _copy(L))
+
+
+def _copy(v):
+    return v if type(v) is int else type(v)(v.numerator, v.denominator)
 
 
 def test_fused_kernel_takes_int_labels():
