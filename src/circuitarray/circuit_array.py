@@ -18,6 +18,8 @@ Row 0 is 1 - 3/9^j, row 1 is 1 + (2/3)/(9^(j-1) - 1), and row 2 also has a
 closed form; beyond that the array is best described recursively: each row
 i satisfies a fixed rational recursion in earlier rows and columns, with
 recursion functions known explicitly for rows 0..4 (``row_recursion``).
+Both are evaluated over integers: with each argument X = a/α in lowest
+terms, a value is built as one integer ratio and normalised once.
 
 The leftmost diagonal L_s = entry(2(s-1), s) - the bottom of each column -
 is the package's central sequence; see circuitarray.sequences.
@@ -95,9 +97,10 @@ class CircuitArray:
             if len(col) != 2 * j - 1:
                 raise ArrayError(f"column {j} has {len(col)} entries, "
                                  f"expected {2 * j - 1}")
-            if any(v <= 0 for v in col):
+            # a reduced Fraction's denominator is positive
+            if any(v.numerator <= 0 for v in col):
                 raise ArrayError(f"non-positive entry in column {j}")
-            if col[0] != 1 - Fraction(3, 9 ** j):
+            if col[0] != Fraction(9 ** j - 3, 9 ** j):
                 raise ArrayError(
                     f"cross-check failed: top of column {j} is {col[0]}, "
                     f"expected 1 - 3/9^{j}")
@@ -166,35 +169,50 @@ def diagonal_sequence(S: int) -> list[Fraction]:
 
 
 # -- row recursion functions --------------------------------------------------
+#
+# Each function is written over integers.  With X = a/α, Y = b/β, Z = c/γ in
+# lowest terms and Ak = a + kα (so X + k = Ak/α), both sides of the ratio are
+# multiplied by the same power of α, β and γ; the result is one
+# ``Fraction(num, den)``, normalised once.  α, β and γ are positive, so each
+# integer denominator is zero exactly when the rational one is, and that
+# raises ``ZeroDivisionError``.
 
 def _g0(X):
-    return (X + 8) / 9
+    a, al = X.numerator, X.denominator
+    return Fraction(a + 8 * al, 9 * al)
 
 def _g1(X):
-    return (X + 8) / (3 * (X + 2))
+    a, al = X.numerator, X.denominator
+    return Fraction(a + 8 * al, 3 * (a + 2 * al))
 
 def _g2(X, Y):
-    return (9 * Y * (X + 2) ** 2 + 8 * (X + 8) ** 2) / (X + 26) ** 2
+    a, al = X.numerator, X.denominator
+    b, be = Y.numerator, Y.denominator
+    A2, A8, A26 = a + 2 * al, a + 8 * al, a + 26 * al
+    return Fraction(9 * b * A2 * A2 + 8 * be * A8 * A8, be * A26 * A26)
 
 def _g3(X, Y):
-    num = 9 * Y * (X + 2) ** 2 * (X + 8) + 8 * (X + 8) ** 3
-    den = 9 * Y * (X + 2) ** 2 * (X + 26) + 6 * (X + 2) * (X + 8) * (X + 26)
-    return num / den
+    # (9Y(X+2)^2 (X+8) + 8(X+8)^3) / (9Y(X+2)^2 (X+26) + 6(X+2)(X+8)(X+26))
+    a, al = X.numerator, X.denominator
+    b, be = Y.numerator, Y.denominator
+    A2, A8, A26 = a + 2 * al, a + 8 * al, a + 26 * al
+    return Fraction(A8 * (9 * b * A2 * A2 + 8 * be * A8 * A8),
+                    A2 * A26 * (9 * b * A2 + 6 * be * A8))
 
 def _g4(X, Y, Z):
-    # denominator is (X+8)^2 (2q + 27(X+2)^2 Y)^2, kept in the same expanded
-    # three-term shape as the numerator
-    q = 13 * X ** 2 + 298 * X + 2848
-    num = (512 * (X + 8) ** 5 * (X + 80)
-           + 1152 * (X + 2) ** 2 * (X + 8) ** 3 * (X + 80) * Y
-           + 648 * (X + 2) ** 4 * (X + 8) * (X + 80) * Y ** 2
-           + 36 * (X + 2) ** 2 * (X + 8) ** 2 * (X + 80) ** 2 * Z
-           + 108 * (X + 2) ** 3 * (X + 8) * (X + 80) ** 2 * Y * Z
-           + 81 * (X + 2) ** 4 * (X + 80) ** 2 * Y ** 2 * Z)
-    den = (4 * (X + 8) ** 2 * q ** 2
-           + 108 * (X + 2) ** 2 * (X + 8) ** 2 * q * Y
-           + 729 * (X + 2) ** 4 * (X + 8) ** 2 * Y ** 2)
-    return num / den
+    # numerator 8(X+8)(X+80)(8(X+8)^2 + 9(X+2)^2 Y)^2
+    #           + 9(X+2)^2 (X+80)^2 (2(X+8) + 3(X+2)Y)^2 Z,
+    # denominator (X+8)^2 (2q + 27(X+2)^2 Y)^2, q = 13X^2 + 298X + 2848
+    a, al = X.numerator, X.denominator
+    b, be = Y.numerator, Y.denominator
+    c, ga = Z.numerator, Z.denominator
+    A2, A8, A80 = a + 2 * al, a + 8 * al, a + 80 * al
+    Q = 13 * a * a + 298 * a * al + 2848 * al * al
+    P = 8 * be * A8 * A8 + 9 * b * A2 * A2
+    R = 2 * be * A8 + 3 * b * A2
+    S = 2 * be * Q + 27 * b * A2 * A2
+    return Fraction(A80 * (8 * ga * A8 * P * P + 9 * c * A2 * A2 * A80 * R * R),
+                    ga * A8 * A8 * S * S)
 
 
 _ROW_RECURSIONS = {0: (_g0, 1), 1: (_g1, 1), 2: (_g2, 2), 3: (_g3, 2), 4: (_g4, 3)}
@@ -205,6 +223,9 @@ def row_recursion(index: int, args: list) -> Fraction:
 
     Arities are 1, 1, 2, 2, 3.  The argument schedules (which earlier
     entries feed which slots) are applied by ``verify_row_recursions``.
+    Each function reads its arguments as X = a/α, Y = b/β, Z = c/γ and
+    builds its value as one ``Fraction(num, den)`` of integers, so it is
+    normalised once.
     """
     if index not in _ROW_RECURSIONS:
         raise ArrayError(f"no explicit recursion function for row {index}")
@@ -267,23 +288,29 @@ def closed_form_row(i: int, s: int) -> Fraction:
     Row 2 (s >= 2):  1 - N/D with n = 2(s-2), d = (3^(s-1) - 1)/2,
                      N = n*3^(n+1)/4 + (5*3^(n+1) + (-1)^n)/16,
                      D = d^2 (d+1)^2 / 2.
+
+    Each is written over integers and normalised once: row 0 is
+    (9^s - 3)/9^s, row 1 is (3*9^(s-1) - 1)/(3*9^(s-1) - 3), and row 2 is
+    (D8 - N16)/D8 with N16 = 16N = (4n+5)*3^(n+1) + (-1)^n and
+    D8 = 16D/2 = 8(d(d+1))^2.
     """
     if i == 0:
         if s < 1:
             raise ArrayError(f"row 0 needs s >= 1, got {s}")
-        return 1 - Fraction(3, 9 ** s)
+        return Fraction(9 ** s - 3, 9 ** s)
     if i == 1:
         if s < 2:
             raise ArrayError(f"row 1 needs s >= 2, got {s}")
-        return 1 + Fraction(2, 3) / (9 ** (s - 1) - 1)
+        t = 3 * 9 ** (s - 1)
+        return Fraction(t - 1, t - 3)
     if i == 2:
         if s < 2:
             raise ArrayError(f"row 2 needs s >= 2, got {s}")
         n = 2 * (s - 2)
         d = (3 ** (s - 1) - 1) // 2
-        N = Fraction(n * 3 ** (n + 1), 4) + Fraction(5 * 3 ** (n + 1) + (-1) ** n, 16)
-        D = Fraction(d * d * (d + 1) * (d + 1), 2)
-        return 1 - N / D
+        N16 = (4 * n + 5) * 3 ** (n + 1) + (-1) ** n
+        D8 = 8 * (d * (d + 1)) ** 2
+        return Fraction(D8 - N16, D8)
     raise ArrayError(f"no closed form implemented for row {i}")
 
 

@@ -14,7 +14,10 @@ reduction chain in one process.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import functools
+import json
 import sys
 
 from . import circuit_array as ca
@@ -30,32 +33,37 @@ class UsageError(Exception):
     """Bad arguments or input; ``main`` prints it and exits 2."""
 
 
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The stream a command writes to: the file at ``path``, or stdout."""
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _write(text: str, path: str | None) -> None:
-    if path:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
-    else:
-        print(text)
+    with _output(path) as out:
+        out.write(text if text.endswith("\n") else text + "\n")
 
 
-def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
-    lines = ["| " + " | ".join(header) + " |",
-             "|" + "|".join("---" for _ in header) + "|"]
-    lines += ["| " + " | ".join(row) + " |" for row in rows]
-    return "\n".join(lines)
-
-
-def _csv_table(header: list[str], rows: list[list[str]]) -> str:
-    import csv
-    import io
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+def _write_table(header: list[str], rows, fmt: str, path: str | None) -> None:
+    """Write a markdown or csv table one row at a time, so that only one
+    row's strings are held; ``rows`` may be any iterable of string lists."""
+    with _output(path) as out:
+        if fmt == "csv":
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+            return
+        out.write("| " + " | ".join(header) + " |\n")
+        out.write("|" + "|".join("---" for _ in header) + "|\n")
+        for row in rows:
+            out.write("| " + " | ".join(row) + " |\n")
 
 
 def _emit_reports(reports: list[Report], verbose: bool) -> int:
@@ -68,10 +76,9 @@ def _emit_reports(reports: list[Report], verbose: bool) -> int:
 
 # -- array ---------------------------------------------------------------------
 
-def _render_array(arr: ca.CircuitArray, fmt: str) -> str:
+def _write_array(arr: ca.CircuitArray, fmt: str, path: str | None) -> None:
     C = arr.column_count
     if fmt == "json":
-        import json
         cols = []
         for j in range(1, C + 1):
             entries = []
@@ -81,16 +88,15 @@ def _render_array(arr: ca.CircuitArray, fmt: str) -> str:
                                 "edge": {"r": p.r, "d": p.d, "side": p.side},
                                 "reductions": p.reductions, "n": p.n})
             cols.append({"column": j, "entries": entries})
-        return json.dumps({"columns": cols}, indent=1)
+        with _output(path) as out:
+            json.dump({"columns": cols}, out, indent=1)
+            out.write("\n")
+        return
     header = ["row"] + [str(j) for j in range(1, C + 1)]
-    rows = []
-    for i in range(2 * C - 1):
-        row = [str(i)]
-        for j in range(1, C + 1):
-            row.append(format_rational(arr.entry(i, j)) if i <= 2 * (j - 1) else "")
-        rows.append(row)
-    return (_markdown_table(header, rows) if fmt == "markdown"
-            else _csv_table(header, rows))
+    rows = ([str(i)] + [format_rational(arr.entry(i, j))
+                        if i <= 2 * (j - 1) else "" for j in range(1, C + 1)]
+            for i in range(2 * C - 1))
+    _write_table(header, rows, fmt, path)
 
 
 def cmd_array(args) -> int:
@@ -99,7 +105,7 @@ def cmd_array(args) -> int:
             raise UsageError(f"--cols must be in 1..{_ARRAY_MAX_COLS}, "
                              f"got {args.cols}")
         arr = ca.build_array(args.cols)
-        _write(_render_array(arr, args.format), args.out)
+        _write_array(arr, args.format, args.out)
         return 0
     if args.max_k < 0:
         raise UsageError(f"--max-k must be >= 0, got {args.max_k}")
@@ -145,10 +151,10 @@ _REDUCE_MAX_N = 400
 # steps, and 32 steps take ~40 s and ~85 MiB.
 _REDUCE_MAX_STEPS = 32
 
-# Over rational functions the labels grow with every step: n = 400 takes
-# ~19 s at 8 steps and ~22 s at 9, and n = 40 grows about 2x per step
-# past 8.
-_SYMBOLIC_REDUCE_MAX_STEPS = 8
+# Over rational functions the labels grow with every step: end to end,
+# n = 400 takes ~23, ~30 and ~39 s at 8, 9 and 10 steps, and 47-58 s at
+# 11, all in ~110 MiB.
+_SYMBOLIC_REDUCE_MAX_STEPS = 10
 
 
 def cmd_reduce(args) -> int:
@@ -236,8 +242,7 @@ def cmd_diag(args) -> int:
         shown = (format_rational(v) if args.emit == "fractions"
                  else sequences.render_4dp(v))
         rows.append([str(s), shown])
-    _write(_csv_table(header, rows) if args.format == "csv"
-           else _markdown_table(header, rows), args.out)
+    _write_table(header, rows, args.format, args.out)
     return 0
 
 
@@ -307,8 +312,7 @@ def cmd_asymptotics(args) -> int:
     for row in rows:
         cols = row.columns()
         table.append([str(row.s)] + [cols[c] for c in header[1:]])
-    _write(_csv_table(header, table) if args.format == "csv"
-           else _markdown_table(header, table), args.out)
+    _write_table(header, table, args.format, args.out)
     return 0
 
 

@@ -81,9 +81,10 @@ def format_rational(value) -> str:
 class FieldContract:
     """The facts generic grid code needs about a scalar field.
 
-    ``ordered`` is true for scalar kinds supporting ``<`` (used to enforce
-    strict positivity of resistance labels; rational functions are not
-    ordered, so only a zero label is refused there).
+    ``ordered`` is true for the rationals, the one ordered field: their
+    resistance labels must be strictly positive, which ``Grid`` tests on
+    the numerator.  Rational functions are not ordered, so only a zero
+    label is refused there.
     """
 
     name: str

@@ -157,7 +157,9 @@ class Grid:
             if len(triple) != 3:
                 raise GridError(f"triangle ({r},{d}) needs 3 labels")
             if self.field.ordered:
-                if not all(v > zero for v in triple):
+                # the rationals: a reduced Fraction's denominator is
+                # positive, and an int's numerator is the int itself
+                if not all(v.numerator > 0 for v in triple):
                     raise GridError(f"non-positive resistance label at "
                                     f"triangle ({r},{d})")
             elif zero in triple:

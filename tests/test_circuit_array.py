@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from circuitarray import reduction
-from circuitarray.circuit_array import (ArrayError, Provenance, build_array,
+from circuitarray.circuit_array import (ArrayError, Provenance, _g0, _g1, _g2,
+                                        _g3, _g4, build_array,
                                         build_array_direct, closed_form_row,
                                         diagonal_sequence, entry_position,
                                         reduce_window, row_recursion,
@@ -116,7 +117,6 @@ def test_row_recursion_worked_examples():
 def test_row4_recursion_is_the_neighborhood_composition():
     # wye/delta over the read edge's neighborhood, written with the
     # previous column's rows 1..4
-    from circuitarray.circuit_array import _g0, _g1, _g2, _g3
     rng = random.Random(11)
     for _ in range(12):
         X = F(rng.randint(1, 9), rng.randint(1, 9))
@@ -126,6 +126,106 @@ def test_row4_recursion_is_the_neighborhood_composition():
         composed = wye(delta(g3, g3, Z), delta(g1, g2, g1),
                        delta(g2, g1, g1))
         assert composed == row_recursion(4, [X, Y, Z])
+
+
+# -- operator forms: the references for the integer forms ---------------------
+
+def g0_ref(X):
+    return (X + 8) / 9
+
+def g1_ref(X):
+    return (X + 8) / (3 * (X + 2))
+
+def g2_ref(X, Y):
+    return (9 * Y * (X + 2) ** 2 + 8 * (X + 8) ** 2) / (X + 26) ** 2
+
+def g3_ref(X, Y):
+    num = 9 * Y * (X + 2) ** 2 * (X + 8) + 8 * (X + 8) ** 3
+    den = 9 * Y * (X + 2) ** 2 * (X + 26) + 6 * (X + 2) * (X + 8) * (X + 26)
+    return num / den
+
+def g4_ref(X, Y, Z):
+    q = 13 * X ** 2 + 298 * X + 2848
+    num = (512 * (X + 8) ** 5 * (X + 80)
+           + 1152 * (X + 2) ** 2 * (X + 8) ** 3 * (X + 80) * Y
+           + 648 * (X + 2) ** 4 * (X + 8) * (X + 80) * Y ** 2
+           + 36 * (X + 2) ** 2 * (X + 8) ** 2 * (X + 80) ** 2 * Z
+           + 108 * (X + 2) ** 3 * (X + 8) * (X + 80) ** 2 * Y * Z
+           + 81 * (X + 2) ** 4 * (X + 80) ** 2 * Y ** 2 * Z)
+    den = (4 * (X + 8) ** 2 * q ** 2
+           + 108 * (X + 2) ** 2 * (X + 8) ** 2 * q * Y
+           + 729 * (X + 2) ** 4 * (X + 8) ** 2 * Y ** 2)
+    return num / den
+
+def closed_form_ref(i, s):
+    if i == 0:
+        return 1 - F(3, 9 ** s)
+    if i == 1:
+        return 1 + F(2, 3) / (9 ** (s - 1) - 1)
+    n = 2 * (s - 2)
+    d = (3 ** (s - 1) - 1) // 2
+    N = F(n * 3 ** (n + 1), 4) + F(5 * 3 ** (n + 1) + (-1) ** n, 16)
+    D = F(d * d * (d + 1) * (d + 1), 2)
+    return 1 - N / D
+
+
+INTEGER_FORMS = [(0, _g0, g0_ref, 1), (1, _g1, g1_ref, 1), (2, _g2, g2_ref, 2),
+                 (3, _g3, g3_ref, 2), (4, _g4, g4_ref, 3)]
+
+
+def random_rational(rng, bits):
+    return F(rng.choice((-1, 1)) * rng.getrandbits(bits),
+             rng.getrandbits(bits) + 1)
+
+
+@pytest.mark.parametrize("row, fast, ref, arity", INTEGER_FORMS)
+def test_recursion_integer_forms_match_operator_forms(row, fast, ref, arity):
+    rng = random.Random(2300 + row)
+    sizes = set()
+    for k in range(40):
+        # every fourth draw has a 520-bit numerator and denominator
+        args = [random_rational(rng, 520 if k % 4 == 0 else rng.randint(1, 40))
+                for _ in range(arity)]
+        sizes.add(args[0].numerator.bit_length() >= 500)
+        got = fast(*args)
+        assert type(got) is F
+        assert got == ref(*args), (row, args)
+        assert row_recursion(row, args) == got
+    assert sizes == {True, False}
+
+
+def test_closed_form_integer_forms_match_operator_forms():
+    for i, smin in ((0, 1), (1, 2), (2, 2)):
+        for s in range(smin, 61):
+            got = closed_form_row(i, s)
+            assert type(got) is F
+            assert got == closed_form_ref(i, s), (i, s)
+
+
+def test_recursion_poles_raise_in_both_forms():
+    rng = random.Random(23)
+    X = random_rational(rng, 30)
+    Y = random_rational(rng, 30)
+    Z = random_rational(rng, 30)
+    poles = [
+        (1, [F(-2)]),
+        (2, [F(-26), Y]),
+        (3, [F(-2), Y]),
+        (3, [F(-26), Y]),
+        # 9Y(X+2) + 6(X+8) = 0
+        (3, [X, -2 * (X + 8) / (3 * (X + 2))]),
+        (4, [F(-8), Y, Z]),
+        # 2q + 27(X+2)^2 Y = 0
+        (4, [X, -2 * (13 * X ** 2 + 298 * X + 2848) / (27 * (X + 2) ** 2), Z]),
+    ]
+    for row, args in poles:
+        _, fast, ref, _ = INTEGER_FORMS[row]
+        with pytest.raises(ZeroDivisionError):
+            ref(*args)
+        with pytest.raises(ZeroDivisionError):
+            fast(*args)
+        with pytest.raises(ArrayError, match="zero denominator"):
+            row_recursion(row, args)
 
 
 def test_verify_row_recursions_through_column_8():
@@ -234,5 +334,10 @@ def test_array_chain_matches_80_grid_oracle():
 def test_validate_rejects_corrupt_columns():
     arr = build_array(3)
     arr.columns[2][0] += 1
-    with pytest.raises(ArrayError):
+    with pytest.raises(ArrayError, match="cross-check"):
         arr.validate()
+    for bad in (F(0), F(-1, 3)):
+        arr = build_array(3)
+        arr.columns[2][3] = bad
+        with pytest.raises(ArrayError, match="non-positive"):
+            arr.validate()

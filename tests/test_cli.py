@@ -11,7 +11,7 @@ import pytest
 from circuitarray.circuit_array import CircuitArray, build_array
 from circuitarray.cli import (_ARRAY_MAX_COLS, _DIAG_MAX_S,
                              _REDUCE_MAX_STEPS, _SYMBOLIC_REDUCE_MAX_STEPS,
-                             _UNIFORM_CENTER_MAX_S, _render_array,
+                             _UNIFORM_CENTER_MAX_S, _write_array,
                              build_parser, main)
 from circuitarray.graphs import WeightedGraph
 from circuitarray.grid import Grid
@@ -60,12 +60,13 @@ def read_long_rational(text):
 
 
 @pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
-def test_array_renders_labels_past_the_digit_limit(fmt):
+def test_array_renders_labels_past_the_digit_limit(fmt, capsys):
     import csv
     columns = build_array(2).columns
     big = F(3 ** 9100 + 2, 2 ** 15000)  # 4342 and 4516 digits
     columns[1][1] = big  # two columns: row and column order agree
-    text = _render_array(CircuitArray(columns), fmt)
+    _write_array(CircuitArray(columns), fmt, None)
+    text = capsys.readouterr().out
     if fmt == "json":
         cells = [e["value"] for col in json.loads(text)["columns"]
                  for e in col["entries"]]
@@ -79,6 +80,27 @@ def test_array_renders_labels_past_the_digit_limit(fmt):
         cells = [c for row in rows for c in row[1:] if c]
     assert [read_long_rational(c) for c in cells] == \
         [v for col in columns for v in col]
+
+
+ARRAY_2_TABLES = {
+    "markdown": "| row | 1 | 2 |\n|---|---|---|\n| 0 | 2/3 | 26/27 |\n"
+                "| 1 |  | 13/12 |\n| 2 |  | 1/2 |\n",
+    "csv": "row,1,2\n0,2/3,26/27\n1,,13/12\n2,,1/2\n",
+}
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+def test_array_build_writes_the_same_bytes_to_stdout_and_out(fmt, capsys,
+                                                             tmp_path):
+    path = tmp_path / "array.txt"
+    argv = ["array", "build", "--cols", "2", "--format", fmt]
+    _, out = run(capsys, *argv)
+    assert run(capsys, *argv, "--out", str(path)) == (0, "")
+    assert path.read_text() == out
+    if fmt == "json":
+        assert out == json.dumps(json.loads(out), indent=1) + "\n"
+    else:
+        assert out == ARRAY_2_TABLES[fmt]
 
 
 def test_array_verify_all(capsys):

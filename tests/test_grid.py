@@ -150,8 +150,10 @@ def test_symmetry_complete_rejects_bad_input():
 
 
 def test_positive_labels_enforced_for_rationals():
-    with pytest.raises(GridError, match="non-positive"):
-        Grid(1, {(1, 1): (F(1), F(-1), F(1))})
+    for bad in (F(-1), F(0), F(-3, 7), 0, -2):
+        with pytest.raises(GridError, match="non-positive"):
+            Grid(1, {(1, 1): (F(1), bad, F(1))})
+    assert Grid(1, {(1, 1): (F(1, 9), 2, F(1))}).triangle(1, 1) == (F(1, 9), 2, 1)
 
 
 def test_wrong_triangle_set_rejected():
