@@ -223,9 +223,6 @@ def row_recursion(index: int, args: list) -> Fraction:
 
     Arities are 1, 1, 2, 2, 3.  The argument schedules (which earlier
     entries feed which slots) are applied by ``verify_row_recursions``.
-    Each function reads its arguments as X = a/α, Y = b/β, Z = c/γ and
-    builds its value as one ``Fraction(num, den)`` of integers, so it is
-    normalised once.
     """
     if index not in _ROW_RECURSIONS:
         raise ArrayError(f"no explicit recursion function for row {index}")
@@ -292,7 +289,7 @@ def closed_form_row(i: int, s: int) -> Fraction:
     Each is written over integers and normalised once: row 0 is
     (9^s - 3)/9^s, row 1 is (3*9^(s-1) - 1)/(3*9^(s-1) - 3), and row 2 is
     (D8 - N16)/D8 with N16 = 16N = (4n+5)*3^(n+1) + (-1)^n and
-    D8 = 16D/2 = 8(d(d+1))^2.
+    D8 = 16D = 8(d(d+1))^2.
     """
     if i == 0:
         if s < 1:
