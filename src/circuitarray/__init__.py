@@ -24,8 +24,7 @@ from .graphs import (WeightedGraph, delta_to_wye, effective_resistance,
                      r_formula_straight, series, straight_2tree,
                      verify_2tree_formula, verify_fib_identities, wye_to_delta)
 from .grid import (EdgeRef, Grid, GridError, all_one_grid, corner_distances,
-                   determining_triangles, is_boundary, reflect_edge,
-                   rotate_edge, symmetry_complete)
+                   determining_triangles, symmetry_complete)
 from .polynomial import Polynomial
 from .ratfunc import RATFUNCS, RationalFunction, parse_ratfunc
 from .reduction import (child_edge, delta, reduce_k, reduce_once,

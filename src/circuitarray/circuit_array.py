@@ -88,10 +88,6 @@ class CircuitArray:
         d, side = entry_position(i, j)
         return Provenance(4 * j, j, 2 * j - 1, d, side)
 
-    def diagonal(self) -> list[Fraction]:
-        """Leftmost diagonal: bottom entry of each column."""
-        return [col[-1] for col in self.columns]
-
     def validate(self) -> None:
         for j, col in enumerate(self.columns, start=1):
             if len(col) != 2 * j - 1:

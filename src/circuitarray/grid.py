@@ -55,28 +55,6 @@ def validate_edge_ref(ref: EdgeRef, m: int) -> None:
 def triangle_count(m: int) -> int:
     return m * (m + 1) // 2
 
-def edge_count(m: int) -> int:
-    return 3 * triangle_count(m)
-
-
-# -- symmetry maps -----------------------------------------------------------
-
-def reflect_edge(ref: EdgeRef, m: int) -> EdgeRef:
-    """Vertical reflection: (r,d) -> (r, r+1-d) with L and R swapped."""
-    r, d, side = ref
-    swapped = {"L": "R", "R": "L", "B": "B"}[side]
-    return EdgeRef(r, r + 1 - d, swapped)
-
-
-def rotate_edge(ref: EdgeRef, m: int) -> EdgeRef:
-    """Rotation by 2*pi/3: (r,d) -> (m+1-d, r+1-d) with L->B, R->L, B->R.
-
-    Maps the corner triangles cyclically (1,1) -> (m,1) -> (m,m) -> (1,1).
-    """
-    r, d, side = ref
-    mapped = {"L": "B", "R": "L", "B": "R"}[side]
-    return EdgeRef(m + 1 - d, r + 1 - d, mapped)
-
 
 # -- orbits and the determining region ----------------------------------------
 
@@ -108,16 +86,6 @@ def determining_triangles(m: int) -> list[tuple[int, int]]:
     """
     return [(r, d) for r in range(1, m + 1) for d in range(1, r + 1)
             if d - 1 <= r - d <= m - r]
-
-
-def is_boundary(ref: EdgeRef, m: int) -> bool:
-    """True exactly for the 3m outer edges: left side (d=1, L), right side
-    (d=r, R) and bottom row (r=m, B)."""
-    validate_edge_ref(ref, m)
-    r, d, side = ref
-    return ((side == "L" and d == 1)
-            or (side == "R" and d == r)
-            or (side == "B" and r == m))
 
 
 # -- the grid ----------------------------------------------------------------
@@ -173,12 +141,6 @@ class Grid:
     def label(self, r: int, d: int, side: str):
         return self._tri[(r, d)][SIDES.index(side)]
 
-    def edge_refs(self) -> Iterator[EdgeRef]:
-        for r in range(1, self.m + 1):
-            for d in range(1, r + 1):
-                for s in SIDES:
-                    yield EdgeRef(r, d, s)
-
     def items(self) -> Iterator[tuple[EdgeRef, object]]:
         for (r, d), (L, R, B) in self._tri.items():
             yield EdgeRef(r, d, "L"), L
@@ -186,7 +148,7 @@ class Grid:
             yield EdgeRef(r, d, "B"), B
 
     def is_symmetric(self) -> bool:
-        """True when labels are invariant under reflection and rotation."""
+        """True when every orbit (``_orbit_key``) carries a single label."""
         if self._symmetric is None:
             first = {}
             self._symmetric = all(

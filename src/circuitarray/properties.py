@@ -11,12 +11,14 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from .fields import RATIONALS
 from .graphs import (WeightedGraph, delta_to_wye, effective_resistance,
                      graph_level_reduce, series, wye_to_delta)
-from .grid import Grid, all_one_grid, edge_count, is_boundary, reflect_edge, rotate_edge
+from .grid import Grid, all_one_grid
 from .ratfunc import RationalFunction, Polynomial
 from .reduction import reduce_once
 from .reports import Report
+from .sequences import symbolic_start_grid
 
 
 def random_rational(rng: random.Random) -> Fraction:
@@ -162,34 +164,32 @@ def metric_suite(seed: int = 0) -> Report:
 
 
 def symmetry_suite(seed: int = 0) -> Report:
-    """Grid symmetry machinery on 12 random grid sizes: involution/order-3
-    laws, boundary counts, and preservation of symmetry under reduction."""
+    """The orbit rule behind the symmetric reduction, on 12 random m-grids
+    (3 <= m <= 12) with a random positive rational on the outer edges and 1
+    inside: a freshly built grid is found symmetric, changing one label
+    makes it asymmetric, and two steps of ``reduce_once`` (the determining
+    sector, then completion by symmetry) equal ``graph_level_reduce``
+    label for label."""
     rng = random.Random(seed)
     report = Report(f"grid-symmetry seed={seed}")
-    refl_ok = rot_ok = bnd_ok = cnt_ok = keep_ok = True
+    found_ok = broken_ok = reduce_ok = True
     for _ in range(12):
-        m = rng.randint(2, 12)
-        g = all_one_grid(m)
-        refs = list(g.edge_refs())
-        refl_ok &= all(reflect_edge(reflect_edge(e, m), m) == e for e in refs)
-        rot_ok &= all(rotate_edge(rotate_edge(rotate_edge(e, m), m), m) == e
-                      for e in refs)
-        bnd_ok &= sum(is_boundary(e, m) for e in refs) == 3 * m
-        cnt_ok &= len(refs) == edge_count(m)
-        if m >= 3:
-            # rebuild to drop the cached flag so symmetry is actually rechecked
-            child = reduce_once(g)
-            keep_ok &= Grid(child.m, child._tri,
-                            reductions=child.reductions).is_symmetric()
-            if m >= 4:
-                grand = reduce_once(child)
-                keep_ok &= Grid(grand.m, grand._tri,
-                                reductions=grand.reductions).is_symmetric()
-    report.add("reflection is an involution", refl_ok)
-    report.add("rotation has order 3", rot_ok)
-    report.add("boundary edge count is 3m", bnd_ok)
-    report.add("edge count is 3m(m+1)/2", cnt_ok)
-    report.add("reduction preserves symmetry", keep_ok)
+        m = rng.randint(3, 12)
+        g = symbolic_start_grid(m, random_positive_rational(rng), RATIONALS)
+        found_ok &= g.is_symmetric()
+        r = rng.randint(1, m)
+        d = rng.randint(1, r)
+        triple = list(g.triangle(r, d))
+        triple[rng.randrange(3)] += random_positive_rational(rng)
+        broken = Grid(m, {**g._tri, (r, d): tuple(triple)})
+        broken_ok &= not broken.is_symmetric()
+        ours = oracle = g
+        for _ in range(2):
+            ours, oracle = reduce_once(ours), graph_level_reduce(oracle)
+            reduce_ok &= ours == oracle
+    report.add("a freshly built boundary grid is symmetric", found_ok)
+    report.add("changing one label makes it asymmetric", broken_ok)
+    report.add("two symmetric reductions equal graph surgery", reduce_ok)
     return report
 
 

@@ -6,18 +6,43 @@ import pytest
 
 from circuitarray.grid import (SIDES, EdgeRef, Grid, GridError, _orbit_key,
                                all_one_grid, corner_distances,
-                               determining_triangles, edge_count, is_boundary,
-                               reflect_edge, rotate_edge, symmetry_complete,
+                               determining_triangles, symmetry_complete,
                                triangle_count, validate_edge_ref)
 from circuitarray.reduction import reduce_k, reduce_once
 
 
+def edges(m):
+    """Every edge of an m-grid, row by row, sides in SIDES order."""
+    return [EdgeRef(r, d, s) for r in range(1, m + 1)
+            for d in range(1, r + 1) for s in SIDES]
+
+
+# The grid's two generating symmetries, kept here as the oracle for the
+# orbit rule (``_orbit_key``) that the program uses instead.
+
+def reflect_edge(ref, m):
+    """Vertical reflection: (r,d) -> (r, r+1-d) with L and R swapped."""
+    r, d, side = ref
+    swapped = {"L": "R", "R": "L", "B": "B"}[side]
+    return EdgeRef(r, r + 1 - d, swapped)
+
+
+def rotate_edge(ref, m):
+    """Rotation by 2*pi/3: (r,d) -> (m+1-d, r+1-d) with L->B, R->L, B->R.
+
+    Maps the corner triangles cyclically (1,1) -> (m,1) -> (m,m) -> (1,1).
+    """
+    r, d, side = ref
+    mapped = {"L": "B", "R": "L", "B": "R"}[side]
+    return EdgeRef(m + 1 - d, r + 1 - d, mapped)
+
+
 def test_all_one_grid_counts():
     g = all_one_grid(3)
-    assert edge_count(g.m) == len(list(g.items())) == 18
+    assert 3 * triangle_count(g.m) == len(list(g.items())) == 18
     assert all(v == 1 for _, v in g.items())
     assert all_one_grid(1).triangle(1, 1) == (1, 1, 1)
-    assert edge_count(all_one_grid(4).m) == 30
+    assert 3 * triangle_count(all_one_grid(4).m) == 30
     assert triangle_count(4) == 10
 
 
@@ -38,19 +63,9 @@ def test_edge_ref_validation():
         validate_edge_ref(EdgeRef(2, 1, "X"), 3)
 
 
-def test_is_boundary():
-    assert is_boundary(EdgeRef(2, 1, "L"), 3)
-    assert not is_boundary(EdgeRef(2, 1, "R"), 3)
-    assert is_boundary(EdgeRef(3, 2, "B"), 3)
-    assert is_boundary(EdgeRef(2, 2, "R"), 3)
-    for m in (1, 2, 5, 9):
-        g = all_one_grid(m)
-        assert sum(is_boundary(e, m) for e in g.edge_refs()) == 3 * m
-
-
 def test_reflection_involution_and_rotation_order():
     for m in (1, 2, 3, 7, 10):
-        for e in all_one_grid(m).edge_refs():
+        for e in edges(m):
             assert reflect_edge(reflect_edge(e, m), m) == e
             assert rotate_edge(rotate_edge(rotate_edge(e, m), m), m) == e
 
@@ -67,7 +82,7 @@ def closure_orbits(m):
     rotate_edge by search: the oracle for ``_orbit_key``."""
     orbits = []
     seen = set()
-    for e in all_one_grid(m).edge_refs():
+    for e in edges(m):
         if e in seen:
             continue
         orbit = {e}
@@ -85,7 +100,7 @@ def closure_orbits(m):
 
 def key_classes(m):
     classes = {}
-    for e in all_one_grid(m).edge_refs():
+    for e in edges(m):
         key = _orbit_key(e.r, e.d, SIDES.index(e.side), m)
         classes.setdefault(key, set()).add(e)
     return classes
@@ -112,7 +127,7 @@ def test_determining_region_meets_every_orbit_once():
         for orbit in closure_orbits(m):
             if any((e.r, e.d) in sector for e in orbit):
                 covered |= orbit
-        assert len(covered) == edge_count(m)
+        assert len(covered) == 3 * triangle_count(m)
 
 
 def test_sector_small_cases():
@@ -209,7 +224,7 @@ def labelled_by_class(m, mapping):
     """An m-grid whose edges carry one label per class of the partition
     generated by ``mapping``, an involution or a map of order 3."""
     labels = {}
-    for e in all_one_grid(m).edge_refs():
+    for e in edges(m):
         if e not in labels:
             value = F(len(labels) + 1)
             f = e

@@ -2,6 +2,8 @@
 
 import pytest
 
+from circuitarray import reduction
+from circuitarray.grid import Grid, GridError, determining_triangles
 from circuitarray.properties import (dual_pipeline_suite, field_axiom_suite,
                                      metric_suite, symmetry_suite,
                                      transform_soundness_suite)
@@ -31,6 +33,32 @@ def test_metric_axioms(seed):
 def test_grid_symmetry(seed):
     rep = symmetry_suite(seed=seed)
     assert rep.passed, rep.render(True)
+
+
+def test_grid_symmetry_fails_when_every_grid_is_called_symmetric(monkeypatch):
+    # then every asymmetric grid would be reduced on the sector alone
+    monkeypatch.setattr(Grid, "is_symmetric", lambda self: True)
+    for seed in SEEDS:
+        assert not symmetry_suite(seed=seed).passed, seed
+
+
+def test_grid_symmetry_fails_when_completion_swaps_sides(monkeypatch):
+    complete = reduction.symmetry_complete
+
+    def swapped(sector, m, **kwargs):
+        g = complete(sector, m, **kwargs)
+        inside = set(determining_triangles(m))
+        tri = {t: v if t in inside else (v[1], v[0], v[2])
+               for t, v in g._tri.items()}
+        return Grid(m, tri, field=g.field, reductions=g.reductions)
+
+    monkeypatch.setattr(reduction, "symmetry_complete", swapped)
+    for seed in SEEDS:
+        try:
+            passed = symmetry_suite(seed=seed).passed
+        except GridError:
+            continue
+        assert not passed, seed
 
 
 def test_transform_soundness_sample():

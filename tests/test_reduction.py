@@ -225,8 +225,8 @@ def test_reduce_matches_child_edge_everywhere():
     parents.append(Grid(4, tri, field=RATFUNCS))
     for parent in parents:
         child = reduce_once(parent)
-        for e in child.edge_refs():
-            assert child.label(*e) == child_edge(parent, e.r, e.d, e.side), \
+        for e, value in child.items():
+            assert value == child_edge(parent, e.r, e.d, e.side), \
                 (parent.m, parent.field.name, e)
 
 
