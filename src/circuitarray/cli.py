@@ -77,20 +77,27 @@ def _emit_reports(reports: list[Report], verbose: bool) -> int:
 # -- array ---------------------------------------------------------------------
 
 def _write_array(arr: ca.CircuitArray, fmt: str, path: str | None) -> None:
+    """Write the array as a markdown or csv table, or as the json document
+    ``json.dump({"columns": [...]}, indent=1)`` would write, one column at a
+    time, so that only one column's strings are held."""
     C = arr.column_count
     if fmt == "json":
-        cols = []
-        for j in range(1, C + 1):
-            entries = []
-            for i, v in enumerate(arr.column(j)):
-                p = arr.provenance(i, j)
-                entries.append({"row": i, "value": format_rational(v),
-                                "edge": {"r": p.r, "d": p.d, "side": p.side},
-                                "reductions": p.reductions, "n": p.n})
-            cols.append({"column": j, "entries": entries})
         with _output(path) as out:
-            json.dump({"columns": cols}, out, indent=1)
-            out.write("\n")
+            out.write('{\n "columns": [')
+            for j in range(1, C + 1):
+                entries = []
+                for i, v in enumerate(arr.column(j)):
+                    p = arr.provenance(i, j)
+                    entries.append({"row": i, "value": format_rational(v),
+                                     "edge": {"r": p.r, "d": p.d,
+                                              "side": p.side},
+                                     "reductions": p.reductions, "n": p.n})
+                # the column object as indent=1 places it, two levels deep;
+                # json escapes every newline inside a string
+                text = json.dumps({"column": j, "entries": entries}, indent=1)
+                out.write(("," if j > 1 else "") + "\n  "
+                          + text.replace("\n", "\n  "))
+            out.write("\n ]\n}\n")
         return
     header = ["row"] + [str(j) for j in range(1, C + 1)]
     rows = ([str(i)] + [format_rational(arr.entry(i, j))
@@ -147,8 +154,8 @@ def _uniform_center_all(smax: int) -> Report:
 _REDUCE_MAX_N = 400
 
 # The labels grow with every step: over the rationals the all-one
-# n = 400 grid takes ~11, ~22, ~39, ~52 and ~74 s at 10, 20, 30, 35 and 40
-# steps, and 32 steps take ~40 s and ~85 MiB.
+# n = 400 grid takes ~8, ~17, ~28, ~37 and ~52 s at 10, 20, 30, 35 and 40
+# steps, and 32 steps take ~32 s and ~84 MiB end to end.
 _REDUCE_MAX_STEPS = 32
 
 # Over rational functions the labels grow with every step: end to end,
@@ -200,16 +207,16 @@ def cmd_reduce(args) -> int:
 # -- diag / hankel / symbolic / asymptotics --------------------------------------
 
 # The leftmost diagonal to depth s is one reduction chain whose labels grow
-# with s, and its cost grows about as s^5: s = 160 takes ~37 s and ~18 MiB.
+# with s, and its cost grows about as s^5: s = 160 takes ~22 s and ~18 MiB.
 _DIAG_MAX_S = 160
 
 # C array columns are one reduction chain on the all-one 4C-grid; its cost
-# grows about as C^5, and C = 112 takes ~31 s and ~41 MiB to build.
+# grows about as C^5, and C = 112 takes ~17 s and ~41 MiB to build.
 _ARRAY_MAX_COLS = 112
 
 # `array verify --suite uniform-center --max-s S` fully reduces the all-one
 # 4s- and (4s+2)-grids for every s <= S; its cost grows about as S^4.3, and
-# S = 28 takes ~33 s.
+# S = 28 takes ~29 s.
 _UNIFORM_CENTER_MAX_S = 28
 
 

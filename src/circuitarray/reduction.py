@@ -34,11 +34,17 @@ shorter form when two inputs are equal, compared by numerator and
 denominator as the memos compare them.  Inside the uniform center the
 right label equals the base label, so most triangles of the chain have
 R = B: their apex and bottom-left legs are then one value, built once, and
-the wye of legs x = z is the sum 2y + z.  These forms cancel the equal
-factor by algebra; unequal inputs take the general formulas.  ``delta``
-and the operator form ``y + z + y*z/x`` are the textbook references for
-those two formulas.  ``child_edge`` places the legs edge by edge on its
-own and is the reference for the kernel's placement;
+the wye of legs x = z is the sum 2y + z; the other wyes of the chain have
+legs y = z.  These forms cancel the equal factor by algebra; unequal
+inputs take the general formulas.  Over the rationals the equal-label
+forms also take out, before any product is formed, the factors that the
+two labels' numerators and their denominators share (about half of each
+label's bits deep in the chain), so the constructor's gcd finds at most a
+few bits.  That split needs integer gcds, so rational-function labels
+take the R = B and x = z forms unsplit and the general wye for y = z.
+``delta`` and the operator form ``y + z + y*z/x`` are the textbook
+references for those formulas.  ``child_edge`` places the legs edge by
+edge on its own and is the reference for the kernel's placement;
 ``circuitarray.graphs``' ``graph_level_reduce`` performs the reduction as
 graph surgery, shares no code with this module and checks the formulas
 themselves.  ``reduce_once``, through ``reduce_k``, in turn checks the
@@ -64,6 +70,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import gcd
 
 from .fields import RATIONALS, FieldContract
 from .grid import (SIDES, Grid, GridError, determining_triangles,
@@ -84,20 +91,44 @@ def wye(x, y, z):
     y + z + y*z/x over one denominator: with x = p/P, y = q/Q and z = r/R
     it is (p(qR + rQ) + qrP) / (pQR), built by the labels' own
     (numerator, denominator) constructor, which normalises it once and
-    raises ZeroDivisionError for a zero leg x.  When x = z (equal
-    numerator and denominator), y*z/x cancels to y and the edge is
-    2y + z = (2qR + rQ) / (QR), a two-label-wide sum; a zero x still
-    raises.  The chain meets x = z in about half its wyes, the legs of the
-    uniform center's equal right and base labels.
+    raises ZeroDivisionError for a zero leg x.  Two equal legs (equal
+    numerator and denominator) take shorter forms; a zero x still raises.
+
+    - x = z: y*z/x cancels to y and the edge is 2y + z, a two-label-wide
+      sum.  Over the rationals it is (2qR' + rQ') / (gQ'R') with
+      g = gcd(Q, R), Q = gQ' and R = gR'.
+    - y = z, over the rationals only: the edge is y(2x + y)/x.  With
+      h = gcd(p, q), g = gcd(P, Q), p = hp', q = hq', P = gP', Q = gQ' and
+      M = 2p'Q' + q'P' it is hq'M / (p'gQ'^2), and u = gcd(h, p') and
+      v = gcd(M, g) are the only factors the two sides can still share.
+
+    Every wye of the rational chain takes one of these two forms, fed by
+    the legs of the uniform center's equal right and base labels.  The
+    splits need integer gcds, so rational-function legs, whose numerators
+    are polynomials, take the x = z sum unsplit and the general formula
+    otherwise.
     """
     p, P = x.numerator, x.denominator
     q, Q = y.numerator, y.denominator
     r, R = z.numerator, z.denominator
+    make = _label_type(x, y, z)
     if p == r and P == R:
         if x == 0:
             raise ZeroDivisionError("wye with a zero leg")
-        return _label_type(x, y, z)(2 * q * R + r * Q, Q * R)
-    return _label_type(x, y, z)(p * (q * R + r * Q) + q * r * P, p * Q * R)
+        if make is Fraction:
+            g = gcd(Q, R)
+            Q, R = Q // g, R // g
+            return make(2 * q * R + r * Q, g * Q * R)
+        return make(2 * q * R + r * Q, Q * R)
+    if make is Fraction and q == r and Q == R:
+        if not p:
+            raise ZeroDivisionError("wye with a zero leg")
+        h, g = gcd(p, q), gcd(P, Q)
+        p, q, P, Q = p // h, q // h, P // g, Q // g
+        M = 2 * p * Q + q * P
+        u, v = gcd(h, p), gcd(M, g)
+        return make(h // u * q * (M // v), p // u * (g // v) * Q * Q)
+    return make(p * (q * R + r * Q) + q * r * P, p * Q * R)
 
 
 def triangle_legs(L, R, B):
@@ -111,16 +142,36 @@ def triangle_legs(L, R, B):
     uniform center's right and base labels are, S = β(aβ + 2bα): the apex
     and bottom-left legs are both ab/(aβ + 2bα), built once, and the
     bottom-right leg is b²α/(β(aβ + 2bα)).
+
+    Over the rationals the R = B form first takes out the factors that a
+    and b, and α and β, share, which hold about half the bits of each deep
+    in the chain: with h = gcd(a, b), g = gcd(α, β), a = ha', b = hb',
+    α = gα', β = gβ' and t' = a'β' + 2b'α', the edge sum is aβ + 2bα = hgt',
+    and with k = gcd(h, t') the legs are a'b'(h/k) / (g·t'/k) and
+    (h/k)b'²α' / (β'g·t'/k).  Only a factor of 2 and what is left of h can
+    remain for the constructor's gcd to find.  Rational-function labels,
+    whose numerators are polynomials, take the unsplit form.
     """
     a, al = L.numerator, L.denominator
     b, be = R.numerator, R.denominator
     c, ga = B.numerator, B.denominator
     make = _label_type(L, R, B)
-    abe, bal = a * be, b * al
     if b == c and be == ga:
-        t = abe + 2 * bal
+        if make is Fraction:
+            h, g = gcd(a, b), gcd(al, be)
+            if not h:
+                raise ZeroDivisionError("triangle legs with zero edge sum")
+            a, b, al, be = a // h, b // h, al // g, be // g
+            t = a * be + 2 * b * al
+            k = gcd(h, t)
+            h, t = h // k, g * (t // k)
+            apex = make(a * b * h, t)
+            return apex, apex, make(h * b * b * al, be * t)
+        bal = b * al
+        t = a * be + 2 * bal
         apex = make(a * b, t)
         return apex, apex, make(b * bal, be * t)
+    abe, bal = a * be, b * al
     s = (abe + bal) * ga + c * al * be
     return make(a * b * ga, s), make(c * abe, s), make(c * bal, s)
 

@@ -86,6 +86,66 @@ ARRAY_2_TABLES = {
     "markdown": "| row | 1 | 2 |\n|---|---|---|\n| 0 | 2/3 | 26/27 |\n"
                 "| 1 |  | 13/12 |\n| 2 |  | 1/2 |\n",
     "csv": "row,1,2\n0,2/3,26/27\n1,,13/12\n2,,1/2\n",
+    # json.dump(..., indent=1) of the whole document, plus a newline
+    "json": """{
+ "columns": [
+  {
+   "column": 1,
+   "entries": [
+    {
+     "row": 0,
+     "value": "2/3",
+     "edge": {
+      "r": 1,
+      "d": 1,
+      "side": "L"
+     },
+     "reductions": 1,
+     "n": 4
+    }
+   ]
+  },
+  {
+   "column": 2,
+   "entries": [
+    {
+     "row": 0,
+     "value": "26/27",
+     "edge": {
+      "r": 3,
+      "d": 2,
+      "side": "L"
+     },
+     "reductions": 2,
+     "n": 8
+    },
+    {
+     "row": 1,
+     "value": "13/12",
+     "edge": {
+      "r": 3,
+      "d": 1,
+      "side": "R"
+     },
+     "reductions": 2,
+     "n": 8
+    },
+    {
+     "row": 2,
+     "value": "1/2",
+     "edge": {
+      "r": 3,
+      "d": 1,
+      "side": "L"
+     },
+     "reductions": 2,
+     "n": 8
+    }
+   ]
+  }
+ ]
+}
+""",
 }
 
 
@@ -97,10 +157,15 @@ def test_array_build_writes_the_same_bytes_to_stdout_and_out(fmt, capsys,
     _, out = run(capsys, *argv)
     assert run(capsys, *argv, "--out", str(path)) == (0, "")
     assert path.read_text() == out
-    if fmt == "json":
-        assert out == json.dumps(json.loads(out), indent=1) + "\n"
-    else:
-        assert out == ARRAY_2_TABLES[fmt]
+    assert out == ARRAY_2_TABLES[fmt]
+
+
+def test_array_build_json_is_the_indent_1_layout(capsys):
+    # written one column at a time, byte for byte what one json.dump of the
+    # whole document writes
+    _, out = run(capsys, "array", "build", "--cols", "5", "--format", "json")
+    assert out == json.dumps(json.loads(out), indent=1) + "\n"
+    assert len(json.loads(out)["columns"]) == 5
 
 
 def test_array_verify_all(capsys):

@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -52,6 +53,17 @@ def test_degenerate_sites_raise():
     for L, R in ((F(-2, 3), F(1, 3)), (-2 * x, x)):
         with pytest.raises(ZeroDivisionError):
             triangle_legs(L, R, R)
+    # the rational split forms test for zero before they divide by a gcd:
+    # a zero leg x with y = z, and R = B with a = b = 0
+    for y, match in ((F(3, 2), "wye with a zero leg"),
+                     (x, "zero denominator")):
+        with pytest.raises(ZeroDivisionError, match=match):
+            wye(0 * y, y, _copy(y))
+    for zero, match in ((F(0), "triangle legs with zero edge sum"),
+                        (0, "triangle legs with zero edge sum"),
+                        (0 * x, "zero denominator")):
+        with pytest.raises(ZeroDivisionError, match=match):
+            triangle_legs(zero, zero, _copy(zero))
 
 
 def test_triangle_legs_align_with_delta():
@@ -88,21 +100,59 @@ def _check_kernel(L, R, B):
     assert wye(L, R, B) == _operator_wye(Lf, Rf, Bf)
 
 
+def _three(draw):
+    return lambda rng: (draw(rng), draw(rng), draw(rng))
+
+
+def _shared_factors(ints):
+    """Labels L = a/α and R = b/β with a shared 200-500-bit numerator
+    factor h and a shared denominator factor g (no denominators for int
+    labels), and an unrelated B.  The rational R = B legs and y = z wye
+    take out h and g; a 64-bit factor of h is planted in t' = a'β' + 2b'α',
+    the R = B edge sum over hg, so that k = gcd(h, t') is not 1 either."""
+    def draw(rng):
+        k = rng.getrandbits(64) | 1
+        h = k * (rng.getrandbits(rng.randint(136, 436)) | 1)
+        g = 1 if ints else rng.getrandbits(rng.randint(100, 300)) | 1
+        # α' = 1 (mod k), so b' = -a'β'/2 (mod k) makes k divide t'
+        al = 1 if ints else 1 + k * rng.getrandbits(200)
+        be = 1 if ints else rng.getrandbits(300) + 1
+        a = rng.getrandbits(300) + 1
+        b = -a * be * (k + 1) // 2 % k + k * rng.getrandbits(200)
+        if ints:
+            L, R, B = h * a, h * b, rng.randint(1, 9)
+        else:
+            L, R, B = F(h * a, g * al), F(h * b, g * be), \
+                _random_fraction(rng, 300)
+        # the labels' own normalisation keeps the planted factors
+        a, al, b, be = L.numerator, L.denominator, R.numerator, R.denominator
+        h, g = gcd(a, b), gcd(al, be)
+        t = a // h * (be // g) + 2 * (b // h) * (al // g)
+        assert h.bit_length() >= 150 and gcd(h, t) > 1
+        assert g == 1 if ints else g.bit_length() >= 50
+        return L, R, B
+    return draw
+
+
 @pytest.mark.parametrize("draw", [
-    lambda rng: _random_fraction(rng, 8),
-    lambda rng: _random_fraction(rng, 2000),
-    _random_ratfunc,
-    lambda rng: rng.randint(1, 9),
-], ids=["small-fractions", "2000-bit-fractions", "ratfuncs", "int-labels"])
+    _three(lambda rng: _random_fraction(rng, 8)),
+    _three(lambda rng: _random_fraction(rng, 2000)),
+    _three(_random_ratfunc),
+    _three(lambda rng: rng.randint(1, 9)),
+    _shared_factors(ints=False),
+    _shared_factors(ints=True),
+], ids=["small-fractions", "2000-bit-fractions", "ratfuncs", "int-labels",
+        "shared-factor-fractions", "shared-factor-ints"])
 def test_fused_kernel_matches_operator_forms(draw):
     # triangle_legs and wye build each result over one denominator; delta
     # and the operator wye normalise after every field operation
     rng = random.Random(12)
     for _ in range(40):
-        L, R, B = draw(rng), draw(rng), draw(rng)
+        L, R, B = draw(rng)
         _check_kernel(L, R, B)
         # planted equal labels, each a separate object: R = B takes
-        # triangle_legs' R = B form, and (L, R, L) the wye's x = z form
+        # triangle_legs' R = B form and the wye's y = z form, and (L, R, L)
+        # the wye's x = z form
         _check_kernel(L, R, _copy(R))
         _check_kernel(L, R, _copy(L))
 
