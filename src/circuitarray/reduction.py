@@ -39,9 +39,10 @@ legs y = z.  These forms cancel the equal factor by algebra; unequal
 inputs take the general formulas.  Over the rationals the equal-label
 forms also take out, before any product is formed, the factors that the
 two labels' numerators and their denominators share (about half of each
-label's bits deep in the chain), so the constructor's gcd finds at most a
-few bits.  That split needs integer gcds, so rational-function labels
-take the R = B and x = z forms unsplit and the general wye for y = z.
+label's bits deep in the chain), which leaves little for the
+constructor's gcd to find.  That split needs integer gcds, so
+rational-function labels take the R = B and x = z forms unsplit and the
+general wye for y = z.
 ``delta`` and the operator form ``y + z + y*z/x`` are the textbook
 references for those formulas.  ``child_edge`` places the legs edge by
 edge on its own and is the reference for the kernel's placement;
@@ -148,9 +149,9 @@ def triangle_legs(L, R, B):
     in the chain: with h = gcd(a, b), g = gcd(α, β), a = ha', b = hb',
     α = gα', β = gβ' and t' = a'β' + 2b'α', the edge sum is aβ + 2bα = hgt',
     and with k = gcd(h, t') the legs are a'b'(h/k) / (g·t'/k) and
-    (h/k)b'²α' / (β'g·t'/k).  Only a factor of 2 and what is left of h can
-    remain for the constructor's gcd to find.  Rational-function labels,
-    whose numerators are polynomials, take the unsplit form.
+    (h/k)b'²α' / (β'g·t'/k), which leaves little for the constructor's gcd
+    to find.  Rational-function labels, whose numerators are polynomials,
+    take the unsplit form.
     """
     a, al = L.numerator, L.denominator
     b, be = R.numerator, R.denominator
