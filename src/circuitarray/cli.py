@@ -159,7 +159,7 @@ _REDUCE_MAX_N = 400
 _REDUCE_MAX_STEPS = 32
 
 # Over rational functions the labels grow with every step: end to end,
-# n = 400 takes ~23, ~30 and ~39 s at 8, 9 and 10 steps, and 47-58 s at
+# n = 400 takes ~18, ~22 and ~27 s at 8, 9 and 10 steps, and ~41 s at
 # 11, all in ~110 MiB.
 _SYMBOLIC_REDUCE_MAX_STEPS = 10
 

@@ -170,6 +170,8 @@ class Polynomial:
         ca, cb = self.content(), other.content()
         c = int_gcd(ca, cb)
         if self.degree == 0 or other.degree == 0:
+            if c == 1:
+                return _ONE, self, other
             return (_from_ints([c]), _from_ints([x // c for x in self.coeffs]),
                     _from_ints([x // c for x in other.coeffs]))
         a = _from_ints([x // ca for x in self.coeffs]) if ca > 1 else self

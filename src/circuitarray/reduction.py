@@ -35,14 +35,11 @@ denominator as the memos compare them.  Inside the uniform center the
 right label equals the base label, so most triangles of the chain have
 R = B: their apex and bottom-left legs are then one value, built once, and
 the wye of legs x = z is the sum 2y + z; the other wyes of the chain have
-legs y = z.  These forms cancel the equal factor by algebra; unequal
-inputs take the general formulas.  Over the rationals the equal-label
-forms also take out, before any product is formed, the factors that the
-two labels' numerators and their denominators share (about half of each
-label's bits deep in the chain), which leaves little for the
-constructor's gcd to find.  That split needs integer gcds, so
-rational-function labels take the R = B and x = z forms unsplit and the
-general wye for y = z.
+legs y = z; unequal inputs take the general formulas.  The equal-label
+forms cancel the equal factor by algebra, and ``_split`` takes out the
+factors the two labels' numerators and their denominators share (about
+half of each deep label's bits) before any product is formed: by
+``math.gcd`` for integers, by ``Polynomial.cofactors`` for polynomials.
 ``delta`` and the operator form ``y + z + y*z/x`` are the textbook
 references for those formulas.  ``child_edge`` places the legs edge by
 edge on its own and is the reference for the kernel's placement;
@@ -96,18 +93,14 @@ def wye(x, y, z):
     numerator and denominator) take shorter forms; a zero x still raises.
 
     - x = z: y*z/x cancels to y and the edge is 2y + z, a two-label-wide
-      sum.  Over the rationals it is (2qR' + rQ') / (gQ'R') with
-      g = gcd(Q, R), Q = gQ' and R = gR'.
-    - y = z, over the rationals only: the edge is y(2x + y)/x.  With
-      h = gcd(p, q), g = gcd(P, Q), p = hp', q = hq', P = gP', Q = gQ' and
-      M = 2p'Q' + q'P' it is hq'M / (p'gQ'^2), and u = gcd(h, p') and
-      v = gcd(M, g) are the only factors the two sides can still share.
+      sum.  With (g, Q', R') = _split(Q, R) it is (2qR' + rQ') / (gQ'R').
+    - y = z: the edge is y(2x + y)/x.  With (h, p', q') = _split(p, q),
+      (g, P', Q') = _split(P, Q) and M = 2p'Q' + q'P' it is
+      hq'M / (p'gQ'^2), and _split(h, p') and _split(M, g) take out the
+      only factors the two sides can still share.
 
     Every wye of the rational chain takes one of these two forms, fed by
-    the legs of the uniform center's equal right and base labels.  The
-    splits need integer gcds, so rational-function legs, whose numerators
-    are polynomials, take the x = z sum unsplit and the general formula
-    otherwise.
+    the legs of the uniform center's equal right and base labels.
     """
     p, P = x.numerator, x.denominator
     q, Q = y.numerator, y.denominator
@@ -116,19 +109,17 @@ def wye(x, y, z):
     if p == r and P == R:
         if x == 0:
             raise ZeroDivisionError("wye with a zero leg")
-        if make is Fraction:
-            g = gcd(Q, R)
-            Q, R = Q // g, R // g
-            return make(2 * q * R + r * Q, g * Q * R)
-        return make(2 * q * R + r * Q, Q * R)
-    if make is Fraction and q == r and Q == R:
-        if not p:
+        g, Q, R = _split(Q, R)
+        return make(2 * q * R + r * Q, g * Q * R)
+    if q == r and Q == R:
+        if x == 0:
             raise ZeroDivisionError("wye with a zero leg")
-        h, g = gcd(p, q), gcd(P, Q)
-        p, q, P, Q = p // h, q // h, P // g, Q // g
+        h, p, q = _split(p, q)
+        g, P, Q = _split(P, Q)
         M = 2 * p * Q + q * P
-        u, v = gcd(h, p), gcd(M, g)
-        return make(h // u * q * (M // v), p // u * (g // v) * Q * Q)
+        _, h, p = _split(h, p)
+        _, M, g = _split(M, g)
+        return make(h * q * M, p * g * Q * Q)
     return make(p * (q * R + r * Q) + q * r * P, p * Q * R)
 
 
@@ -144,37 +135,42 @@ def triangle_legs(L, R, B):
     and bottom-left legs are both ab/(aβ + 2bα), built once, and the
     bottom-right leg is b²α/(β(aβ + 2bα)).
 
-    Over the rationals the R = B form first takes out the factors that a
-    and b, and α and β, share, which hold about half the bits of each deep
-    in the chain: with h = gcd(a, b), g = gcd(α, β), a = ha', b = hb',
-    α = gα', β = gβ' and t' = a'β' + 2b'α', the edge sum is aβ + 2bα = hgt',
-    and with k = gcd(h, t') the legs are a'b'(h/k) / (g·t'/k) and
-    (h/k)b'²α' / (β'g·t'/k), which leaves little for the constructor's gcd
-    to find.  Rational-function labels, whose numerators are polynomials,
-    take the unsplit form.
+    The R = B form first splits off the factors that a and b, and α and
+    β, share: with (h, a', b') = _split(a, b), (g, α', β') = _split(α, β)
+    and t' = a'β' + 2b'α', the edge sum is aβ + 2bα = hgt', and with
+    (k, h', t'') = _split(h, t') the legs are a'b'h' / (g·t'') and
+    h'b'²α' / (β'g·t'').
     """
     a, al = L.numerator, L.denominator
     b, be = R.numerator, R.denominator
     c, ga = B.numerator, B.denominator
     make = _label_type(L, R, B)
     if b == c and be == ga:
-        if make is Fraction:
-            h, g = gcd(a, b), gcd(al, be)
-            if not h:
-                raise ZeroDivisionError("triangle legs with zero edge sum")
-            a, b, al, be = a // h, b // h, al // g, be // g
-            t = a * be + 2 * b * al
-            k = gcd(h, t)
-            h, t = h // k, g * (t // k)
-            apex = make(a * b * h, t)
-            return apex, apex, make(h * b * b * al, be * t)
-        bal = b * al
-        t = a * be + 2 * bal
-        apex = make(a * b, t)
-        return apex, apex, make(b * bal, be * t)
+        if L == 0 and R == 0:
+            raise ZeroDivisionError("triangle legs with zero edge sum")
+        h, a, b = _split(a, b)
+        g, al, be = _split(al, be)
+        _, h, t = _split(h, a * be + 2 * b * al)
+        t = g * t
+        apex = make(a * b * h, t)
+        return apex, apex, make(h * b * b * al, be * t)
     abe, bal = a * be, b * al
     s = (abe + bal) * ga + c * al * be
     return make(a * b * ga, s), make(c * abe, s), make(c * bal, s)
+
+
+def _split(u, v):
+    """(g, u/g, v/g) for g the gcd of u and v, which are not both zero:
+    by math.gcd for integers, by Polynomial.cofactors for polynomials,
+    which takes no zero polynomial, so a zero operand there splits off
+    the other one whole."""
+    if type(u) is int:
+        g = gcd(u, v)
+        return g, u // g, v // g
+    if u.is_zero or v.is_zero:
+        g = u + v
+        return g, u.divide_exact(g), v.divide_exact(g)
+    return u.cofactors(v)
 
 
 def _label_type(*labels):

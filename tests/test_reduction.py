@@ -53,16 +53,14 @@ def test_degenerate_sites_raise():
     for L, R in ((F(-2, 3), F(1, 3)), (-2 * x, x)):
         with pytest.raises(ZeroDivisionError):
             triangle_legs(L, R, R)
-    # the rational split forms test for zero before they divide by a gcd:
+    # the split forms test for zero before they split, in every field:
     # a zero leg x with y = z, and R = B with a = b = 0
-    for y, match in ((F(3, 2), "wye with a zero leg"),
-                     (x, "zero denominator")):
-        with pytest.raises(ZeroDivisionError, match=match):
+    for y in (F(3, 2), x):
+        with pytest.raises(ZeroDivisionError, match="wye with a zero leg"):
             wye(0 * y, y, _copy(y))
-    for zero, match in ((F(0), "triangle legs with zero edge sum"),
-                        (0, "triangle legs with zero edge sum"),
-                        (0 * x, "zero denominator")):
-        with pytest.raises(ZeroDivisionError, match=match):
+    for zero in (F(0), 0, 0 * x):
+        with pytest.raises(ZeroDivisionError,
+                           match="triangle legs with zero edge sum"):
             triangle_legs(zero, zero, _copy(zero))
 
 
@@ -134,6 +132,27 @@ def _shared_factors(ints):
     return draw
 
 
+def _shared_factor_ratfuncs(rng):
+    """The polynomial counterpart of ``_shared_factors``: L = ha/(gα) and
+    R = hb/(gβ) with a shared numerator factor h and denominator factor g,
+    and a factor k of h planted in t' = a'β' + 2b'α' by taking
+    β = 2αe + kf and b = kw - ae, so that t' = k(af + 2αw)."""
+    def poly(degree):
+        return Polynomial([rng.randint(-2 ** 16, 2 ** 16)
+                           for _ in range(degree)] + [rng.randint(1, 2 ** 16)])
+    k, a, al, e, f, w = (poly(rng.randint(1, 2)) for _ in range(6))
+    h, g = k * poly(rng.randint(0, 2)), poly(rng.randint(1, 2))
+    be, b = 2 * al * e + k * f, k * w - a * e
+    L = RationalFunction(h * a, g * al)
+    R = RationalFunction(h * b, g * be)
+    # the labels' own normalisation keeps the planted factors
+    h, a, b = L.numerator.cofactors(R.numerator)
+    g, al, be = L.denominator.cofactors(R.denominator)
+    assert h.degree >= 1 and g.degree >= 1
+    assert h.cofactors(a * be + 2 * b * al)[0].degree >= 1
+    return L, R, _random_ratfunc(rng)
+
+
 @pytest.mark.parametrize("draw", [
     _three(lambda rng: _random_fraction(rng, 8)),
     _three(lambda rng: _random_fraction(rng, 2000)),
@@ -141,8 +160,10 @@ def _shared_factors(ints):
     _three(lambda rng: rng.randint(1, 9)),
     _shared_factors(ints=False),
     _shared_factors(ints=True),
+    _shared_factor_ratfuncs,
 ], ids=["small-fractions", "2000-bit-fractions", "ratfuncs", "int-labels",
-        "shared-factor-fractions", "shared-factor-ints"])
+        "shared-factor-fractions", "shared-factor-ints",
+        "shared-factor-ratfuncs"])
 def test_fused_kernel_matches_operator_forms(draw):
     # triangle_legs and wye build each result over one denominator; delta
     # and the operator wye normalise after every field operation
@@ -155,6 +176,11 @@ def test_fused_kernel_matches_operator_forms(draw):
         # the wye's x = z form
         _check_kernel(L, R, _copy(R))
         _check_kernel(L, R, _copy(L))
+        # zero operands of the split, where Polynomial.cofactors would
+        # raise ValueError: R = B = 0, and a y = z wye whose 2x + y is 0,
+        # the zero label
+        _check_kernel(L, 0 * R, 0 * R)
+        _check_kernel(L, -2 * L, -2 * L)
 
 
 def _copy(v):
