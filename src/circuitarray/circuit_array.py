@@ -123,26 +123,21 @@ def build_array(C: int) -> CircuitArray:
     return arr
 
 
-def reduce_window(j: int, n: int, read_dmax: int) -> dict:
-    """Row-(2j-1) label triples of the j-times-reduced all-one n-grid.
+def reduce_window(j: int) -> dict:
+    """Row-(2j-1) label triples of the j-times-reduced all-one 4j-grid.
 
     The slow reference read: a full ``reduce_k`` of the grid, no chain.
-    Returns {d: (L, R, B)} for d = 1..read_dmax.
+    Returns {d: (L, R, B)} for d = 1..j.
     """
     if j < 1:
         raise GridError(f"column index must be >= 1, got {j}")
-    if n < 3 * j - 1:
-        raise GridError(f"read row 2j-1={2*j-1} needs n-j >= 2j-1, "
-                        f"i.e. n >= {3*j-1}; got n={n}")
-    if not 1 <= read_dmax <= j:
-        raise GridError(f"read diagonals must lie in 1..j={j}, got {read_dmax}")
-    g = reduce_k(all_one_grid(n), j)
-    return {d: g.triangle(2 * j - 1, d) for d in range(1, read_dmax + 1)}
+    g = reduce_k(all_one_grid(4 * j), j)
+    return {d: g.triangle(2 * j - 1, d) for d in range(1, j + 1)}
 
 
 def build_array_direct(C: int) -> CircuitArray:
     """Like build_array but via full grid reductions (slow reference path)."""
-    arr = CircuitArray([_read_column(j, reduce_window(j, 4 * j, j))
+    arr = CircuitArray([_read_column(j, reduce_window(j))
                         for j in range(1, C + 1)])
     arr.validate()
     return arr
@@ -153,7 +148,7 @@ def diagonal_sequence(S: int) -> list[Fraction]:
 
     All S values come from one reduction chain on the all-one 4S-grid
     (see ``reduce_diagonal``); each equals the bottom entry of column s of
-    the s-times-reduced all-one 4s-grid, ``reduce_window(s, 4*s, 1)[1][0]``.
+    the s-times-reduced all-one 4s-grid, ``reduce_window(s)[1][0]``.
     """
     if S < 1:
         raise ArrayError(f"need S >= 1, got {S}")
@@ -253,20 +248,18 @@ def verify_row_recursions(arr: CircuitArray) -> Report:
         4: (4, lambda j: [arr.entry(0, j - 3), arr.entry(2, j - 2),
                           arr.entry(4, j - 1)]),
     }
-    for i, (jmin, args_of) in schedules.items():
-        bad = None
-        count = 0
+
+    def mismatches(i, jmin, args_of):
         for j in range(jmin, C + 1):
-            got = row_recursion(i, args_of(j))
-            want = arr.entry(i, j)
-            count += 1
+            got, want = row_recursion(i, args_of(j)), arr.entry(i, j)
             if got != want:
-                bad = (j, got, want)
-                break
-        report.add(f"row {i}, columns {jmin}..{C} ({count} identities)",
-                   bad is None,
-                   "" if bad is None else
-                   f"column {bad[0]}: recursion gives {bad[1]}, array holds {bad[2]}")
+                yield j, f"column {j}: recursion gives {got}, array holds {want}"
+
+    # the check's name counts the identities read, up to the first failure
+    for i, (jmin, args_of) in schedules.items():
+        j, detail = next(mismatches(i, jmin, args_of), (C, ""))
+        report.add(f"row {i}, columns {jmin}..{C} ({j - jmin + 1} identities)",
+                   not detail, detail)
     report.note(f"entry (3,4) computed as {format_rational(arr.entry(3, 4))}")
     return report
 
@@ -311,17 +304,15 @@ def verify_closed_forms(arr: CircuitArray) -> Report:
     """Rows 0..2 closed forms against array entries for all in-domain s."""
     report = Report("closed-forms")
     smax = arr.column_count
-    for i, smin in ((0, 1), (1, 2), (2, 2)):
-        bad = None
+
+    def mismatches(i, smin):
         for s in range(smin, smax + 1):
-            want = arr.entry(i, s)
-            got = closed_form_row(i, s)
+            got, want = closed_form_row(i, s), arr.entry(i, s)
             if got != want:
-                bad = (s, got, want)
-                break
-        report.add(f"row {i}, s = {smin}..{smax}", bad is None,
-                   "" if bad is None else
-                   f"s={bad[0]}: closed form {bad[1]} != entry {bad[2]}")
+                yield f"s={s}: closed form {got} != entry {want}"
+
+    for i, smin in ((0, 1), (1, 2), (2, 2)):
+        report.scan(f"row {i}, s = {smin}..{smax}", mismatches(i, smin))
     return report
 
 
@@ -380,11 +371,9 @@ def verify_uniform_center(n: int, s: int) -> Report:
         report.add(f"(a) diagonal {d}: rows {s + d}..{m - 2 * s} equal{suffix}",
                    ok, "" if ok else f"values {tris}")
         if tris:
-            bad = next((r for r in rows if g.label(r, d, "R") != g.label(r, d, "B")),
-                       None)
-            report.add(f"(c) diagonal {d}: right = base inside the band",
-                       bad is None,
-                       "" if bad is None else f"row {bad}")
+            report.scan(f"(c) diagonal {d}: right = base inside the band",
+                        (f"row {r}" for r in rows
+                         if g.label(r, d, "R") != g.label(r, d, "B")))
 
     rows_b = range(2 * s - 1, m - 2 * s + 1)
     lefts = [g.label(r, s, "L") for r in rows_b]

@@ -548,60 +548,47 @@ def verify_fib_identities() -> Report:
             = -F_{k-2} F_{k+1} F_{n-k-2} F_{n+1-k}.
     """
     report = Report("fibonacci-identities")
-    running = Fraction(0)
-    ok = True
-    first_bad = None
-    for m in range(1, 51):
-        running += Fraction(fibonacci(m) * fibonacci(m + 1),
-                            lucas(m) * lucas(m + 1))
-        rhs = Fraction((m + 1) * lucas(m + 1) - fibonacci(m + 1),
-                       5 * lucas(m + 1))
-        if running != rhs:
-            ok = False
-            first_bad = (m, running, rhs)
-            break
-    report.add("product-ratio sum identity, m <= 50", ok,
-               "" if ok else f"fails at m={first_bad[0]}: "
-               f"{first_bad[1]} != {first_bad[2]}")
 
-    ok = True
-    first_bad = None
-    for n in range(5, 31):
-        acc = 0
-        for k in range(3, n - 1):
-            j = k
-            acc += (-1) ** j * fibonacci(n - 2 * j + 1) * (
-                fibonacci(n) + fibonacci(j - 2) * fibonacci(n - j - 1))
-            rhs = -(fibonacci(k - 2) * fibonacci(k + 1)
-                    * fibonacci(n - k - 2) * fibonacci(n + 1 - k))
-            if acc != rhs:
-                ok = False
-                first_bad = (n, k, acc, rhs)
-                break
-        if not ok:
-            break
-    report.add("alternating telescoping identity, n <= 30", ok,
-               "" if ok else f"fails at n={first_bad[0]}, k={first_bad[1]}: "
-               f"{first_bad[2]} != {first_bad[3]}")
+    def product_ratio_failures():
+        running = Fraction(0)
+        for m in range(1, 51):
+            running += Fraction(fibonacci(m) * fibonacci(m + 1),
+                                lucas(m) * lucas(m + 1))
+            rhs = Fraction((m + 1) * lucas(m + 1) - fibonacci(m + 1),
+                           5 * lucas(m + 1))
+            if running != rhs:
+                yield f"fails at m={m}: {running} != {rhs}"
+
+    def telescoping_failures():
+        for n in range(5, 31):
+            acc = 0  # the sum over j = 3..k, one term added per k
+            for k in range(3, n - 1):
+                acc += (-1) ** k * fibonacci(n - 2 * k + 1) * (
+                    fibonacci(n) + fibonacci(k - 2) * fibonacci(n - k - 1))
+                rhs = -(fibonacci(k - 2) * fibonacci(k + 1)
+                        * fibonacci(n - k - 2) * fibonacci(n + 1 - k))
+                if acc != rhs:
+                    yield f"fails at n={n}, k={k}: {acc} != {rhs}"
+
+    report.scan("product-ratio sum identity, m <= 50", product_ratio_failures())
+    report.scan("alternating telescoping identity, n <= 30",
+                telescoping_failures())
     return report
 
 
 def verify_2tree_formula() -> Report:
     """Closed 2-tree formula vs the Laplacian oracle, all pairs, n <= 12."""
     report = Report("straight-2tree-formula")
-    for n in range(3, 13):
+
+    def mismatches(n):
         g = straight_2tree(n)
-        bad = None
         for u in range(1, n + 1):
             for v in range(u + 1, n + 1):
-                expect = effective_resistance(g, u, v)
+                want = effective_resistance(g, u, v)
                 got = r_formula_straight(n, u, v)
-                if got != expect:
-                    bad = (u, v, got, expect)
-                    break
-            if bad:
-                break
-        report.add(f"n={n}, all {n*(n-1)//2} pairs", bad is None,
-                   "" if bad is None else
-                   f"pair {bad[0]},{bad[1]}: formula {bad[2]} != oracle {bad[3]}")
+                if got != want:
+                    yield f"pair {u},{v}: formula {got} != oracle {want}"
+
+    for n in range(3, 13):
+        report.scan(f"n={n}, all {n*(n-1)//2} pairs", mismatches(n))
     return report

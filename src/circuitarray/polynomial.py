@@ -52,6 +52,10 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        """Nonzero exactly when it has coefficients, as an int is."""
+        return bool(self.coeffs)
+
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""

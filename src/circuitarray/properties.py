@@ -247,20 +247,19 @@ def dual_pipeline_suite(seed: int = 0) -> Report:
     grids."""
     rng = random.Random(seed)
     report = Report(f"dual-pipeline seed={seed}")
-    bad = None
-    for n in range(3, 9):
-        g = all_one_grid(n)
-        if reduce_once(g) != graph_level_reduce(g):
-            bad = f"all-one {n}-grid"
-            break
-    report.add("all-one grids n = 3..8", bad is None, bad or "")
-    bad = None
-    for idx in range(25):
-        n = rng.choice([3, 4, 5])
-        g = random_grid(rng, n)
-        if reduce_once(g) != graph_level_reduce(g):
-            bad = f"random grid #{idx} (n={n})"
-            break
-    report.add("25 random positive-rational grids (n = 3..5)",
-               bad is None, bad or "")
+
+    def disagree(g):
+        return reduce_once(g) != graph_level_reduce(g)
+
+    def random_failures():
+        for idx in range(25):
+            n = rng.choice([3, 4, 5])
+            if disagree(random_grid(rng, n)):
+                yield f"random grid #{idx} (n={n})"
+
+    report.scan("all-one grids n = 3..8",
+                (f"all-one {n}-grid" for n in range(3, 9)
+                 if disagree(all_one_grid(n))))
+    report.scan("25 random positive-rational grids (n = 3..5)",
+                random_failures())
     return report

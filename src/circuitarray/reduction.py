@@ -107,12 +107,12 @@ def wye(x, y, z):
     r, R = z.numerator, z.denominator
     make = _label_type(x, y, z)
     if p == r and P == R:
-        if x == 0:
+        if not p:
             raise ZeroDivisionError("wye with a zero leg")
         g, Q, R = _split(Q, R)
         return make(2 * q * R + r * Q, g * Q * R)
     if q == r and Q == R:
-        if x == 0:
+        if not p:
             raise ZeroDivisionError("wye with a zero leg")
         h, p, q = _split(p, q)
         g, P, Q = _split(P, Q)
@@ -146,7 +146,7 @@ def triangle_legs(L, R, B):
     c, ga = B.numerator, B.denominator
     make = _label_type(L, R, B)
     if b == c and be == ga:
-        if L == 0 and R == 0:
+        if not a and not b:
             raise ZeroDivisionError("triangle legs with zero edge sum")
         h, a, b = _split(a, b)
         g, al, be = _split(al, be)

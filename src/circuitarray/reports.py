@@ -3,10 +3,16 @@
 Every ``verify_*`` function returns a Report: a titled list of named checks,
 each check either passed or failed with a human-readable detail string.
 Failures never raise; callers decide whether a failed finding is fatal.
+
+A check that scans a range and stops at the first case that breaks is one
+``Report.scan``: the suite hands it a lazy scan that yields the detail of
+each failing case, and the check keeps the first detail and reads no
+further case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 
@@ -25,6 +31,13 @@ class Report:
 
     def add(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append(Check(name, passed, detail))
+
+    def scan(self, name: str, failures: Iterable[str]) -> None:
+        """Add check ``name`` from a lazy scan yielding one detail per failing
+        case: it passes if the scan yields nothing, otherwise it fails with
+        the first detail, and the scan is read no further."""
+        detail = next(iter(failures), None)
+        self.add(name, detail is None, detail or "")
 
     def note(self, text: str) -> None:
         """Record an informational finding that does not affect pass/fail."""

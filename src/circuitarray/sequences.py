@@ -122,14 +122,10 @@ def verify_denominator_divisibility(S: int, diagonal: list[Fraction]) -> Report:
     """d_s | 2^(4s-7) for 2 <= s <= S."""
     _check_diagonal(diagonal, S)
     report = Report("denominator-divisibility")
-    bad = None
-    for s in range(2, S + 1):
-        L = diagonal[s - 1]
-        if (2 ** (4 * s - 7)) % L.denominator != 0:
-            bad = (s, L)
-            break
-    report.add(f"d_s divides 2^(4s-7) for s = 2..{S}", bad is None,
-               "" if bad is None else f"fails at s={bad[0]}: L={bad[1]}")
+    report.scan(f"d_s divides 2^(4s-7) for s = 2..{S}",
+                (f"fails at s={s}: L={L}"
+                 for s, L in enumerate(diagonal[1:S], start=2)
+                 if 2 ** (4 * s - 7) % L.denominator))
     return report
 
 
@@ -474,31 +470,22 @@ def verify_monotonicity(smax: int, diagonal: list[Fraction]) -> Report:
     rows = asymptotics_table(list(range(1, smax + 1)), diagonal)
     report = Report(f"asymptotic-monotonicity s <= {smax}")
 
-    def first_violation(values, tol=None):
-        for i in range(len(values) - 1):
-            if tol is None:
-                if not values[i + 1] < values[i]:
-                    return i + 3
-            elif not values[i + 1] < values[i] + tol:
-                return i + 3
-        return None
+    def violations(values, tol=0):
+        # values[0] is at s = 3; s fails when the value at s + 1 is not
+        # below the value at s plus tol
+        return (f"first violation at s={s}"
+                for s, (a, b) in enumerate(zip(values, values[1:]), start=3)
+                if not b < a + tol)
 
-    diffs = [r.L_minus_A for r in rows[2:]]
-    ratios = [r.L_over_A for r in rows[2:]]
-    bad = first_violation(diffs)
-    report.add("L-A strictly decreasing for s >= 3 (exact)", bad is None,
-               "" if bad is None else f"first violation at s={bad}")
-    bad = first_violation(ratios)
-    report.add("L/A strictly decreasing for s >= 3 (exact)", bad is None,
-               "" if bad is None else f"first violation at s={bad}")
-    ap_diff = [float(r.A) - r.P for r in rows[2:]]
-    ap_ratio = [float(r.A) / r.P for r in rows[2:]]
-    bad = first_violation(ap_diff, tol=1e-12)
-    report.add("A-P decreasing for s >= 3 (float, 1e-12)", bad is None,
-               "" if bad is None else f"first violation at s={bad}")
-    bad = first_violation(ap_ratio, tol=1e-12)
-    report.add("A/P decreasing for s >= 3 (float, 1e-12)", bad is None,
-               "" if bad is None else f"first violation at s={bad}")
+    tail = rows[2:]
+    report.scan("L-A strictly decreasing for s >= 3 (exact)",
+                violations([r.L_minus_A for r in tail]))
+    report.scan("L/A strictly decreasing for s >= 3 (exact)",
+                violations([r.L_over_A for r in tail]))
+    report.scan("A-P decreasing for s >= 3 (float, 1e-12)",
+                violations([float(r.A) - r.P for r in tail], tol=1e-12))
+    report.scan("A/P decreasing for s >= 3 (float, 1e-12)",
+                violations([float(r.A) / r.P for r in tail], tol=1e-12))
     report.add("L/A increases from s=2 to s=3 (why the claim starts at 3)",
                rows[1].L_over_A < rows[2].L_over_A)
     return report

@@ -1,10 +1,12 @@
-"""Fixtures shared across test modules, and a bound on every test."""
+"""Fixtures shared across test modules, a bound on every test, and a bound
+on the label growth of every reduction chain."""
 
 import signal
 import time
 
 import pytest
 
+from circuitarray import reduction
 from circuitarray.circuit_array import diagonal_sequence
 
 # A kernel that loses a cancellation makes its labels grow without bound,
@@ -30,6 +32,44 @@ def pytest_runtest_protocol(item, nextitem):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _bits(part):
+    """An int's bits; a polynomial's degree plus its largest coefficient's."""
+    if type(part) is int:
+        return part.bit_length()
+    return part.degree + max(map(abs, part.coeffs), default=0).bit_length()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def label_growth_envelope():
+    """Fail every reduction chain step c after which a label's numerator or
+    denominator has more than 2c² + 16 bits.
+
+    The exact chain's labels peak at about 1.6 c² bits (at most 2 c², at
+    c = 1), the symbolic chain's likewise; a kernel that loses a
+    cancellation passes the bound within a few steps, long before its
+    chain would reach the per-test time bound.  Step c of a chain on the
+    all-one 4C-grid reduces the (4C - c + 1)-grid, whose cone ends at row
+    4C - 2c - 1, so c = m - last - 2 in ``_band_step``'s arguments.
+    """
+    step = reduction._band_step
+
+    def watched(band, m, starts, last):
+        child = step(band, m, starts, last)
+        c = m - last - 2
+        bound = 2 * c * c + 16
+        peak = max((_bits(part) for _, triples in child for t in triples
+                    for v in t for part in (v.numerator, v.denominator)),
+                   default=0)
+        if peak > bound:
+            pytest.fail(f"label-growth envelope: step {c} of a reduction "
+                        f"chain peaks at {peak} bits, over 2c² + 16 = {bound}")
+        return child
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reduction, "_band_step", watched)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from circuitarray import reduction
+from circuitarray import circuit_array, reduction
 from circuitarray.circuit_array import (ArrayError, Provenance, _g0, _g1, _g2,
                                         _g3, _g4, build_array,
                                         build_array_direct, closed_form_row,
@@ -16,9 +16,9 @@ from circuitarray.circuit_array import (ArrayError, Provenance, _g0, _g1, _g2,
                                         verify_row01_recurrences,
                                         verify_row_recursions,
                                         verify_uniform_center)
-from circuitarray.grid import GridError, all_one_grid
+from circuitarray.grid import Grid, GridError, all_one_grid
 from circuitarray.reduction import (delta, reduce_array, reduce_diagonal,
-                                    reduce_once, wye)
+                                    reduce_k, reduce_once, wye)
 
 # frozen expected values: columns 1..6, rows 0..2(j-1)
 EXPECTED_COLUMNS = {
@@ -82,15 +82,16 @@ def test_reference_read_runs_no_chain(monkeypatch):
         raise AssertionError("the reference read ran the reduction chain")
 
     monkeypatch.setattr(reduction, "_reduce_chain", no_chain)
-    assert reduce_window(3, 12, 3) == chain_reads[-1]
+    assert reduce_window(3) == chain_reads[-1]
     assert build_array_direct(3).columns == chain_array.columns
 
 
 def test_columns_independent_of_start_size():
     for j in range(1, 6):
-        base = reduce_window(j, 4 * j, j)
-        bigger = reduce_window(j, 4 * j + 2, j)
-        assert base == bigger, f"column {j} changed with start size"
+        bigger = reduce_k(all_one_grid(4 * j + 2), j)
+        assert reduce_window(j) == {d: bigger.triangle(2 * j - 1, d)
+                                    for d in range(1, j + 1)}, \
+            f"column {j} changed with start size"
 
 
 def test_provenance_records_reads(arr6):
@@ -235,6 +236,26 @@ def test_verify_row_recursions_through_column_8():
     assert any("1965403/1904448" in n for n in rep.notes)
 
 
+def test_verify_row_recursions_names_the_first_failure(arr6, monkeypatch):
+    # row 2 is wrong from column 4 on; the count stops at the failure
+    recursion = circuit_array.row_recursion
+
+    def wrong_from_column_4(i, args):
+        value = recursion(i, args)
+        return 2 * value if i == 2 and args[0] != F(2, 3) else value
+
+    monkeypatch.setattr(circuit_array, "row_recursion", wrong_from_column_4)
+    rep = verify_row_recursions(arr6)
+    assert [(c.name, c.passed, c.detail) for c in rep.checks] == [
+        ("row 0, columns 2..6 (5 identities)", True, ""),
+        ("row 1, columns 2..6 (5 identities)", True, ""),
+        ("row 2, columns 3..6 (2 identities)", False,
+         "column 4: recursion gives 16243/8281, array holds 16243/16562"),
+        ("row 3, columns 3..6 (4 identities)", True, ""),
+        ("row 4, columns 4..6 (3 identities)", True, ""),
+    ]
+
+
 def test_closed_forms():
     assert closed_form_row(0, 4) == F(2186, 2187)
     assert closed_form_row(1, 2) == F(13, 12)
@@ -251,6 +272,16 @@ def test_verify_closed_forms(arr6):
     assert rep.passed, rep.render(True)
 
 
+def test_verify_closed_forms_names_the_first_failure(arr6, monkeypatch):
+    closed_form = circuit_array.closed_form_row
+    monkeypatch.setattr(circuit_array, "closed_form_row",
+                        lambda i, s: closed_form(i, s) + (i == 1 and s >= 4))
+    rep = verify_closed_forms(arr6)
+    assert [(c.name, c.detail) for c in rep.failures()] == [
+        ("row 1, s = 2..6", "s=4: closed form 2185/1092 != entry 1093/1092")]
+    assert len(rep.checks) == 3
+
+
 def test_row01_recurrences(arr6):
     rep = verify_row01_recurrences(arr6)
     assert rep.passed, rep.render(True)
@@ -262,6 +293,27 @@ def test_uniform_center_reports():
         assert rep.passed, (n, s, rep.render(True))
     with pytest.raises(ArrayError):
         verify_uniform_center(7, 2)
+
+
+def test_uniform_center_names_the_first_row_where_right_leaves_base(
+        monkeypatch):
+    # rows 5..7 of diagonal 2 form the band; right labels raised on 6 and 7
+    reduce = circuit_array.reduce_k
+
+    def raised(grid, k):
+        g = reduce(grid, k)
+        tri = dict(g._tri)
+        for r in (6, 7):
+            L, R, B = tri[(r, 2)]
+            tri[(r, 2)] = (L, R + 1, B)
+        return Grid(g.m, tri, field=g.field, reductions=g.reductions)
+
+    monkeypatch.setattr(circuit_array, "reduce_k", raised)
+    rep = verify_uniform_center(16, 3)
+    failed = {c.name: c.detail for c in rep.failures()}
+    assert list(failed) == ["(a) diagonal 2: rows 5..7 equal",
+                            "(c) diagonal 2: right = base inside the band"]
+    assert failed["(c) diagonal 2: right = base inside the band"] == "row 6"
 
 
 def test_uniform_center_nonvacuous_band():
@@ -295,7 +347,7 @@ def test_installed_gmpy2_does_not_change_the_rational_type(monkeypatch):
     monkeypatch.setitem(sys.modules, "gmpy2", fake)
     values = list(diagonal_sequence(6))
     values += [v for col in build_array(4).columns for v in col]
-    values += [v for t in reduce_window(3, 12, 3).values() for v in t]
+    values += [v for t in reduce_window(3).values() for v in t]
     assert len(values) == 6 + 16 + 9
     assert all(type(v) is F for v in values)
 

@@ -487,6 +487,29 @@ def test_identity_and_formula_reports():
     assert verify_2tree_formula().passed
 
 
+def test_fib_identities_name_the_first_failure(monkeypatch):
+    fib = graphs.fibonacci
+    monkeypatch.setattr(graphs, "fibonacci", lambda n: fib(n) + (n == 9))
+    rep = verify_fib_identities()
+    assert [(c.name, c.passed, c.detail) for c in rep.checks] == [
+        ("product-ratio sum identity, m <= 50", False,
+         "fails at m=7: 699/464 != 121/80"),
+        ("alternating telescoping identity, n <= 30", False,
+         "fails at n=9, k=3: -120 != -117"),
+    ]
+
+
+def test_2tree_formula_names_the_first_failing_pair(monkeypatch):
+    formula = graphs.r_formula_straight
+    monkeypatch.setattr(
+        graphs, "r_formula_straight",
+        lambda n, u, v: formula(n, u, v) + (n == 5 and v - u == 2 and u > 1))
+    rep = verify_2tree_formula()
+    assert [(c.name, c.detail) for c in rep.failures()] == [
+        ("n=5, all 10 pairs", "pair 2,4: formula 11/7 != oracle 4/7")]
+    assert len(rep.checks) == 10
+
+
 def test_symmetric_grid_graph_invariant_under_reflection():
     g = reduce_once(all_one_grid(6))
     graph = grid_to_graph(g)

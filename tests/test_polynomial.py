@@ -22,6 +22,10 @@ class TestPolynomial:
         assert poly(1, 2, 0, 0).coeffs == (1, 2)
         assert poly(0, 0).is_zero and poly().degree == -1
 
+    def test_truth_is_nonzero(self):
+        assert not poly() and not poly(0, 0) and not (poly(1, 2) - poly(1, 2))
+        assert poly(0, 1) and poly(-3)
+
     def test_arithmetic(self):
         p, q = poly(-3, 1), poly(1, 1)
         assert (p + q).coeffs == (-2, 2)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from circuitarray import reduction
+from circuitarray import properties, reduction
 from circuitarray.grid import Grid, GridError, determining_triangles
 from circuitarray.properties import (dual_pipeline_suite, field_axiom_suite,
                                      metric_suite, symmetry_suite,
@@ -71,6 +71,27 @@ def test_dual_pipeline_sample():
     for seed in (1, 2):
         rep = dual_pipeline_suite(seed=seed)
         assert rep.passed, rep.render(True)
+
+
+def test_dual_pipeline_names_the_first_failure_and_draws_no_further(
+        monkeypatch):
+    graph_reduce = properties.graph_level_reduce
+    sizes = []
+
+    def wrong_on_calls_4_and_9(g):
+        sizes.append(g.m)
+        return None if len(sizes) in (4, 9) else graph_reduce(g)
+
+    monkeypatch.setattr(properties, "graph_level_reduce",
+                        wrong_on_calls_4_and_9)
+    rep = dual_pipeline_suite(seed=0)
+    assert [(c.name, c.passed, c.detail) for c in rep.checks] == [
+        ("all-one grids n = 3..8", False, "all-one 6-grid"),
+        ("25 random positive-rational grids (n = 3..5)", False,
+         "random grid #4 (n=4)"),
+    ]
+    # each loop stops at its first failure
+    assert sizes == [3, 4, 5, 6, 4, 5, 3, 4, 4]
 
 
 def test_field_kind_validated():

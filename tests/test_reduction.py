@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from circuitarray import reduction
 from circuitarray.circuit_array import reduce_window
 from circuitarray.cli import main
 from circuitarray.fields import RATIONALS
@@ -62,6 +63,23 @@ def test_degenerate_sites_raise():
         with pytest.raises(ZeroDivisionError,
                            match="triangle legs with zero edge sum"):
             triangle_legs(zero, zero, _copy(zero))
+
+
+def test_zero_checks_build_no_rational_function(monkeypatch):
+    # The equal-label forms test the numerators they hold for zero, in
+    # every field; comparing a rational function with the int 0 would
+    # first build a rational function from it.
+    x = RationalFunction.x()
+    L, R = x + 1, 2 / (x + 3)
+    cases = [(wye, (L, R, _copy(L))), (wye, (L, R, _copy(R))),
+             (triangle_legs, (L, R, _copy(R)))]
+    want = [form(*labels) for form, labels in cases]
+
+    def refuse(k):
+        raise AssertionError(f"built a rational function from {k}")
+
+    monkeypatch.setattr(RationalFunction, "from_int", staticmethod(refuse))
+    assert [form(*labels) for form, labels in cases] == want
 
 
 def test_triangle_legs_align_with_delta():
@@ -307,12 +325,8 @@ def test_reduce_matches_child_edge_everywhere():
 
 
 def test_window_validates_inputs():
-    with pytest.raises(GridError, match="n >= "):
-        reduce_window(4, 10, 1)
-    with pytest.raises(GridError):
-        reduce_window(0, 10, 1)
-    with pytest.raises(GridError):
-        reduce_window(3, 12, 4)
+    with pytest.raises(GridError, match="column index must be >= 1"):
+        reduce_window(0)
 
 
 def test_band_step_matches_reduce_once_on_arbitrary_runs():
@@ -344,6 +358,19 @@ def test_band_step_matches_reduce_once_on_arbitrary_runs():
             for start, end, t in zip(rows, ends, triples):
                 for r in range(start, end):
                     assert t == want.triangle(r, d), (m, r, d)
+
+
+def test_label_growth_envelope_watches_the_chain():
+    # tests/conftest.py wraps the chain's step for the whole session: step
+    # 1 of the chain on the all-one 4-grid passes from all-one labels and
+    # fails from labels already past 2c² + 16 bits
+    starts, _ = _cone_starts(1, 1, 0)
+    reduction._band_step([([a], [(F(1),) * 3]) for a in starts], 4,
+                         *_cone_starts(1, 1, 1))
+    with pytest.raises(pytest.fail.Exception,
+                       match=r"label-growth envelope: step 1 .* = 18$"):
+        reduction._band_step([([a], [(F(2 ** 40, 3),) * 3]) for a in starts],
+                             4, *_cone_starts(1, 1, 1))
 
 
 def test_chain_holds_one_step_of_labels(diag80):

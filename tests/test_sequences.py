@@ -60,6 +60,14 @@ def test_denominator_divisibility(diag14):
     assert verify_denominator_divisibility(14, diag14).passed
 
 
+def test_denominator_divisibility_names_the_first_failure(diag14):
+    wrong = list(diag14)
+    wrong[4] = wrong[7] = F(1, 3)
+    rep = verify_denominator_divisibility(14, wrong)
+    assert [(c.name, c.passed, c.detail) for c in rep.checks] == [
+        ("d_s divides 2^(4s-7) for s = 2..14", False, "fails at s=5: L=1/3")]
+
+
 def test_hankel_matrices_and_determinants(seq14):
     assert hankel_matrix(seq14, 2) == [[1, 13], [13, 178]]
     assert hankel_determinant(seq14, 2) == 9
@@ -325,6 +333,26 @@ def test_monotonicity_small(diag14):
     assert rep.passed, rep.render(True)
     with pytest.raises(SequenceError):
         verify_monotonicity(3, diag14)
+
+
+def test_monotonicity_names_the_first_failures(diag14, monkeypatch):
+    # a raised L_6 breaks both exact gaps at s = 5, and a larger P_7 and
+    # P_9 both float gaps at s = 7
+    wrong = list(diag14)
+    wrong[5] += F(1, 10)
+    sqrt_pi = sequences.sqrt_pi_approximation
+    monkeypatch.setattr(sequences, "sqrt_pi_approximation",
+                        lambda s: sqrt_pi(s) * (1.5 if s in (7, 9) else 1))
+    rep = verify_monotonicity(14, wrong)
+    assert [(c.name, c.detail) for c in rep.failures()] == [
+        ("L-A strictly decreasing for s >= 3 (exact)",
+         "first violation at s=5"),
+        ("L/A strictly decreasing for s >= 3 (exact)",
+         "first violation at s=5"),
+        ("A-P decreasing for s >= 3 (float, 1e-12)", "first violation at s=7"),
+        ("A/P decreasing for s >= 3 (float, 1e-12)", "first violation at s=7"),
+    ]
+    assert len(rep.checks) == 5
 
 
 @pytest.mark.parametrize("suite", [
