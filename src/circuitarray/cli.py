@@ -154,8 +154,8 @@ def _uniform_center_all(smax: int) -> Report:
 _REDUCE_MAX_N = 400
 
 # The labels grow with every step: over the rationals the all-one
-# n = 400 grid takes ~8, ~17, ~28, ~37 and ~52 s at 10, 20, 30, 35 and 40
-# steps, and 32 steps take ~32 s and ~84 MiB end to end.
+# n = 400 grid takes ~6, ~12, ~20, ~26 and ~35 s at 10, 20, 30, 35 and 40
+# steps, and 32 steps take ~22 s and ~85 MiB end to end.
 _REDUCE_MAX_STEPS = 32
 
 # Over rational functions the labels grow with every step: end to end,
@@ -207,16 +207,16 @@ def cmd_reduce(args) -> int:
 # -- diag / hankel / symbolic / asymptotics --------------------------------------
 
 # The leftmost diagonal to depth s is one reduction chain whose labels grow
-# with s, and its cost grows about as s^5: s = 160 takes ~22 s and ~18 MiB.
+# with s, and its cost grows about as s^5: s = 160 takes ~9 s and ~18 MiB.
 _DIAG_MAX_S = 160
 
 # C array columns are one reduction chain on the all-one 4C-grid; its cost
-# grows about as C^5, and C = 112 takes ~17 s and ~41 MiB to build.
+# grows about as C^5, and C = 112 takes ~10 s and ~41 MiB to build.
 _ARRAY_MAX_COLS = 112
 
 # `array verify --suite uniform-center --max-s S` fully reduces the all-one
 # 4s- and (4s+2)-grids for every s <= S; its cost grows about as S^4.3, and
-# S = 28 takes ~29 s.
+# S = 28 takes ~19 s.
 _UNIFORM_CENTER_MAX_S = 28
 
 

@@ -27,19 +27,25 @@ determining sector only and hands those triples to ``symmetry_complete``;
 ``_band_step`` calls it for the runs of the chain below.
 ``triangle_legs`` and ``wye`` do not chain field operations, each of which
 would normalise its own result: they form every output over one
-denominator from their inputs' ``numerator`` and ``denominator`` and build
-it with the label type's own (numerator, denominator) constructor, so each
-output label is normalised once, in every field.  Both also take a
-shorter form when two inputs are equal, compared by numerator and
-denominator as the memos compare them.  Inside the uniform center the
+denominator from their inputs' ``numerator`` and ``denominator``.  Both
+also take a shorter form when two inputs are equal, compared by numerator
+and denominator as the memos compare them.  Inside the uniform center the
 right label equals the base label, so most triangles of the chain have
 R = B: their apex and bottom-left legs are then one value, built once, and
 the wye of legs x = z is the sum 2y + z; the other wyes of the chain have
-legs y = z; unequal inputs take the general formulas.  The equal-label
-forms cancel the equal factor by algebra, and ``_split`` takes out the
-factors the two labels' numerators and their denominators share (about
-half of each deep label's bits) before any product is formed: by
-``math.gcd`` for integers, by ``Polynomial.cofactors`` for polynomials.
+legs y = z.  The equal-label forms cancel the equal factor by algebra, and
+``_split`` takes out the factors the two labels' numerators and their
+denominators share (about half of each deep label's bits) before any
+product is formed: by ``math.gcd`` for integers, by
+``Polynomial.cofactors`` for polynomials.  Over the integers their results
+are then built in lowest terms with no final gcd (Knuth, TAOCP vol. 2,
+4.5.1): what the parts can still share is taken out first, on short operands:
+
+    R = B apex            a'b'h' / (g t'')       2: a parity test
+    R = B bottom-right    h'b'^2 α' / (β'g t'')  gcd(α', g): _split
+    wye x = z             N / (gQ'R')            gcd(N, g): _split; 2
+    wye y = z             hq'M / (p'gQ'^2)       nothing
+
 ``delta`` and the operator form ``y + z + y*z/x`` are the textbook
 references for those formulas.  ``child_edge`` places the legs edge by
 edge on its own and is the reference for the kernel's placement;
@@ -90,10 +96,11 @@ def wye(x, y, z):
     it is (p(qR + rQ) + qrP) / (pQR), built by the labels' own
     (numerator, denominator) constructor, which normalises it once and
     raises ZeroDivisionError for a zero leg x.  Two equal legs (equal
-    numerator and denominator) take shorter forms; a zero x still raises.
+    numerator and denominator) take shorter forms, built in lowest terms
+    over the integers; a zero x still raises.
 
     - x = z: y*z/x cancels to y and the edge is 2y + z, a two-label-wide
-      sum.  With (g, Q', R') = _split(Q, R) it is (2qR' + rQ') / (gQ'R').
+      sum.  With (g, Q', R') = _split(Q, R) it is N/(gQ'R'), N = 2qR' + rQ'.
     - y = z: the edge is y(2x + y)/x.  With (h, p', q') = _split(p, q),
       (g, P', Q') = _split(P, Q) and M = 2p'Q' + q'P' it is
       hq'M / (p'gQ'^2), and _split(h, p') and _split(M, g) take out the
@@ -110,7 +117,12 @@ def wye(x, y, z):
         if not p:
             raise ZeroDivisionError("wye with a zero leg")
         g, Q, R = _split(Q, R)
-        return make(2 * q * R + r * Q, g * Q * R)
+        N = 2 * q * R + r * Q
+        if type(N) is int:
+            _, N, g = _split(N, g)
+            if not (N | Q) & 1:
+                N, Q = N // 2, Q // 2
+        return _from_coprime(make, N, g * Q * R)
     if q == r and Q == R:
         if not p:
             raise ZeroDivisionError("wye with a zero leg")
@@ -119,7 +131,7 @@ def wye(x, y, z):
         M = 2 * p * Q + q * P
         _, h, p = _split(h, p)
         _, M, g = _split(M, g)
-        return make(h * q * M, p * g * Q * Q)
+        return _from_coprime(make, h * q * M, p * g * Q * Q)
     return make(p * (q * R + r * Q) + q * r * P, p * Q * R)
 
 
@@ -139,7 +151,8 @@ def triangle_legs(L, R, B):
     β, share: with (h, a', b') = _split(a, b), (g, α', β') = _split(α, β)
     and t' = a'β' + 2b'α', the edge sum is aβ + 2bα = hgt', and with
     (k, h', t'') = _split(h, t') the legs are a'b'h' / (g·t'') and
-    h'b'²α' / (β'g·t'').
+    h'b'²α' / (β'g·t''), whose sides share at most a 2 (a' and t'') and
+    exactly gcd(α', g).
     """
     a, al = L.numerator, L.denominator
     b, be = R.numerator, R.denominator
@@ -151,9 +164,13 @@ def triangle_legs(L, R, B):
         h, a, b = _split(a, b)
         g, al, be = _split(al, be)
         _, h, t = _split(h, a * be + 2 * b * al)
-        t = g * t
-        apex = make(a * b * h, t)
-        return apex, apex, make(h * b * b * al, be * t)
+        a2, t2, g2 = a, t, g
+        if type(t) is int:
+            _, al, g2 = _split(al, g)
+            if not (a | t) & 1:
+                a2, t2 = a // 2, t // 2
+        apex = _from_coprime(make, a2 * b * h, g * t2)
+        return apex, apex, _from_coprime(make, h * b * b * al, be * g2 * t)
     abe, bal = a * be, b * al
     s = (abe + bal) * ga + c * al * be
     return make(a * b * ga, s), make(c * abe, s), make(c * bal, s)
@@ -171,6 +188,22 @@ def _split(u, v):
         g = u + v
         return g, u.divide_exact(g), v.divide_exact(g)
     return u.cofactors(v)
+
+
+def _from_coprime(make, n, d):
+    """n/d for coprime n, d: a Fraction with its slots set as CPython 3.12's
+    ``Fraction._from_coprime_ints`` sets them, or ``make(n, d)``."""
+    if type(n) is int:
+        if not d:
+            raise ZeroDivisionError("zero denominator")
+        if not n:
+            return Fraction(0)
+        if d < 0:
+            n, d = -n, -d
+        f = object.__new__(Fraction)
+        f._numerator, f._denominator = n, d
+        return f
+    return make(n, d)
 
 
 def _label_type(*labels):

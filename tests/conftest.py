@@ -3,6 +3,7 @@ on the label growth of every reduction chain."""
 
 import signal
 import time
+from math import gcd
 
 import pytest
 
@@ -44,7 +45,8 @@ def _bits(part):
 @pytest.fixture(scope="session", autouse=True)
 def label_growth_envelope():
     """Fail every reduction chain step c after which a label's numerator or
-    denominator has more than 2c² + 16 bits.
+    denominator has more than 2c² + 16 bits, or after which an exact
+    rational label is not in lowest terms with a positive denominator.
 
     The exact chain's labels peak at about 1.6 c² bits (at most 2 c², at
     c = 1), the symbolic chain's likewise; a kernel that loses a
@@ -52,6 +54,9 @@ def label_growth_envelope():
     chain would reach the per-test time bound.  Step c of a chain on the
     all-one 4C-grid reduces the (4C - c + 1)-grid, whose cone ends at row
     4C - 2c - 1, so c = m - last - 2 in ``_band_step``'s arguments.
+    The kernel builds its equal-label results in lowest terms without a
+    final gcd, from proofs about their parts; a factor a proof misses
+    shows here, wherever a chain stores the label.
     """
     step = reduction._band_step
 
@@ -59,12 +64,18 @@ def label_growth_envelope():
         child = step(band, m, starts, last)
         c = m - last - 2
         bound = 2 * c * c + 16
-        peak = max((_bits(part) for _, triples in child for t in triples
-                    for v in t for part in (v.numerator, v.denominator)),
-                   default=0)
+        labels = [v for _, triples in child for t in triples for v in t]
+        peak = max((_bits(part) for v in labels
+                    for part in (v.numerator, v.denominator)), default=0)
         if peak > bound:
             pytest.fail(f"label-growth envelope: step {c} of a reduction "
                         f"chain peaks at {peak} bits, over 2c² + 16 = {bound}")
+        for v in labels:
+            n, d = v.numerator, v.denominator
+            if type(n) is int and (d <= 0 or gcd(n, d) != 1):
+                pytest.fail(f"lowest terms: step {c} of a reduction chain "
+                            f"stores a label n/d with gcd(n, d) = "
+                            f"{gcd(n, d)} and d {'>' if d > 0 else '<='} 0")
         return child
 
     with pytest.MonkeyPatch.context() as patch:

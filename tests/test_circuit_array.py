@@ -313,6 +313,7 @@ def test_uniform_center_names_the_first_row_where_right_leaves_base(
     failed = {c.name: c.detail for c in rep.failures()}
     assert list(failed) == ["(a) diagonal 2: rows 5..7 equal",
                             "(c) diagonal 2: right = base inside the band"]
+    assert failed["(a) diagonal 2: rows 5..7 equal"] == "row 6"
     assert failed["(c) diagonal 2: right = base inside the band"] == "row 6"
 
 

@@ -220,6 +220,132 @@ def test_fused_kernel_takes_int_labels():
     assert type(wye(1, 1, 1)) is F and wye(1, 1, 1) == 3
 
 
+def _random_int(rng):
+    return rng.getrandbits(rng.randint(8, 200)) + 1
+
+
+def _signed(rng, n):
+    return n if rng.getrandbits(1) else -n
+
+
+def _legs_parts(L, R):
+    """a', t'', α' and g of triangle_legs(L, R, R)."""
+    a, al, b, be = L.numerator, L.denominator, R.numerator, R.denominator
+    h, g = gcd(a, b), gcd(al, be)
+    t = a // h * (be // g) + 2 * (b // h) * (al // g)
+    return a // h, t // gcd(h, t), al // g, g
+
+
+def _wye_parts(x, y):
+    """N = 2qR' + rQ', g and Q' of wye(x, y, x), with z = x = r/R."""
+    r, R, q, Q = x.numerator, x.denominator, y.numerator, y.denominator
+    g = gcd(Q, R)
+    return 2 * q * (R // g) + r * (Q // g), g, Q // g
+
+
+# Each drawer below plants one factor that the parts of an equal-label
+# result still share after the splits, which the kernel must take out
+# before it builds the result; each redraws until the factor is there.
+
+def _apex_two(rng):
+    """R = B apex: a' and t'' even, from a even and b odd."""
+    while True:
+        L = F(_signed(rng, 2 * _random_int(rng)), _random_int(rng))
+        R = F(_signed(rng, _random_int(rng) | 1), _random_int(rng))
+        a, t, _, _ = _legs_parts(L, R)
+        if a % 2 == 0 and t % 2 == 0:
+            return L, R
+
+
+def _bottom_right_gcd(rng):
+    """R = B bottom-right leg: gcd(α', g) > 1, from α = e²u and β = ev."""
+    while True:
+        e = rng.randrange(3, 2 ** 16, 2)
+        L = F(_signed(rng, _random_int(rng)), e * e * _random_int(rng))
+        R = F(_signed(rng, _random_int(rng)), e * _random_int(rng))
+        if gcd(*_legs_parts(L, R)[2:]) > 1:
+            return L, R
+
+
+def _wye_gcd(rng):
+    """x = z wye, x = L and y = R: gcd(N, g) > 1, from an odd e in both
+    denominators."""
+    while True:
+        e = rng.choice((3, 5, 7, 9, 15))
+        x = F(_signed(rng, _random_int(rng)), e * _random_int(rng))
+        y = F(_signed(rng, _random_int(rng)), e * _random_int(rng))
+        if gcd(*_wye_parts(x, y)[:2]) > 1:
+            return x, y
+
+
+def _wye_two(rng):
+    """x = z wye: N' = N/gcd(N, g) and Q' even, from y's denominator even
+    and x's odd."""
+    while True:
+        x = F(_signed(rng, _random_int(rng)), _random_int(rng) | 1)
+        y = F(_signed(rng, _random_int(rng)), 2 * _random_int(rng))
+        N, g, Q = _wye_parts(x, y)
+        if N // gcd(N, g) % 2 == 0 and Q % 2 == 0:
+            return x, y
+
+
+def _assert_lowest_terms(got, want):
+    assert got == want
+    for v in got:
+        assert gcd(v.numerator, v.denominator) == 1 and v.denominator > 0, v
+
+
+def _check_equal_label_forms(L, R):
+    B = _copy(R)
+    _assert_lowest_terms(
+        triangle_legs(L, R, B) + (wye(L, R, _copy(L)), wye(L, R, B)),
+        (delta(L, R, B), delta(B, L, R), delta(R, B, L),
+         _operator_wye(L, R, L), _operator_wye(L, R, B)))
+
+
+@pytest.mark.parametrize("draw", [
+    _apex_two, _bottom_right_gcd, _wye_gcd, _wye_two,
+    lambda rng: (_random_fraction(rng, 8), _random_fraction(rng, 8)),
+], ids=["apex-two", "bottom-right-gcd", "wye-gcd", "wye-two",
+        "small-fractions"])
+def test_equal_label_forms_are_built_in_lowest_terms(draw):
+    # The R = B legs and the equal-leg wyes build their results from parts
+    # proven coprime, with no final gcd: a factor the proofs miss stays
+    # shared by the result's numerator and denominator
+    rng = random.Random(15)
+    for _ in range(40):
+        L, R = draw(rng)
+        _check_equal_label_forms(L, R)
+        # zero results: R = B = 0, and 2x + y = 0 in the y = z wye
+        _check_equal_label_forms(L, 0 * R)
+        _check_equal_label_forms(L, -2 * L)
+        # and 2y + z = 0 in the x = z wye
+        _assert_lowest_terms((wye(L, -L / 2, _copy(L)),), (0,))
+
+
+def test_coprime_builder_is_the_fraction_it_stands_for():
+    # _from_coprime sets Fraction's private slots; a CPython that renames
+    # them must fail here, not build broken labels
+    assert {"_numerator", "_denominator"} <= set(F.__slots__)
+    rng = random.Random(16)
+    for _ in range(100):
+        n, d = _random_int(rng), _random_int(rng)
+        g = gcd(n, d)
+        n, d = n // g, d // g
+        for sn, sd in ((n, d), (-n, d), (n, -d), (-n, -d)):
+            got, want = reduction._from_coprime(F, sn, sd), F(sn, sd)
+            assert type(got) is F and got == want and hash(got) == hash(want)
+            assert (got.numerator, got.denominator) == \
+                (want.numerator, want.denominator)
+            assert got + F(1, 3) == want + F(1, 3)
+    for d in (1, 7, -7):
+        zero = reduction._from_coprime(F, 0, d)
+        assert (zero.numerator, zero.denominator) == (0, 1)
+    for n in (3, -3, 0):
+        with pytest.raises(ZeroDivisionError):
+            reduction._from_coprime(F, n, 0)
+
+
 def test_zero_edge_sum_on_the_symbolic_boundary_is_a_usage_error(capsys):
     code = main(["reduce", "--n", "6", "--steps", "1", "--field", "symbolic",
                  "--boundary=-2"])
@@ -371,6 +497,24 @@ def test_label_growth_envelope_watches_the_chain():
                        match=r"label-growth envelope: step 1 .* = 18$"):
         reduction._band_step([([a], [(F(2 ** 40, 3),) * 3]) for a in starts],
                              4, *_cone_starts(1, 1, 1))
+
+
+def test_lowest_terms_watch_fires(monkeypatch):
+    # tests/conftest.py's watcher also fails a step that stores an exact
+    # label not in lowest terms: here every built equal-label result
+    # carries a shared factor 2
+    def doubled(make, n, d):
+        v = object.__new__(F)
+        v._numerator, v._denominator = 2 * n, 2 * d
+        return v
+
+    monkeypatch.setattr(reduction, "_from_coprime", doubled)
+    starts, _ = _cone_starts(1, 1, 0)
+    with pytest.raises(pytest.fail.Exception,
+                       match=r"lowest terms: step 1 .* gcd\(n, d\) = 2 and"
+                             r" d > 0$"):
+        reduction._band_step([([a], [(F(1),) * 3]) for a in starts], 4,
+                             *_cone_starts(1, 1, 1))
 
 
 def test_chain_holds_one_step_of_labels(diag80):
