@@ -37,11 +37,12 @@ legs y = z.  The equal-label forms cancel the equal factor by algebra, and
 ``_split`` takes out the factors the two labels' numerators and their
 denominators share (about half of each deep label's bits) before any
 product is formed: by ``math.gcd`` for integers, by
-``Polynomial.cofactors`` for polynomials.  Over the integers their results
-are then built in lowest terms with no final gcd (Knuth, TAOCP vol. 2,
-4.5.1): what the parts can still share is taken out first, on short operands:
+``Polynomial.cofactors`` for polynomials.  Their results are then built in
+lowest terms with no final gcd, in Z and in Z[x] alike (Knuth, TAOCP
+vol. 2, 4.5.1): what the parts can still share is taken out first, on
+short operands, by ``_split``, and a shared 2 by ``_from_coprime``:
 
-    R = B apex            a'b'h' / (g t'')       2: a parity test
+    R = B apex            a'b'h' / (g t'')       2 (a' and t'')
     R = B bottom-right    h'b'^2 α' / (β'g t'')  gcd(α', g): _split
     wye x = z             N / (gQ'R')            gcd(N, g): _split; 2
     wye y = z             hq'M / (p'gQ'^2)       nothing
@@ -79,6 +80,8 @@ from math import gcd
 from .fields import RATIONALS, FieldContract
 from .grid import (SIDES, Grid, GridError, determining_triangles,
                    symmetry_complete)
+from .polynomial import Polynomial
+from .ratfunc import RationalFunction
 
 
 def delta(x, y, z):
@@ -97,10 +100,12 @@ def wye(x, y, z):
     (numerator, denominator) constructor, which normalises it once and
     raises ZeroDivisionError for a zero leg x.  Two equal legs (equal
     numerator and denominator) take shorter forms, built in lowest terms
-    over the integers; a zero x still raises.
+    by _from_coprime in both fields; a zero x still raises.
 
     - x = z: y*z/x cancels to y and the edge is 2y + z, a two-label-wide
-      sum.  With (g, Q', R') = _split(Q, R) it is N/(gQ'R'), N = 2qR' + rQ'.
+      sum.  With (g, Q', R') = _split(Q, R) it is N/(gQ'R'), N = 2qR' + rQ',
+      and _split(N, g) and then _from_coprime take out the only factors
+      the two sides can still share: gcd(N, g), then a 2 of N and Q'.
     - y = z: the edge is y(2x + y)/x.  With (h, p', q') = _split(p, q),
       (g, P', Q') = _split(P, Q) and M = 2p'Q' + q'P' it is
       hq'M / (p'gQ'^2), and _split(h, p') and _split(M, g) take out the
@@ -112,17 +117,12 @@ def wye(x, y, z):
     p, P = x.numerator, x.denominator
     q, Q = y.numerator, y.denominator
     r, R = z.numerator, z.denominator
-    make = _label_type(x, y, z)
     if p == r and P == R:
         if not p:
             raise ZeroDivisionError("wye with a zero leg")
         g, Q, R = _split(Q, R)
-        N = 2 * q * R + r * Q
-        if type(N) is int:
-            _, N, g = _split(N, g)
-            if not (N | Q) & 1:
-                N, Q = N // 2, Q // 2
-        return _from_coprime(make, N, g * Q * R)
+        _, N, g = _split(2 * q * R + r * Q, g)
+        return _from_coprime(N, g * Q * R)
     if q == r and Q == R:
         if not p:
             raise ZeroDivisionError("wye with a zero leg")
@@ -131,8 +131,9 @@ def wye(x, y, z):
         M = 2 * p * Q + q * P
         _, h, p = _split(h, p)
         _, M, g = _split(M, g)
-        return _from_coprime(make, h * q * M, p * g * Q * Q)
-    return make(p * (q * R + r * Q) + q * r * P, p * Q * R)
+        return _from_coprime(h * q * M, p * g * Q * Q)
+    n = p * (q * R + r * Q) + q * r * P
+    return (Fraction if type(n) is int else RationalFunction)(n, p * Q * R)
 
 
 def triangle_legs(L, R, B):
@@ -151,28 +152,25 @@ def triangle_legs(L, R, B):
     β, share: with (h, a', b') = _split(a, b), (g, α', β') = _split(α, β)
     and t' = a'β' + 2b'α', the edge sum is aβ + 2bα = hgt', and with
     (k, h', t'') = _split(h, t') the legs are a'b'h' / (g·t'') and
-    h'b'²α' / (β'g·t''), whose sides share at most a 2 (a' and t'') and
-    exactly gcd(α', g).
+    h'b'²α' / (β'g·t''), whose sides share at most a 2 (a' and t''),
+    which _from_coprime takes out, and exactly gcd(α', g), which
+    _split(α', g) takes out.  Both fields take this one path.
     """
     a, al = L.numerator, L.denominator
     b, be = R.numerator, R.denominator
     c, ga = B.numerator, B.denominator
-    make = _label_type(L, R, B)
     if b == c and be == ga:
         if not a and not b:
             raise ZeroDivisionError("triangle legs with zero edge sum")
         h, a, b = _split(a, b)
         g, al, be = _split(al, be)
         _, h, t = _split(h, a * be + 2 * b * al)
-        a2, t2, g2 = a, t, g
-        if type(t) is int:
-            _, al, g2 = _split(al, g)
-            if not (a | t) & 1:
-                a2, t2 = a // 2, t // 2
-        apex = _from_coprime(make, a2 * b * h, g * t2)
-        return apex, apex, _from_coprime(make, h * b * b * al, be * g2 * t)
+        apex = _from_coprime(a * b * h, g * t)
+        _, al, g = _split(al, g)
+        return apex, apex, _from_coprime(h * b * b * al, be * g * t)
     abe, bal = a * be, b * al
     s = (abe + bal) * ga + c * al * be
+    make = Fraction if type(s) is int else RationalFunction
     return make(a * b * ga, s), make(c * abe, s), make(c * bal, s)
 
 
@@ -190,30 +188,31 @@ def _split(u, v):
     return u.cofactors(v)
 
 
-def _from_coprime(make, n, d):
-    """n/d for coprime n, d: a Fraction with its slots set as CPython 3.12's
-    ``Fraction._from_coprime_ints`` sets them, or ``make(n, d)``."""
+def _from_coprime(n, d):
+    """n/d for n, d that share at most a factor 2, which it takes out: a
+    Fraction with its slots set as CPython 3.12's ``_from_coprime_ints``
+    sets them, or a RationalFunction with its slots set in canonical form."""
+    if not d:
+        raise ZeroDivisionError("zero denominator")
     if type(n) is int:
-        if not d:
-            raise ZeroDivisionError("zero denominator")
         if not n:
             return Fraction(0)
+        if not (n | d) & 1:
+            n, d = n // 2, d // 2
         if d < 0:
             n, d = -n, -d
         f = object.__new__(Fraction)
         f._numerator, f._denominator = n, d
         return f
-    return make(n, d)
-
-
-def _label_type(*labels):
-    """Type of the first label that is not a plain int: Fraction or
-    RationalFunction, whose (numerator, denominator) constructor builds the
-    kernel's results.  Plain int labels alone give Fraction."""
-    for v in labels:
-        if type(v) is not int:
-            return type(v)
-    return Fraction
+    if not n:
+        return RationalFunction(n, d)
+    if not any(c & 1 for c in n.coeffs + d.coeffs):
+        n, d = (Polynomial(c // 2 for c in v.coeffs) for v in (n, d))
+    if d.leading < 0:
+        n, d = -n, -d
+    f = object.__new__(RationalFunction)
+    f.numer, f.denom = n, d
+    return f
 
 
 def child_edge(parent: Grid, r: int, d: int, side: str):

@@ -9,6 +9,7 @@ import pytest
 
 from circuitarray import reduction
 from circuitarray.circuit_array import diagonal_sequence
+from circuitarray.ratfunc import RationalFunction
 
 # A kernel that loses a cancellation makes its labels grow without bound,
 # which shows as a hang, not a failure; every test, its setup (session
@@ -46,7 +47,8 @@ def _bits(part):
 def label_growth_envelope():
     """Fail every reduction chain step c after which a label's numerator or
     denominator has more than 2c² + 16 bits, or after which an exact
-    rational label is not in lowest terms with a positive denominator.
+    rational label is not in lowest terms with a positive denominator, or
+    a rational function not in the canonical form its constructor gives.
 
     The exact chain's labels peak at about 1.6 c² bits (at most 2 c², at
     c = 1), the symbolic chain's likewise; a kernel that loses a
@@ -72,10 +74,15 @@ def label_growth_envelope():
                         f"chain peaks at {peak} bits, over 2c² + 16 = {bound}")
         for v in labels:
             n, d = v.numerator, v.denominator
-            if type(n) is int and (d <= 0 or gcd(n, d) != 1):
-                pytest.fail(f"lowest terms: step {c} of a reduction chain "
-                            f"stores a label n/d with gcd(n, d) = "
-                            f"{gcd(n, d)} and d {'>' if d > 0 else '<='} 0")
+            if type(n) is int:
+                if d <= 0 or gcd(n, d) != 1:
+                    pytest.fail(f"lowest terms: step {c} of a reduction chain "
+                                f"stores a label n/d with gcd(n, d) = "
+                                f"{gcd(n, d)} and d {'>' if d > 0 else '<='} 0")
+            elif (w := RationalFunction(n, d)).numer != n or w.denom != d:
+                pytest.fail(f"canonical form: step {c} of a reduction chain "
+                            f"stores the rational function ({n}) / ({d}), "
+                            f"which RationalFunction(n, d) writes as {w}")
         return child
 
     with pytest.MonkeyPatch.context() as patch:

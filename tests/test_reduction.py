@@ -99,13 +99,17 @@ def _random_fraction(rng, bits):
     return F(rng.getrandbits(bits) + 1, rng.getrandbits(bits) + 1)
 
 
+def _random_poly(rng, low=1):
+    """A polynomial of degree ``low`` - 1 to 3 (so nonzero), with
+    coefficients in [-9, 9]."""
+    while True:
+        p = Polynomial(rng.randint(-9, 9) for _ in range(rng.randint(low, 4)))
+        if p.degree >= low - 1:
+            return p
+
+
 def _random_ratfunc(rng):
-    def poly():
-        while True:
-            p = Polynomial(rng.randint(-9, 9) for _ in range(rng.randint(1, 4)))
-            if not p.is_zero:
-                return p
-    return RationalFunction(poly(), poly())
+    return RationalFunction(_random_poly(rng), _random_poly(rng))
 
 
 def _check_kernel(L, R, B):
@@ -228,19 +232,32 @@ def _signed(rng, n):
     return n if rng.getrandbits(1) else -n
 
 
+def _cofactors(u, v):
+    """(g, u/g, v/g) for the gcd g of u and v, in Z or in Z[x]."""
+    if type(u) is int:
+        g = gcd(u, v)
+        return g, u // g, v // g
+    return u.cofactors(v)
+
+
 def _legs_parts(L, R):
     """a', t'', α' and g of triangle_legs(L, R, R)."""
     a, al, b, be = L.numerator, L.denominator, R.numerator, R.denominator
-    h, g = gcd(a, b), gcd(al, be)
-    t = a // h * (be // g) + 2 * (b // h) * (al // g)
-    return a // h, t // gcd(h, t), al // g, g
+    h, a, b = _cofactors(a, b)
+    g, al, be = _cofactors(al, be)
+    return a, _cofactors(h, a * be + 2 * b * al)[2], al, g
 
 
 def _wye_parts(x, y):
     """N = 2qR' + rQ', g and Q' of wye(x, y, x), with z = x = r/R."""
     r, R, q, Q = x.numerator, x.denominator, y.numerator, y.denominator
-    g = gcd(Q, R)
-    return 2 * q * (R // g) + r * (Q // g), g, Q // g
+    g, Q, R = _cofactors(Q, R)
+    return 2 * q * R + r * Q, g, Q
+
+
+def _even(p):
+    """Every coefficient of the polynomial p is even."""
+    return not any(c & 1 for c in p.coeffs)
 
 
 # Each drawer below plants one factor that the parts of an equal-label
@@ -289,10 +306,60 @@ def _wye_two(rng):
             return x, y
 
 
+def _ratfunc_apex_two(rng):
+    """R = B apex over Z[x]: a' and t'' with even contents, from a with
+    even content."""
+    while True:
+        L = RationalFunction(2 * _random_poly(rng), _random_poly(rng))
+        R = _random_ratfunc(rng)
+        a, t, _, _ = _legs_parts(L, R)
+        if _even(a) and _even(t):
+            return L, R
+
+
+def _ratfunc_bottom_right_gcd(rng):
+    """R = B bottom-right leg over Z[x]: α' and g share a polynomial
+    factor, from α = e²u and β = ev with e of degree 1 or more."""
+    while True:
+        e = _random_poly(rng, 2)
+        L = RationalFunction(_random_poly(rng), e * e * _random_poly(rng))
+        R = RationalFunction(_random_poly(rng), e * _random_poly(rng))
+        if _cofactors(*_legs_parts(L, R)[2:])[0].degree >= 1:
+            return L, R
+
+
+def _ratfunc_wye_gcd(rng):
+    """x = z wye over Z[x]: N and g share a polynomial factor e, from
+    x = (ew - 2qu)/(eu) and y = q/e, so that g = e, Q' = 1 and N = ew."""
+    while True:
+        e, q, u, w = (_random_poly(rng, 2) for _ in range(4))
+        x = RationalFunction(e * w - 2 * q * u, e * u)
+        y = RationalFunction(q, e)
+        N, g, _ = _wye_parts(x, y)
+        if _cofactors(N, g)[0].degree >= 1:
+            return x, y
+
+
+def _ratfunc_wye_two(rng):
+    """x = z wye over Z[x]: N' = N/gcd(N, g) and Q' with even contents,
+    from y's denominator with even content."""
+    while True:
+        x = _random_ratfunc(rng)
+        y = RationalFunction(_random_poly(rng), 2 * _random_poly(rng))
+        N, g, Q = _wye_parts(x, y)
+        if N and _even(_cofactors(N, g)[1]) and _even(Q):
+            return x, y
+
+
 def _assert_lowest_terms(got, want):
     assert got == want
-    for v in got:
-        assert gcd(v.numerator, v.denominator) == 1 and v.denominator > 0, v
+    for v, w in zip(got, want):
+        if type(v) is RationalFunction:
+            # the operator form is canonical, and canonical form is unique
+            assert (v.numer, v.denom) == (w.numer, w.denom), v
+        else:
+            assert gcd(v.numerator, v.denominator) == 1 and \
+                v.denominator > 0, v
 
 
 def _check_equal_label_forms(L, R):
@@ -306,12 +373,15 @@ def _check_equal_label_forms(L, R):
 @pytest.mark.parametrize("draw", [
     _apex_two, _bottom_right_gcd, _wye_gcd, _wye_two,
     lambda rng: (_random_fraction(rng, 8), _random_fraction(rng, 8)),
+    _ratfunc_apex_two, _ratfunc_bottom_right_gcd, _ratfunc_wye_gcd,
+    _ratfunc_wye_two, lambda rng: (_random_ratfunc(rng), _random_ratfunc(rng)),
 ], ids=["apex-two", "bottom-right-gcd", "wye-gcd", "wye-two",
-        "small-fractions"])
+        "small-fractions", "ratfunc-apex-two", "ratfunc-bottom-right-gcd",
+        "ratfunc-wye-gcd", "ratfunc-wye-two", "small-ratfuncs"])
 def test_equal_label_forms_are_built_in_lowest_terms(draw):
     # The R = B legs and the equal-leg wyes build their results from parts
-    # proven coprime, with no final gcd: a factor the proofs miss stays
-    # shared by the result's numerator and denominator
+    # proven coprime, in Z and in Z[x], with no final gcd: a factor the
+    # proofs miss stays shared by the result's numerator and denominator
     rng = random.Random(15)
     for _ in range(40):
         L, R = draw(rng)
@@ -320,30 +390,51 @@ def test_equal_label_forms_are_built_in_lowest_terms(draw):
         _check_equal_label_forms(L, 0 * R)
         _check_equal_label_forms(L, -2 * L)
         # and 2y + z = 0 in the x = z wye
-        _assert_lowest_terms((wye(L, -L / 2, _copy(L)),), (0,))
+        _assert_lowest_terms((wye(L, -L / 2, _copy(L)),), (0 * L,))
 
 
 def test_coprime_builder_is_the_fraction_it_stands_for():
-    # _from_coprime sets Fraction's private slots; a CPython that renames
-    # them must fail here, not build broken labels
+    # _from_coprime sets Fraction's and RationalFunction's slots; a CPython
+    # that renames Fraction's, or a RationalFunction that renames its own,
+    # must fail here, not build broken labels
     assert {"_numerator", "_denominator"} <= set(F.__slots__)
+    assert RationalFunction.__slots__ == ("numer", "denom")
+    x = RationalFunction.x()
     rng = random.Random(16)
     for _ in range(100):
         n, d = _random_int(rng), _random_int(rng)
         g = gcd(n, d)
         n, d = n // g, d // g
         for sn, sd in ((n, d), (-n, d), (n, -d), (-n, -d)):
-            got, want = reduction._from_coprime(F, sn, sd), F(sn, sd)
-            assert type(got) is F and got == want and hash(got) == hash(want)
-            assert (got.numerator, got.denominator) == \
-                (want.numerator, want.denominator)
-            assert got + F(1, 3) == want + F(1, 3)
-    for d in (1, 7, -7):
-        zero = reduction._from_coprime(F, 0, d)
+            want = F(sn, sd)
+            # the one factor the builder takes out: a shared 2
+            for got in (reduction._from_coprime(sn, sd),
+                        reduction._from_coprime(2 * sn, 2 * sd)):
+                assert type(got) is F and got == want
+                assert hash(got) == hash(want)
+                assert (got.numerator, got.denominator) == \
+                    (want.numerator, want.denominator)
+                assert got + F(1, 3) == want + F(1, 3)
+    for _ in range(100):
+        _, n, d = _random_poly(rng).cofactors(_random_poly(rng))
+        for sn, sd in ((n, d), (-n, d), (n, -d), (-n, -d)):
+            want = RationalFunction(sn, sd)
+            for got in (reduction._from_coprime(sn, sd),
+                        reduction._from_coprime(2 * sn, 2 * sd)):
+                assert type(got) is RationalFunction
+                assert (got.numer, got.denom) == (want.numer, want.denom)
+                assert hash(got) == hash(want)
+                assert got + 1 / (x + 3) == want + 1 / (x + 3)
+    for d in (1, 7, -7, -2):
+        zero = reduction._from_coprime(0, d)
         assert (zero.numerator, zero.denominator) == (0, 1)
+        zero = reduction._from_coprime(Polynomial(), Polynomial([0, d]))
+        assert (zero.numer, zero.denom) == (Polynomial(), Polynomial([1]))
     for n in (3, -3, 0):
         with pytest.raises(ZeroDivisionError):
-            reduction._from_coprime(F, n, 0)
+            reduction._from_coprime(n, 0)
+        with pytest.raises(ZeroDivisionError):
+            reduction._from_coprime(Polynomial([n, 1]), Polynomial())
 
 
 def test_zero_edge_sum_on_the_symbolic_boundary_is_a_usage_error(capsys):
@@ -503,7 +594,7 @@ def test_lowest_terms_watch_fires(monkeypatch):
     # tests/conftest.py's watcher also fails a step that stores an exact
     # label not in lowest terms: here every built equal-label result
     # carries a shared factor 2
-    def doubled(make, n, d):
+    def doubled(n, d):
         v = object.__new__(F)
         v._numerator, v._denominator = 2 * n, 2 * d
         return v
@@ -514,6 +605,24 @@ def test_lowest_terms_watch_fires(monkeypatch):
                        match=r"lowest terms: step 1 .* gcd\(n, d\) = 2 and"
                              r" d > 0$"):
         reduction._band_step([([a], [(F(1),) * 3]) for a in starts], 4,
+                             *_cone_starts(1, 1, 1))
+
+
+def test_canonical_form_watch_fires(monkeypatch):
+    # and a step that stores a rational function not in canonical form:
+    # here every built equal-label result carries a shared content 2
+    def doubled(n, d):
+        v = object.__new__(RationalFunction)
+        v.numer, v.denom = 2 * n, 2 * d
+        return v
+
+    monkeypatch.setattr(reduction, "_from_coprime", doubled)
+    starts, _ = _cone_starts(1, 1, 0)
+    x = RationalFunction.x()
+    with pytest.raises(pytest.fail.Exception,
+                       match=r"canonical form: step 1 .* function "
+                             r"\(2\*x\^1\) / \(2\), .* writes as 1\*x\^1$"):
+        reduction._band_step([([a], [(x,) * 3]) for a in starts], 4,
                              *_cone_starts(1, 1, 1))
 
 
