@@ -27,8 +27,7 @@ from .grid import (EdgeRef, Grid, GridError, all_one_grid, corner_distances,
                    determining_triangles, symmetry_complete)
 from .polynomial import Polynomial
 from .ratfunc import RATFUNCS, RationalFunction, parse_ratfunc
-from .reduction import (child_edge, delta, reduce_k, reduce_once,
-                        triangle_legs, wye)
+from .reduction import delta, reduce_k, reduce_once, triangle_legs, wye
 from .reports import Check, Report
 from .sequences import (AsymptoticRow, NumeratorSequence, asymptotics_table,
                         bareiss_determinant, cofactor_determinant,

@@ -158,10 +158,10 @@ _REDUCE_MAX_N = 400
 # steps, and 32 steps take ~22 s and ~85 MiB end to end.
 _REDUCE_MAX_STEPS = 32
 
-# Over rational functions the labels grow with every step: end to end,
-# n = 400 takes ~18, ~22 and ~27 s at 8, 9 and 10 steps, and ~41 s at
-# 11, all in ~110 MiB.
-_SYMBOLIC_REDUCE_MAX_STEPS = 10
+# Over rational functions the labels grow with every step: end to end on
+# two cores, n = 400 takes ~31, ~32-36 and ~49 s at 10, 11 and 12 steps,
+# in 108, 113 and 118 MiB.
+_SYMBOLIC_REDUCE_MAX_STEPS = 11
 
 
 def cmd_reduce(args) -> int:

@@ -100,15 +100,13 @@ class Grid:
     __slots__ = ("m", "reductions", "field", "_tri", "_symmetric")
 
     def __init__(self, m: int, triangles: Mapping[tuple[int, int], tuple],
-                 field: FieldContract = RATIONALS, reductions: int = 0,
-                 _validate: bool = True):
+                 field: FieldContract = RATIONALS, reductions: int = 0):
         self.m = m
         self.reductions = reductions
         self.field = field
         self._tri = dict(triangles)
         self._symmetric = None
-        if _validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         if self.m < 1:
@@ -246,7 +244,7 @@ def all_one_grid(n: int) -> Grid:
     one = RATIONALS.one
     tri = {(r, d): (one, one, one)
            for r in range(1, n + 1) for d in range(1, r + 1)}
-    g = Grid(n, tri, reductions=0, _validate=False)
+    g = Grid(n, tri, reductions=0)
     g._symmetric = True
     return g
 

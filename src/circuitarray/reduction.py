@@ -15,9 +15,8 @@ bottom-right = delta(R, B, L).  A child edge is then either the wye of the
 three legs meeting at the parent vertex it straddles (interior edges) or the
 series sum of the two legs meeting there (boundary edges).
 
-``child_edge``, ``reduce_once`` and ``reduce_k`` are generic over the scalar
-field: the same code reduces grids of exact rationals and grids of rational
-functions.
+``reduce_once`` and ``reduce_k`` are generic over the scalar field: the
+same code reduces grids of exact rationals and grids of rational functions.
 
 One kernel, ``_child_triple``, places parent star legs into a child
 (L, R, B) triple; ``triangle_legs`` is the only star-leg computation and
@@ -48,12 +47,11 @@ short operands, by ``_split``, and a shared 2 by ``_from_coprime``:
     wye y = z             hq'M / (p'gQ'^2)       nothing
 
 ``delta`` and the operator form ``y + z + y*z/x`` are the textbook
-references for those formulas.  ``child_edge`` places the legs edge by
-edge on its own and is the reference for the kernel's placement;
-``circuitarray.graphs``' ``graph_level_reduce`` performs the reduction as
-graph surgery, shares no code with this module and checks the formulas
-themselves.  ``reduce_once``, through ``reduce_k``, in turn checks the
-chain's cone, runs and memos.
+references for those formulas.  ``circuitarray.graphs``'
+``graph_level_reduce`` performs the reduction as graph surgery, shares no
+code with this module and is the reference for the formulas and for the
+kernel's placement of the legs, label for label.  ``reduce_once``, through
+``reduce_k``, in turn checks the chain's cone, runs and memos.
 
 Every band read is one reduction chain, ``_reduce_chain``, from the
 all-one 4C-grid, reading column j after j steps.  ``reduce_array`` (all
@@ -78,8 +76,7 @@ from fractions import Fraction
 from math import gcd
 
 from .fields import RATIONALS, FieldContract
-from .grid import (SIDES, Grid, GridError, determining_triangles,
-                   symmetry_complete)
+from .grid import Grid, GridError, determining_triangles, symmetry_complete
 from .polynomial import Polynomial
 from .ratfunc import RationalFunction
 
@@ -213,43 +210,6 @@ def _from_coprime(n, d):
     f = object.__new__(RationalFunction)
     f.numer, f.denom = n, d
     return f
-
-
-def child_edge(parent: Grid, r: int, d: int, side: str):
-    """Label of edge (r, d, side) in the one-step reduction of ``parent``.
-
-    Domain limits follow from which parent triangles each formula touches;
-    violations are rejected with the failing inequality named.
-    """
-    m = parent.m
-    mc = m - 1
-    if mc < 1:
-        raise GridError("parent grid must have m >= 2")
-    if side not in SIDES:
-        raise GridError(f"side must be one of {SIDES}, got {side!r}")
-    if not 1 <= d <= r <= mc:
-        raise GridError(f"child edge needs 1 <= d <= r <= m-1; "
-                        f"got r={r}, d={d}, m-1={mc}")
-    legs = {}
-
-    def leg(rr, dd):
-        v = legs.get((rr, dd))
-        if v is None:
-            v = triangle_legs(*parent.triangle(rr, dd))
-            legs[(rr, dd)] = v
-        return v
-
-    if side == "L":
-        if d == 1:
-            return leg(r, 1)[1] + leg(r + 1, 1)[0]
-        return wye(leg(r, d - 1)[2], leg(r, d)[1], leg(r + 1, d)[0])
-    if side == "R":
-        if d == r:
-            return leg(r, r)[2] + leg(r + 1, r + 1)[0]
-        return wye(leg(r, d + 1)[1], leg(r, d)[2], leg(r + 1, d + 1)[0])
-    if r == mc:
-        return leg(m, d)[2] + leg(m, d + 1)[1]
-    return wye(leg(r + 2, d + 1)[0], leg(r + 1, d)[2], leg(r + 1, d + 1)[1])
 
 
 def _reduce_triangles(tri, m, out_triangles):
@@ -411,10 +371,11 @@ def _band_step(band: list, m: int, starts: list, last: int) -> list:
     from row rows[i] up to the next run's start, the last run up to the
     parent cone's last row.  The child cone's diagonal d runs from row
     ``starts[d-1]`` to row ``last``.  Child (r, d) reads parent diagonals
-    d-1 at row r, d at rows r..r+1 and d+1 at rows r..r+2 by the formulas
-    of ``child_edge``, which change only at r = d and r = m-1; so between
-    two cut rows, the run starts of those sources shifted up by their row
-    offset and the two special rows, every child triple is the same.  Each
+    d-1 at row r, d at rows r..r+1 and d+1 at rows r..r+2; its right edge
+    is a series sum at r = d, its base one at r = m-1 and each a wye
+    elsewhere (``_child_triple``), so between two cut rows, the run starts
+    of those sources shifted up by their row offset and the two special
+    rows, every child triple is the same.  Each
     such segment is evaluated once, star legs once per parent run, and
     equal neighbouring results are merged.
 
@@ -426,14 +387,13 @@ def _band_step(band: list, m: int, starts: list, last: int) -> list:
     (``Fraction.__hash__`` computes a modular inverse), and canonical
     polynomials for rational functions, which compare structurally.
     """
-    leg_memo: dict = {}
-    legs = [(rows, [_star_legs(t, leg_memo) for t in triples])
+    legs3, wye3 = _memo(triangle_legs), _memo(wye)
+    legs = [(rows, [legs3(L, R, B) for L, R, B in triples])
             for rows, triples in band]
 
     def leg(r, d):
         return _run_at(legs[d - 1], r)
 
-    wye3 = _memo_wye({})
     mc = m - 1
     child = []
     for d, a in enumerate(starts, start=1):
@@ -455,34 +415,31 @@ def _band_step(band: list, m: int, starts: list, last: int) -> list:
     return child
 
 
-def _star_legs(triple, leg_memo):
-    """Star legs of one parent triple, memoized on its label values."""
-    L, R, B = triple
-    key = (L.numerator, L.denominator, R.numerator, R.denominator,
-           B.numerator, B.denominator)
-    v = leg_memo.get(key)
-    if v is None:
-        v = leg_memo[key] = triangle_legs(L, R, B)
-    return v
+def _memo(fn):
+    """``fn`` of three labels, memoized on their numerators and
+    denominators."""
+    memo = {}
 
-
-def _memo_wye(wye_memo):
-    """The wye formula memoized on its three legs' values."""
-    def wye3(a, b, c):
+    def memoized(a, b, c):
         key = (a.numerator, a.denominator, b.numerator, b.denominator,
                c.numerator, c.denominator)
-        v = wye_memo.get(key)
+        v = memo.get(key)
         if v is None:
-            v = wye_memo[key] = wye(a, b, c)
+            v = memo[key] = fn(a, b, c)
         return v
-    return wye3
+    return memoized
 
 
 def _child_triple(leg, wye3, r, d, m):
     """Child (L, R, B) at (r, d) of one reduction of an m-grid.
 
-    The formulas of ``child_edge``, with ``leg(r, d)`` the star legs of
-    parent triangle (r, d) and ``wye3`` the wye formula.
+    With (a, l, b) = ``leg(r, d)`` the apex, bottom-left and bottom-right
+    star legs of parent triangle (r, d) and ``wye3`` the wye formula, each
+    edge is the wye of three legs, or on the boundary the sum of two:
+    L = wye(b(r, d-1), l(r, d), a(r+1, d)), or l(r, 1) + a(r+1, 1) at d = 1;
+    R = wye(l(r, d+1), b(r, d), a(r+1, d+1)), or b(r, r) + a(r+1, r+1) at
+    r = d; B = wye(a(r+2, d+1), b(r+1, d), l(r+1, d+1)), or b(m, d) +
+    l(m, d+1) at r = m-1.
     """
     if d == 1:
         Lv = leg(r, 1)[1] + leg(r + 1, 1)[0]

@@ -11,12 +11,13 @@ from circuitarray import reduction
 from circuitarray.circuit_array import reduce_window
 from circuitarray.cli import main
 from circuitarray.fields import RATIONALS
+from circuitarray.graphs import graph_level_reduce
 from circuitarray.grid import Grid, GridError, all_one_grid
 from circuitarray.polynomial import Polynomial
 from circuitarray.ratfunc import RATFUNCS, RationalFunction
-from circuitarray.reduction import (_band_step, _cone_starts, child_edge,
-                                    delta, reduce_diagonal, reduce_k,
-                                    reduce_once, triangle_legs, wye)
+from circuitarray.reduction import (_band_step, _cone_starts, delta,
+                                    reduce_diagonal, reduce_k, reduce_once,
+                                    triangle_legs, wye)
 
 
 def test_delta_values():
@@ -456,23 +457,13 @@ def test_delta_wye_round_trip_at_a_site():
 
 
 def test_child_edge_examples():
-    g = all_one_grid(6)
-    assert child_edge(g, 2, 1, "L") == F(2, 3)         # boundary series
-    assert child_edge(g, 3, 2, "L") == 1               # interior wye
-    once = reduce_once(all_one_grid(8))
-    assert child_edge(once, 3, 2, "L") == F(26, 27)
-    assert child_edge(once, 3, 1, "R") == F(13, 12)
-    assert child_edge(once, 3, 1, "L") == F(1, 2)
-
-
-def test_child_edge_domain_errors_name_the_inequality():
-    g = all_one_grid(4)
-    with pytest.raises(GridError, match="1 <= d <= r <= m-1"):
-        child_edge(g, 4, 1, "L")
-    with pytest.raises(GridError, match="1 <= d <= r <= m-1"):
-        child_edge(g, 2, 3, "B")
-    with pytest.raises(GridError):
-        child_edge(all_one_grid(1), 1, 1, "L")
+    child = reduce_once(all_one_grid(6))
+    assert child.label(2, 1, "L") == F(2, 3)         # boundary series
+    assert child.label(3, 2, "L") == 1               # interior wye
+    twice = reduce_k(all_one_grid(8), 2)
+    assert twice.label(3, 2, "L") == F(26, 27)
+    assert twice.label(3, 1, "R") == F(13, 12)
+    assert twice.label(3, 1, "L") == F(1, 2)
 
 
 def test_one_reduction_of_all_one_grids():
@@ -519,26 +510,25 @@ def test_child_labels_positive_and_symmetric():
     assert Grid(g.m, g._tri, reductions=g.reductions).is_symmetric()
 
 
-def test_reduce_matches_child_edge_everywhere():
-    # On all-one grids each star's two bottom legs are equal, so a leg
-    # placed at the wrong corner only shows on asymmetric labels.
+def test_reduce_over_rational_functions_commutes_with_evaluation():
+    # Graph surgery checks the placement of the legs over the rationals;
+    # this checks it over rational functions.  On all-one grids each
+    # star's two bottom legs are equal, so a leg placed at the wrong corner
+    # only shows on asymmetric labels.
     rng = random.Random(5)
-    parents = [reduce_once(all_one_grid(7))]
-    for m in range(3, 8):
-        tri = {(r, d): tuple(F(rng.randint(1, 9), rng.randint(1, 9))
-                             for _ in range(3))
-               for r in range(1, m + 1) for d in range(1, r + 1)}
-        parents.append(Grid(m, tri, field=RATIONALS))
     x = RationalFunction.x()
     labels = (RATFUNCS.one, x, 1 + x, 2 / (x + 1))
-    tri = {(r, d): tuple(rng.choice(labels) for _ in range(3))
-           for r in range(1, 5) for d in range(1, r + 1)}
-    parents.append(Grid(4, tri, field=RATFUNCS))
-    for parent in parents:
-        child = reduce_once(parent)
-        for e, value in child.items():
-            assert value == child_edge(parent, e.r, e.d, e.side), \
-                (parent.m, parent.field.name, e)
+    for m in range(2, 8):
+        tri = {(r, d): tuple(rng.choice(labels) for _ in range(3))
+               for r in range(1, m + 1) for d in range(1, r + 1)}
+        child = reduce_once(Grid(m, tri, field=RATFUNCS))
+        for x0 in (F(2), F(1, 3), F(7, 2)):
+            at = Grid(m, {k: tuple(v.eval(x0) for v in t)
+                          for k, t in tri.items()})
+            want = reduce_once(at)
+            assert graph_level_reduce(at) == want
+            assert {e: v.eval(x0) for e, v in child.items()} == \
+                dict(want.items()), (m, x0)
 
 
 def test_window_validates_inputs():
