@@ -9,6 +9,8 @@ fixed 4-decimal rendering.
 Exit status: 0 on success, 1 when any verification finding failed, 2 on
 usage errors.  The array columns and the leftmost diagonal are each one
 reduction chain in one process.
+
+Every verification suite is listed in one place, the table ``_SUITES``.
 """
 
 from __future__ import annotations
@@ -116,24 +118,10 @@ def cmd_array(args) -> int:
         return 0
     if args.max_k < 0:
         raise UsageError(f"--max-k must be >= 0, got {args.max_k}")
-    if not 1 <= args.max_s <= _UNIFORM_CENTER_MAX_S:
+    if not 1 <= args.center_s <= _UNIFORM_CENTER_MAX_S:
         raise UsageError(f"--max-s must be in 1..{_UNIFORM_CENTER_MAX_S}, "
-                         f"got {args.max_s}")
-    width = _array_width(args)
-    # built on first use: the uniform-center suite alone never reads it
-    array = functools.cache(lambda: ca.build_array(width))
-    suites = {
-        "recursions": lambda: ca.verify_row_recursions(array()),
-        "closed-forms": lambda: ca.verify_closed_forms(array()),
-        "uniform-center": lambda: _uniform_center_all(args.max_s),
-        "spotchecks": lambda: ca.verify_composition_spotchecks(
-            args.max_k, array()),
-    }
-    if args.suite == "all":
-        reports = [fn() for fn in suites.values()]
-    else:
-        reports = [suites[args.suite]()]
-    return _emit_reports(reports, args.verbose)
+                         f"got {args.center_s}")
+    return _run_suites(args, _ARRAY_SUITES, _array_width(args), 0)
 
 
 def _uniform_center_all(smax: int) -> Report:
@@ -258,21 +246,20 @@ def cmd_hankel(args) -> int:
         raise UsageError(f"--max-k must be >= 2, got {args.max_k}")
     S = 2 * (args.max_k + 1)
     _check_depth("--max-k", args.max_k, S)
-    return _emit_reports(
-        _hankel_suites(args.max_k, S, ca.diagonal_sequence(S)), args.verbose)
+    return _run_suites(args, ("hankel",), 0, S)
 
 
-def _hankel_suites(kmax: int, S: int, diag: list) -> list[Report]:
-    """The two Hankel suites over n'_2..n'_S, or, when some L_s * 2^(4s-7)
-    is not an integer, both reported failed with the reason."""
+def _hankel_suites(kmax: int, diag: list) -> list[Report]:
+    """The two Hankel suites over n'_2..n'_S, S = len(diag), or, when some
+    L_s * 2^(4s-7) is not an integer, both reported failed with the reason."""
     try:
-        seq = sequences.nprime_sequence(S, diag)
+        seq = sequences.nprime_sequence(len(diag), diag)
     except sequences.SequenceError as exc:
         reports = [Report("hankel-determinant-conjecture"),
                    Report("lhrcc-exclusion")]
         for rep in reports:
-            rep.add(f"n'_s = L_s * 2^(4s-7) is an integer for s = 2..{S}",
-                    False, str(exc))
+            rep.add("n'_s = L_s * 2^(4s-7) is an integer for s = "
+                    f"2..{len(diag)}", False, str(exc))
         return reports
     return [sequences.verify_determinant_conjecture(kmax, seq),
             sequences.lhrcc_ruled_out(kmax, seq)]
@@ -341,21 +328,18 @@ def cmd_resistance(args) -> int:
     return 0
 
 
+# The transform-soundness suite's cost grows linearly in --graphs, in ~17 MiB:
+# 1,000, 10,000 and 20,000 graphs take ~0.4, ~4.5 and ~8.5 s.
+_ORACLE_MAX_GRAPHS = 20_000
+
+
 def cmd_oracle(args) -> int:
     if args.graphs < 1:
         raise UsageError(f"--graphs must be >= 1, got {args.graphs}")
-    suites = {
-        "transforms": lambda: properties.transform_soundness_suite(
-            seed=args.seed, graphs=args.graphs),
-        "dual-pipeline": lambda: properties.dual_pipeline_suite(seed=args.seed),
-        "fib": lambda: graphs.verify_fib_identities(),
-        "2tree": lambda: graphs.verify_2tree_formula(),
-    }
-    if args.suite == "all":
-        reports = [fn() for fn in suites.values()]
-    else:
-        reports = [suites[args.suite]()]
-    return _emit_reports(reports, args.verbose)
+    if args.graphs > _ORACLE_MAX_GRAPHS:
+        raise UsageError(f"--graphs must be <= {_ORACLE_MAX_GRAPHS}, "
+                         f"got {args.graphs}")
+    return _run_suites(args, _ORACLE_SUITES, 0, 0)
 
 
 # -- verify (aggregate) ------------------------------------------------------------
@@ -367,29 +351,52 @@ def cmd_verify(args) -> int:
     if args.max_s < 1:
         raise UsageError(f"--max-s must be >= 1, got {args.max_s}")
     _check_depth("--max-s", args.max_s, args.max_s)
-    smax = max(2 * args.max_k + 2, 20, args.max_s)
-    arr = ca.build_array(_array_width(args))
-    diag = ca.diagonal_sequence(smax)
-    reports = [
-        ca.verify_row_recursions(arr),
-        ca.verify_closed_forms(arr),
-        ca.verify_row01_recurrences(arr),
-        _uniform_center_all(4),
-        ca.verify_composition_spotchecks(args.max_k, arr),
-        *_hankel_suites(args.max_k, smax, diag),
-        sequences.verify_denominator_divisibility(smax, diag),
-        sequences.verify_symbolic_patterns(7, diag,
-                                           sequences.symbolic_diagonal(7)),
-        sequences.verify_monotonicity(max(args.max_s, 20), diag),
-        graphs.verify_fib_identities(),
-        graphs.verify_2tree_formula(),
-        properties.dual_pipeline_suite(seed=args.seed),
-        properties.transform_soundness_suite(seed=args.seed, graphs=40),
-        properties.field_axiom_suite("rational", seed=args.seed),
-        properties.field_axiom_suite("symbolic", seed=args.seed, rounds=25),
-        properties.metric_suite(seed=args.seed),
-        properties.symmetry_suite(seed=args.seed),
-    ]
+    return _run_suites(args, tuple(_SUITES), _array_width(args),
+                       max(2 * args.max_k + 2, 20, args.max_s))
+
+
+# Every verification suite, in the order `verify` prints them: its name, and
+# a function of the parsed arguments, the command's array and its diagonal
+# (functions that build them on first call) that returns its reports.
+_SUITES = {
+    "recursions": lambda a, arr, diag: [ca.verify_row_recursions(arr())],
+    "closed-forms": lambda a, arr, diag: [ca.verify_closed_forms(arr())],
+    "row01": lambda a, arr, diag: [ca.verify_row01_recurrences(arr())],
+    "uniform-center": lambda a, arr, diag: [_uniform_center_all(a.center_s)],
+    "spotchecks": lambda a, arr, diag: [
+        ca.verify_composition_spotchecks(a.max_k, arr())],
+    "hankel": lambda a, arr, diag: _hankel_suites(a.max_k, diag()),
+    "divisibility": lambda a, arr, diag: [
+        sequences.verify_denominator_divisibility(len(diag()), diag())],
+    "symbolic": lambda a, arr, diag: [sequences.verify_symbolic_patterns(
+        7, diag(), sequences.symbolic_diagonal(7))],
+    "monotonicity": lambda a, arr, diag: [
+        sequences.verify_monotonicity(max(a.max_s, 20), diag())],
+    "fib": lambda a, arr, diag: [graphs.verify_fib_identities()],
+    "2tree": lambda a, arr, diag: [graphs.verify_2tree_formula()],
+    "dual-pipeline": lambda a, arr, diag: [
+        properties.dual_pipeline_suite(seed=a.seed)],
+    "transforms": lambda a, arr, diag: [properties.transform_soundness_suite(
+        seed=a.seed, graphs=a.graphs)],
+    "field-axioms": lambda a, arr, diag: [
+        properties.field_axiom_suite("rational", seed=a.seed),
+        properties.field_axiom_suite("symbolic", seed=a.seed, rounds=25)],
+    "metric": lambda a, arr, diag: [properties.metric_suite(seed=a.seed)],
+    "symmetry": lambda a, arr, diag: [properties.symmetry_suite(seed=a.seed)],
+}
+_ARRAY_SUITES = ("recursions", "closed-forms", "uniform-center", "spotchecks")
+_ORACLE_SUITES = ("transforms", "dual-pipeline", "fib", "2tree")
+
+
+def _run_suites(args, names, width: int, depth: int) -> int:
+    """Emit the reports of the suites ``names``, or of the one ``--suite``
+    names, over the array of ``width`` columns and the diagonal to s =
+    ``depth``, each built at most once and only if a suite reads it."""
+    array = functools.cache(lambda: ca.build_array(width))
+    diag = functools.cache(lambda: ca.diagonal_sequence(depth))
+    if getattr(args, "suite", "all") != "all":
+        names = (args.suite,)
+    reports = [r for name in names for r in _SUITES[name](args, array, diag)]
     return _emit_reports(reports, args.verbose)
 
 
@@ -413,12 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(pb)
     pb.set_defaults(fn=cmd_array)
     pv = asub.add_parser("verify", help="run array verification suites")
-    pv.add_argument("--suite", choices=("recursions", "closed-forms",
-                                        "uniform-center", "spotchecks", "all"),
-                    default="all")
+    pv.add_argument("--suite", choices=_ARRAY_SUITES + ("all",), default="all")
     pv.add_argument("--max-cols", type=int, default=8)
     pv.add_argument("--max-k", type=int, default=3)
-    pv.add_argument("--max-s", type=int, default=4)
+    pv.add_argument("--max-s", type=int, default=4, dest="center_s",
+                    metavar="MAX_S")
     pv.add_argument("--verbose", action="store_true")
     pv.set_defaults(fn=cmd_array)
 
@@ -468,8 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="graph-oracle verification suites")
     osub = p.add_subparsers(dest="action", required=True)
     po = osub.add_parser("verify")
-    po.add_argument("--suite", choices=("transforms", "dual-pipeline",
-                                        "fib", "2tree", "all"),
+    po.add_argument("--suite", choices=_ORACLE_SUITES + ("all",),
                     default="all")
     po.add_argument("--seed", type=int, default=0)
     po.add_argument("--graphs", type=int, default=100)
@@ -482,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-s", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verbose", action="store_true")
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(fn=cmd_verify, center_s=4, graphs=40)
 
     return parser
 

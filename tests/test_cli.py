@@ -1,5 +1,7 @@
 """CLI surface: subcommands, formats, determinism, exit codes."""
 
+import argparse
+import itertools
 import json
 import shlex
 import time
@@ -9,8 +11,10 @@ from pathlib import Path
 import pytest
 
 from circuitarray.circuit_array import CircuitArray, build_array
-from circuitarray.cli import (_ARRAY_MAX_COLS, _DIAG_MAX_S,
-                             _REDUCE_MAX_STEPS, _SYMBOLIC_REDUCE_MAX_STEPS,
+from circuitarray.cli import (_ARRAY_MAX_COLS, _ARRAY_SUITES, _DIAG_MAX_S,
+                             _ORACLE_MAX_GRAPHS, _ORACLE_SUITES,
+                             _REDUCE_MAX_STEPS, _SUITES,
+                             _SYMBOLIC_REDUCE_MAX_STEPS,
                              _UNIFORM_CENTER_MAX_S, _write_array,
                              build_parser, main)
 from circuitarray.graphs import WeightedGraph
@@ -340,6 +344,83 @@ def usage_error(capsys, argv):
     return err
 
 
+def subparser(command):
+    """The parser of ``command``, such as ("array", "verify")."""
+    parser = build_parser()
+    for word in command:
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[word]
+    return parser
+
+
+def flag_choices(parser, flag):
+    """The choices of ``flag`` in ``parser``, or None if it has no flag."""
+    return next((a.choices for a in parser._actions
+                 if flag in a.option_strings), None)
+
+
+def report_titles(out):
+    return [line.split("] ", 1)[1].rsplit(" (", 1)[0]
+            for line in out.splitlines() if line.startswith(("[PASS]",
+                                                             "[FAIL]"))]
+
+
+# Each verify command's suites, as the table names them, and the titles of
+# the reports each prints at the command's defaults, in printed order.
+SUITE_TITLES = {
+    ("verify",): (tuple(_SUITES), [
+        ("recursions", ["row-recursions"]),
+        ("closed-forms", ["closed-forms"]),
+        ("row01", ["row-0/1-recurrences"]),
+        ("uniform-center", ["uniform-center s = 1..4, n = 4s and 4s+2"]),
+        ("spotchecks", ["composition-spotchecks"]),
+        ("hankel", ["hankel-determinant-conjecture", "lhrcc-exclusion"]),
+        ("divisibility", ["denominator-divisibility"]),
+        ("symbolic", ["symbolic-diagonal"]),
+        ("monotonicity", ["asymptotic-monotonicity s <= 20"]),
+        ("fib", ["fibonacci-identities"]),
+        ("2tree", ["straight-2tree-formula"]),
+        ("dual-pipeline", ["dual-pipeline seed=0"]),
+        ("transforms", ["transform-soundness seed=0"]),
+        ("field-axioms", ["field-axioms[rational] seed=0",
+                          "field-axioms[symbolic] seed=0"]),
+        ("metric", ["resistance-metric seed=0"]),
+        ("symmetry", ["grid-symmetry seed=0"]),
+    ]),
+    ("array", "verify"): (_ARRAY_SUITES, [
+        ("recursions", ["row-recursions"]),
+        ("closed-forms", ["closed-forms"]),
+        ("uniform-center", ["uniform-center s = 1..4, n = 4s and 4s+2"]),
+        ("spotchecks", ["composition-spotchecks"]),
+    ]),
+    ("oracle", "verify"): (_ORACLE_SUITES, [
+        ("transforms", ["transform-soundness seed=0"]),
+        ("dual-pipeline", ["dual-pipeline seed=0"]),
+        ("fib", ["fibonacci-identities"]),
+        ("2tree", ["straight-2tree-formula"]),
+    ]),
+}
+
+
+@pytest.mark.parametrize("command", SUITE_TITLES, ids=" ".join)
+def test_suite_table_drives_each_verify_command(capsys, command):
+    names, suites = SUITE_TITLES[command]
+    assert [name for name, _ in suites] == list(names)
+    code, out = run(capsys, *command)
+    assert code == 0
+    assert report_titles(out) == [t for _, titles in suites for t in titles]
+    # `verify` runs every suite and takes no --suite
+    choices = flag_choices(subparser(command), "--suite")
+    if command == ("verify",):
+        assert choices is None and names == tuple(_SUITES)
+        return
+    assert tuple(choices) == names + ("all",)
+    for name, titles in suites:
+        code, out = run(capsys, *command, "--suite", name)
+        assert code == 0 and report_titles(out) == titles, name
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["array", "build"])  # missing --cols
@@ -444,6 +525,9 @@ def test_bad_boundary_is_a_usage_error(capsys, argv):
     # refused before the all-one grid is built
     (["reduce", "--n", "400", "--steps", str(_REDUCE_MAX_STEPS + 1)],
      f"--steps must be <= {_REDUCE_MAX_STEPS} with --field rational"),
+    # refused before any random graph is built
+    (["oracle", "verify", "--graphs", str(_ORACLE_MAX_GRAPHS + 1)],
+     f"--graphs must be <= {_ORACLE_MAX_GRAPHS}"),
 ])
 def test_bad_argument_is_a_usage_error(capsys, argv, needle):
     assert needle in usage_error(capsys, argv)
@@ -454,6 +538,9 @@ def test_bad_argument_is_a_usage_error(capsys, argv, needle):
     ["array", "build", "--cols", "2", "--verbose"],
     ["asymptotics", "--rows", "1", "--verbose"],
     ["verify", "--all"],
+    # verify's fixed depths are not flags, and it runs every suite
+    ["verify", "--graphs", "5"],
+    ["verify", "--suite", "fib"],
 ])
 def test_flags_no_command_reads_are_refused(argv):
     with pytest.raises(SystemExit) as exc:
@@ -468,12 +555,19 @@ def test_readme_cli_block_parses(capsys):
              if line.startswith("circuitarray ")]
     assert len(lines) >= 10
     for line in lines:
-        # of each a|b|c choice the first stands for the line
-        argv = [word.split("|")[0] for word in shlex.split(line)[1:]]
-        try:
-            build_parser().parse_args(argv)
-        except SystemExit:
-            pytest.fail(f"{line}: {capsys.readouterr().err.strip()}")
+        words = shlex.split(line)[1:]
+        for argv in itertools.product(*(word.split("|") for word in words)):
+            try:
+                build_parser().parse_args(list(argv))
+            except SystemExit:
+                pytest.fail(f"{line}: {capsys.readouterr().err.strip()}")
+        # each a|b|c lists exactly its flag's choices, in the parser's order
+        command = list(itertools.takewhile(lambda w: not w.startswith("--"),
+                                           words))
+        for flag, word in zip(words, words[1:]):
+            if "|" in word:
+                assert word.split("|") == list(
+                    flag_choices(subparser(command), flag)), line
 
 
 def test_python_dash_m_runs_the_cli():
