@@ -23,12 +23,13 @@ One kernel, ``_child_triple``, places parent star legs into a child
 ``wye`` the only wye.  ``reduce_once`` calls the kernel for every triangle
 of a grid, or, when the grid is symmetric, for the triangles of the child's
 determining sector only and hands those triples to ``symmetry_complete``;
-``_band_step`` calls it for the runs of the chain below.
+``_band_step`` calls it once per distinct cell of the chain below.
 ``triangle_legs`` and ``wye`` do not chain field operations, each of which
 would normalise its own result: they form every output over one
-denominator from their inputs' ``numerator`` and ``denominator``.  Both
-also take a shorter form when two inputs are equal, compared by numerator
-and denominator as the memos compare them.  Inside the uniform center the
+denominator from their inputs' ``numerator`` and ``denominator``, in
+the inputs' own type (``_KINDS``; TypeError for any other).  Both also
+take a shorter form when two inputs are equal, compared by numerator and
+denominator as the memos compare them.  Inside the uniform center the
 right label equals the base label, so most triangles of the chain have
 R = B: their apex and bottom-left legs are then one value, built once, and
 the wye of legs x = z is the sum 2y + z; the other wyes of the chain have
@@ -62,11 +63,11 @@ diagonal L_s(x) is the same chain with every label 2/3 renamed after step
 The chain computes exactly the labels of repeated ``reduce_once`` but
 restricts work to the triangles that can influence the requested reads.
 It stores each diagonal of its cone as runs of equal label triples along
-the rows and reduces them with ``_band_step``, run by run, so a step costs
-per run instead of per triangle.  Its leg and wye memos last one step, so
-the chain holds one step of labels.  They are keyed on each label's
-``numerator`` and ``denominator``: integers for exact rationals, hashable
-polynomials for rational functions, so the chain runs over both fields.
+the rows and reduces them with ``_band_step``, which numbers a step's
+distinct triples, interns their star legs and evaluates each distinct
+cell once.  Its memos last one step, so the chain holds one step of
+labels, and key values on each label's ``numerator`` and ``denominator``
+(integers, or hashable polynomials), so the chain runs over both fields.
 """
 
 from __future__ import annotations
@@ -111,6 +112,7 @@ def wye(x, y, z):
     Every wye of the rational chain takes one of these two forms, fed by
     the legs of the uniform center's equal right and base labels.
     """
+    make, coprime = _kind(x)
     p, P = x.numerator, x.denominator
     q, Q = y.numerator, y.denominator
     r, R = z.numerator, z.denominator
@@ -119,7 +121,7 @@ def wye(x, y, z):
             raise ZeroDivisionError("wye with a zero leg")
         g, Q, R = _split(Q, R)
         _, N, g = _split(2 * q * R + r * Q, g)
-        return _from_coprime(N, g * Q * R)
+        return coprime(N, g * Q * R)
     if q == r and Q == R:
         if not p:
             raise ZeroDivisionError("wye with a zero leg")
@@ -128,9 +130,8 @@ def wye(x, y, z):
         M = 2 * p * Q + q * P
         _, h, p = _split(h, p)
         _, M, g = _split(M, g)
-        return _from_coprime(h * q * M, p * g * Q * Q)
-    n = p * (q * R + r * Q) + q * r * P
-    return (Fraction if type(n) is int else RationalFunction)(n, p * Q * R)
+        return coprime(h * q * M, p * g * Q * Q)
+    return make(p * (q * R + r * Q) + q * r * P, p * Q * R)
 
 
 def triangle_legs(L, R, B):
@@ -153,6 +154,7 @@ def triangle_legs(L, R, B):
     which _from_coprime takes out, and exactly gcd(α', g), which
     _split(α', g) takes out.  Both fields take this one path.
     """
+    make, coprime = _kind(L)
     a, al = L.numerator, L.denominator
     b, be = R.numerator, R.denominator
     c, ga = B.numerator, B.denominator
@@ -162,12 +164,11 @@ def triangle_legs(L, R, B):
         h, a, b = _split(a, b)
         g, al, be = _split(al, be)
         _, h, t = _split(h, a * be + 2 * b * al)
-        apex = _from_coprime(a * b * h, g * t)
+        apex = coprime(a * b * h, g * t)
         _, al, g = _split(al, g)
-        return apex, apex, _from_coprime(h * b * b * al, be * g * t)
+        return apex, apex, coprime(h * b * b * al, be * g * t)
     abe, bal = a * be, b * al
     s = (abe + bal) * ga + c * al * be
-    make = Fraction if type(s) is int else RationalFunction
     return make(a * b * ga, s), make(c * abe, s), make(c * bal, s)
 
 
@@ -212,6 +213,19 @@ def _from_coprime(n, d):
     return f
 
 
+# The kernel's builders by label type, ints being Fraction labels: the
+# normalising (numerator, denominator) constructor and the lowest-terms one.
+_KINDS = {int: (Fraction, _from_coprime), Fraction: (Fraction, _from_coprime),
+          RationalFunction: (RationalFunction, _from_coprime)}
+
+
+def _kind(label):
+    """``_KINDS`` of the label's type; TypeError for a type not in it."""
+    if type(label) not in _KINDS:
+        raise TypeError(f"no reduction kernel for {type(label).__name__}")
+    return _KINDS[type(label)]
+
+
 def _reduce_triangles(tri, m, out_triangles):
     """Child label triples for the listed child triangles.
 
@@ -223,7 +237,7 @@ def _reduce_triangles(tri, m, out_triangles):
 
     def leg(rr, dd):
         v = legs.get((rr, dd))
-        if v is None:
+        if v is None and (rr, dd) in tri:
             try:
                 v = legs[(rr, dd)] = triangle_legs(*tri[(rr, dd)])
             except ZeroDivisionError:
@@ -231,7 +245,9 @@ def _reduce_triangles(tri, m, out_triangles):
                     f"zero edge sum at triangle ({rr},{dd})") from None
         return v
 
-    return {(r, d): _child_triple(leg, wye, r, d, m)
+    return {(r, d): _child_triple(wye, leg(r, d - 1), leg(r, d),
+                                  leg(r + 1, d), leg(r, d + 1),
+                                  leg(r + 1, d + 1), leg(r + 2, d + 1))
             for (r, d) in out_triangles}
 
 
@@ -371,86 +387,86 @@ def _band_step(band: list, m: int, starts: list, last: int) -> list:
     from row rows[i] up to the next run's start, the last run up to the
     parent cone's last row.  The child cone's diagonal d runs from row
     ``starts[d-1]`` to row ``last``.  Child (r, d) reads parent diagonals
-    d-1 at row r, d at rows r..r+1 and d+1 at rows r..r+2; its right edge
-    is a series sum at r = d, its base one at r = m-1 and each a wye
-    elsewhere (``_child_triple``), so between two cut rows, the run starts
-    of those sources shifted up by their row offset and the two special
-    rows, every child triple is the same.  Each
-    such segment is evaluated once, star legs once per parent run, and
-    equal neighbouring results are merged.
+    d-1 at row r, d at rows r..r+1 and d+1 at rows r..r+2
+    (``_child_triple``), so between two cut rows, the run starts of those
+    sources, the two rows above each, r = d+1 and r = m-1..m, every child
+    triple is the same.
 
-    The leg and wye memos last this one step: the only values that recur
-    across steps are the all-one ones, which each step recomputes once, so
-    a longer memo would only keep old labels alive.  They, and the merge,
-    are keyed on each label's (numerator, denominator) pair: integers for
-    exact rationals, which hash far faster than the scalars themselves
-    (``Fraction.__hash__`` computes a modular inverse), and canonical
-    polynomials for rational functions, which compare structurally.
+    The step numbers the parent's distinct triples by value, builds each
+    one's star legs once and interns them by value, so equal legs are one
+    object and the wye memo keys on their identities.  Each cut row is a
+    cell keyed on the numbers of its six parent triangles, None for the
+    one absent at each boundary (d = 1, r = d, r = m-1), so each distinct
+    cell is evaluated once.  Equal neighbouring results are merged.
+    These memos last this one step: only the all-one values recur across
+    steps, so a longer memo would only keep old labels alive.  Values are
+    keyed on each label's (numerator, denominator): integers for exact
+    rationals, which hash far faster than Fractions (``Fraction.__hash__``
+    computes a modular inverse), and canonical polynomials.
     """
-    legs3, wye3 = _memo(triangle_legs), _memo(wye)
-    legs = [(rows, [legs3(L, R, B) for L, R, B in triples])
-            for rows, triples in band]
+    numbers, interned, wyes, cells, values = {}, {}, {}, {}, {}
+    numbered = [(rows, [numbers.setdefault(_key(t), (len(numbers), t))[0]
+                        for t in triples]) for rows, triples in band]
+    legs = {i: tuple(interned.setdefault((v.numerator, v.denominator), v)
+                     for v in triangle_legs(*t)) for i, t in numbers.values()}
 
-    def leg(r, d):
-        return _run_at(legs[d - 1], r)
+    def wye3(x, y, z):
+        key = id(x), id(y), id(z)
+        v = wyes.get(key)
+        if v is None:
+            v = wyes[key] = wye(x, y, z)
+        return v
 
+    near = [{q for p in rows for q in (p - 2, p - 1, p)} for rows, _ in band]
     mc = m - 1
     child = []
     for d, a in enumerate(starts, start=1):
-        cuts = {a, d + 1, mc, mc + 1}
-        for source, span in ((d - 1, 1), (d, 2), (d + 1, 3)):
-            if source:
-                for p in legs[source - 1][0]:
-                    cuts.update(range(p - span + 1, p + 1))
+        lr, ln = numbered[d - 2] if d > 1 else ((), ())
+        (hr, hn), (rr, rn) = numbered[d - 1], numbered[d]
+        cuts = near[d - 1].union(near[d], near[d - 2] if d > 1 else (),
+                                 (a, d + 1, mc, mc + 1))
         rows, triples, prev = [], [], None
         for r in sorted(q for q in cuts if a <= q <= last):
-            Lv, Rv, Bv = _child_triple(leg, wye3, r, d, m)
-            key = (Lv.numerator, Lv.denominator, Rv.numerator, Rv.denominator,
-                   Bv.numerator, Bv.denominator)
-            if key != prev:
+            six = (None if d == 1 else ln[bisect_right(lr, r) - 1],
+                   hn[bisect_right(hr, r) - 1],
+                   hn[bisect_right(hr, r + 1) - 1],
+                   None if r == d else rn[bisect_right(rr, r) - 1],
+                   rn[bisect_right(rr, r + 1) - 1],
+                   None if r == mc else rn[bisect_right(rr, r + 2) - 1])
+            cell = cells.get(six)
+            if cell is None:
+                t = _child_triple(wye3, *map(legs.get, six))
+                cell = cells[six] = values.setdefault(_key(t), t)
+            if cell is not prev:
                 rows.append(r)
-                triples.append((Lv, Rv, Bv))
-                prev = key
+                triples.append(cell)
+                prev = cell
         child.append((rows, triples))
     return child
 
 
-def _memo(fn):
-    """``fn`` of three labels, memoized on their numerators and
-    denominators."""
-    memo = {}
-
-    def memoized(a, b, c):
-        key = (a.numerator, a.denominator, b.numerator, b.denominator,
-               c.numerator, c.denominator)
-        v = memo.get(key)
-        if v is None:
-            v = memo[key] = fn(a, b, c)
-        return v
-    return memoized
+def _key(t):
+    """A label triple's value: its numerators and denominators."""
+    return (t[0].numerator, t[0].denominator, t[1].numerator,
+            t[1].denominator, t[2].numerator, t[2].denominator)
 
 
-def _child_triple(leg, wye3, r, d, m):
+def _child_triple(wye3, left, here, below, right, below_right, bottom):
     """Child (L, R, B) at (r, d) of one reduction of an m-grid.
 
-    With (a, l, b) = ``leg(r, d)`` the apex, bottom-left and bottom-right
-    star legs of parent triangle (r, d) and ``wye3`` the wye formula, each
+    From ``wye3``, the wye formula, and the star legs (a, l, b), apex,
+    bottom-left and bottom-right, of parent triangles (r, d-1), (r, d),
+    (r+1, d), (r, d+1), (r+1, d+1) and (r+2, d+1), None where absent, each
     edge is the wye of three legs, or on the boundary the sum of two:
     L = wye(b(r, d-1), l(r, d), a(r+1, d)), or l(r, 1) + a(r+1, 1) at d = 1;
     R = wye(l(r, d+1), b(r, d), a(r+1, d+1)), or b(r, r) + a(r+1, r+1) at
     r = d; B = wye(a(r+2, d+1), b(r+1, d), l(r+1, d+1)), or b(m, d) +
     l(m, d+1) at r = m-1.
     """
-    if d == 1:
-        Lv = leg(r, 1)[1] + leg(r + 1, 1)[0]
-    else:
-        Lv = wye3(leg(r, d - 1)[2], leg(r, d)[1], leg(r + 1, d)[0])
-    if d == r:
-        Rv = leg(r, r)[2] + leg(r + 1, r + 1)[0]
-    else:
-        Rv = wye3(leg(r, d + 1)[1], leg(r, d)[2], leg(r + 1, d + 1)[0])
-    if r == m - 1:
-        Bv = leg(m, d)[2] + leg(m, d + 1)[1]
-    else:
-        Bv = wye3(leg(r + 2, d + 1)[0], leg(r + 1, d)[2], leg(r + 1, d + 1)[1])
+    Lv = (here[1] + below[0] if left is None
+          else wye3(left[2], here[1], below[0]))
+    Rv = (here[2] + below_right[0] if right is None
+          else wye3(right[1], here[2], below_right[0]))
+    Bv = (below[2] + below_right[1] if bottom is None
+          else wye3(bottom[0], below[2], below_right[1]))
     return Lv, Rv, Bv

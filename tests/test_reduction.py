@@ -10,7 +10,7 @@ import pytest
 from circuitarray import reduction
 from circuitarray.circuit_array import reduce_window
 from circuitarray.cli import main
-from circuitarray.fields import RATIONALS
+from circuitarray.fields import RATIONALS, FieldContract
 from circuitarray.graphs import graph_level_reduce
 from circuitarray.grid import Grid, GridError, all_one_grid
 from circuitarray.polynomial import Polynomial
@@ -223,6 +223,50 @@ def test_fused_kernel_takes_int_labels():
         assert all(type(v) is F for v in legs + (wye(L, R, B),))
     assert triangle_legs(1, 1, 1) == (F(1, 3),) * 3
     assert type(wye(1, 1, 1)) is F and wye(1, 1, 1) == 3
+
+
+class _Residue:
+    """A residue modulo the prime 65521, as a label: its numerator is its
+    least non-negative representative, an int, and its denominator 1.  At
+    16 bits it stays inside the label-growth envelope of every step."""
+
+    P = 65521
+    denominator = 1
+
+    def __init__(self, n, d=1):
+        if d % self.P == 0:
+            raise ZeroDivisionError("residue division by zero")
+        self.numerator = n * pow(d, -1, self.P) % self.P
+
+    def __add__(self, other):
+        return _Residue(self.numerator + other.numerator)
+
+    def __truediv__(self, other):
+        return _Residue(self.numerator, other.numerator)
+
+
+_RESIDUES = FieldContract("residue", _Residue(0), _Residue(1), _Residue, str)
+
+
+def test_kernel_builds_results_in_its_labels_type(monkeypatch):
+    # A label type the kernel has no builder for is refused, never
+    # converted; once its constructor is the builder, the chain gives the
+    # exact chain's labels modulo P
+    with pytest.raises(TypeError, match="no reduction kernel for _Residue"):
+        reduction._reduce_chain(20, 1, _RESIDUES)
+    with pytest.raises(TypeError, match="no reduction kernel for _Residue"):
+        wye(*(_Residue(k) for k in (1, 2, 3)))
+    monkeypatch.setitem(reduction._KINDS, _Residue, (_Residue, _Residue))
+    for C, width in ((20, 1), (8, 8)):
+        got = reduction._reduce_chain(C, width, _RESIDUES)
+        want = reduction._reduce_chain(C, width, RATIONALS)
+        assert [{d: tuple(v.numerator for v in t) for d, t in reads.items()}
+                for reads in got] == \
+            [{d: tuple(v.numerator * pow(v.denominator, -1, _Residue.P)
+                       % _Residue.P for v in t) for d, t in reads.items()}
+             for reads in want]
+        assert {type(v) for reads in got for t in reads.values()
+                for v in t} == {_Residue}
 
 
 def _random_int(rng):
@@ -536,35 +580,97 @@ def test_window_validates_inputs():
         reduce_window(0)
 
 
-def test_band_step_matches_reduce_once_on_arbitrary_runs():
-    # Labels drawn from a small set make runs of equal triples that start
-    # and stop irregularly along each diagonal; the whole grid also reaches
-    # the special rows r = d and r = m-1.
-    rng = random.Random(3)
-    values = (F(1), F(2), F(1, 2))
-    for m in range(2, 10):
+def _fresh_label(field, rng):
+    """One of three labels, built anew, so that equal labels are distinct
+    objects: 1, 2 and 3/2, or 1, x and (x + 1)/2."""
+    n, e, d = rng.choice(((1, 0, 1), (0, 1, 1), (1, 1, 2)))
+    if field is RATIONALS:
+        return F(n + 2 * e, d)
+    return RationalFunction(Polynomial([n, e]), Polynomial([d]))
+
+
+def band_step_mismatches(field, seed, max_m):
+    """Where one ``_band_step`` over a whole m-grid, m = 2..max_m, differs
+    from ``reduce_once``: labels drawn from three values, each built anew,
+    make runs of equal triples that start and stop irregularly along each
+    diagonal, and some runs are split in two with equal values; the whole
+    grid also reaches the special rows r = d and r = m-1."""
+    rng = random.Random(seed)
+    bad = []
+    for m in range(2, max_m + 1):
         tri, band = {}, []
         for d in range(1, m + 1):
             rows, triples = [], []
             for r in range(d, m + 1):
                 if r == d or rng.random() < 0.4:
-                    tri[(r, d)] = tuple(rng.choice(values) for _ in range(3))
+                    tri[(r, d)] = tuple(_fresh_label(field, rng)
+                                        for _ in range(3))
                 else:
-                    tri[(r, d)] = tri[(r - 1, d)]
-                if not triples or tri[(r, d)] != triples[-1]:
+                    tri[(r, d)] = tuple(map(_copy, tri[(r - 1, d)]))
+                if not triples or tri[(r, d)] != triples[-1] or \
+                        rng.random() < 0.2:
                     rows.append(r)
                     triples.append(tri[(r, d)])
             band.append((rows, triples))
-        want = reduce_once(Grid(m, tri, field=RATIONALS))
+        want = reduce_once(Grid(m, tri, field=field))
         child = _band_step(band, m, list(range(1, m)), m - 1)
-        assert len(child) == m - 1
+        if len(child) != m - 1:
+            bad.append(f"m = {m}: {len(child)} diagonals")
         for d, (rows, triples) in enumerate(child, start=1):
-            assert rows[0] == d
-            assert all(a != b for a, b in zip(triples, triples[1:])), (m, d)
-            ends = rows[1:] + [m]
-            for start, end, t in zip(rows, ends, triples):
-                for r in range(start, end):
-                    assert t == want.triangle(r, d), (m, r, d)
+            if rows[0] != d or any(a == b for a, b in zip(triples,
+                                                          triples[1:])):
+                bad.append(f"m = {m}, d = {d}: runs start at rows {rows}")
+            for start, end, t in zip(rows, rows[1:] + [m], triples):
+                bad += [f"m = {m}, (r, d) = ({r}, {d})"
+                        for r in range(start, end)
+                        if t != want.triangle(r, d)]
+    return bad
+
+
+def test_band_step_matches_reduce_once_on_arbitrary_runs():
+    # CI runs band_step_mismatches on seeds 0-199 to m = 14
+    for field in (RATIONALS, RATFUNCS):
+        for seed in range(4):
+            assert band_step_mismatches(field, seed, 12) == [], \
+                (field.name, seed)
+
+
+@pytest.mark.parametrize("C, width, legs, wyes", [
+    (24, 24, 346, 576), (64, 1, 1089, 2048)], ids=["array-24", "diagonal-64"])
+def test_chain_memos_are_keyed_by_value(monkeypatch, C, width, legs, wyes):
+    # Each chain step calls triangle_legs once for each of its band's
+    # distinct triples and wye at most once per input, both compared by
+    # value, never by the labels' identity
+    calls = {reduction.triangle_legs: [], reduction.wye: []}
+    totals = dict.fromkeys(calls, 0)
+
+    def counted(fn):
+        def call(*labels):
+            calls[fn].append(tuple((v.numerator, v.denominator)
+                                   for v in labels))
+            return fn(*labels)
+        return call
+
+    step = reduction._band_step
+
+    def watched(band, m, starts, last):
+        for made in calls.values():
+            made.clear()
+        child = step(band, m, starts, last)
+        made_legs, made_wyes = calls.values()
+        assert sorted(made_legs) == sorted(
+            {tuple((v.numerator, v.denominator) for v in t)
+             for _, triples in band for t in triples})
+        assert len(set(made_wyes)) == len(made_wyes)
+        for fn, made in calls.items():
+            totals[fn] += len(made)
+        return child
+
+    for fn in calls:
+        monkeypatch.setattr(reduction, fn.__name__, counted(fn))
+    monkeypatch.setattr(reduction, "_band_step", watched)
+    reduction._reduce_chain(C, width, RATIONALS)
+    assert list(totals.values()) == [legs, wyes]
 
 
 def test_label_growth_envelope_watches_the_chain():
@@ -589,7 +695,7 @@ def test_lowest_terms_watch_fires(monkeypatch):
         v._numerator, v._denominator = 2 * n, 2 * d
         return v
 
-    monkeypatch.setattr(reduction, "_from_coprime", doubled)
+    monkeypatch.setitem(reduction._KINDS, F, (F, doubled))
     starts, _ = _cone_starts(1, 1, 0)
     with pytest.raises(pytest.fail.Exception,
                        match=r"lowest terms: step 1 .* gcd\(n, d\) = 2 and"
@@ -606,7 +712,8 @@ def test_canonical_form_watch_fires(monkeypatch):
         v.numer, v.denom = 2 * n, 2 * d
         return v
 
-    monkeypatch.setattr(reduction, "_from_coprime", doubled)
+    monkeypatch.setitem(reduction._KINDS, RationalFunction,
+                        (RationalFunction, doubled))
     starts, _ = _cone_starts(1, 1, 0)
     x = RationalFunction.x()
     with pytest.raises(pytest.fail.Exception,
