@@ -178,7 +178,7 @@ def cmd_reduce(args) -> int:
         if boundary is None:
             g = all_one_grid(args.n)
         else:
-            g = sequences.symbolic_start_grid(args.n, boundary, field)
+            g = sequences.symbolic_start_grid(args.n, boundary)
         g = reduce_k(g, args.steps)
     except GridError as exc:
         # a boundary with a non-positive label or a zero edge sum
@@ -195,7 +195,7 @@ def cmd_reduce(args) -> int:
 # -- diag / hankel / symbolic / asymptotics --------------------------------------
 
 # The leftmost diagonal to depth s is one reduction chain whose labels grow
-# with s, and its cost grows about as s^5: s = 160 takes ~9 s and ~18 MiB.
+# with s, and its cost grows about as s^5: s = 160 takes ~12 s and ~18 MiB.
 _DIAG_MAX_S = 160
 
 # C array columns are one reduction chain on the all-one 4C-grid; its cost
@@ -204,7 +204,7 @@ _ARRAY_MAX_COLS = 112
 
 # `array verify --suite uniform-center --max-s S` fully reduces the all-one
 # 4s- and (4s+2)-grids for every s <= S; its cost grows about as S^4.3, and
-# S = 28 takes ~19 s.
+# S = 28 takes ~30 s.
 _UNIFORM_CENTER_MAX_S = 28
 
 

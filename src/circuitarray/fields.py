@@ -7,8 +7,11 @@ coefficients (see :mod:`circuitarray.ratfunc`).  No floating point enters any
 computation; floats appear only when rendering asymptotics tables.
 
 A :class:`FieldContract` bundles the handful of facts generic code needs
-about a scalar kind (constants, parsing, formatting).  Arithmetic itself is
-ordinary operator arithmetic: every scalar supports ``+ - * /`` and ``==``.
+about a scalar kind; arithmetic itself is ordinary operator arithmetic.  A
+label names its own field: ``field_of`` reads one table from label type to
+field (``int`` and ``Fraction`` to ``RATIONALS``, ``RationalFunction`` to
+``RATFUNCS``), so grids, the reduction kernel and its chain take their
+field from their labels and no caller passes one.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Any, Callable
 
 
@@ -77,9 +81,36 @@ def format_rational(value) -> str:
     return _decimal(n) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
 
 
-@dataclass(frozen=True)
+def _int_cofactors(u: int, v: int) -> tuple[int, int, int]:
+    """(g, u/g, v/g) for g the gcd of u and v, which are not both zero."""
+    g = gcd(u, v)
+    return g, u // g, v // g
+
+
+def _coprime_fraction(n: int, d: int) -> Fraction:
+    """n/d for n, d that share at most a factor 2, which it takes out, with
+    no gcd: a Fraction with its slots set as CPython 3.12's
+    ``_from_coprime_ints`` sets them."""
+    if not n or not d:
+        return Fraction(n, d)
+    if not (n | d) & 1:
+        n, d = n // 2, d // 2
+    if d < 0:
+        n, d = -n, -d
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = n, d
+    return f
+
+
+@dataclass(frozen=True, eq=False)
 class FieldContract:
-    """The facts generic grid code needs about a scalar field.
+    """The facts generic code needs about a scalar field: its constants,
+    parsing and formatting, and the three builders the reduction kernel
+    forms labels with from numerators and denominators (ints, or
+    polynomials): ``make(n, d)``, the normalising constructor;
+    ``split(u, v)``, (g, u/g, v/g) for g the gcd of u and v, not both
+    zero; and ``coprime(n, d)``, n/d for n, d that share at most a factor
+    2, in lowest terms with no gcd.  Contracts compare by identity.
 
     ``ordered`` is true for the rationals, the one ordered field: their
     resistance labels must be strictly positive, which ``Grid`` tests on
@@ -92,14 +123,28 @@ class FieldContract:
     one: Any
     parse: Callable[[str], Any]
     format: Callable[[Any], str]
+    make: Callable[[Any, Any], Any]
+    split: Callable[[Any, Any], tuple]
+    coprime: Callable[[Any, Any], Any]
     ordered: bool = True
 
 
 RATIONALS = FieldContract(
-    name="rational",
-    zero=Fraction(0),
-    one=Fraction(1),
-    parse=parse_rational,
-    format=format_rational,
-)
+    name="rational", zero=Fraction(0), one=Fraction(1), parse=parse_rational,
+    format=format_rational, make=Fraction, split=_int_cofactors,
+    coprime=_coprime_fraction)
+
+# ratfunc builds RATFUNCS from FieldContract above, so it is imported here.
+from .ratfunc import RATFUNCS, RationalFunction  # noqa: E402
+
+_FIELDS = {int: RATIONALS, Fraction: RATIONALS, RationalFunction: RATFUNCS}
+
+
+def field_of(label) -> FieldContract:
+    """The field of a label's type (``_FIELDS``); TypeError if none."""
+    try:
+        return _FIELDS[type(label)]
+    except KeyError:
+        raise TypeError(f"no field has labels of type "
+                        f"{type(label).__name__}") from None
 

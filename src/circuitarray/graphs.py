@@ -480,7 +480,7 @@ def graph_level_reduce(grid: Grid) -> Grid:
                 g.resistance_of(("c", r, d), ("c", r + 1, d + 1)),
                 g.resistance_of(("c", r + 1, d), ("c", r + 1, d + 1)),
             )
-    return Grid(mc, tri, field=grid.field, reductions=grid.reductions + 1)
+    return Grid(mc, tri, reductions=grid.reductions + 1)
 
 
 # -- straight linear 2-trees and Fibonacci identities -------------------------

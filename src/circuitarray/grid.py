@@ -4,7 +4,8 @@ An m-grid is m rows of upright unit triangles: row r (1-based, top to
 bottom) holds triangles at diagonals d = 1..r.  Each upright triangle
 carries three resistance labels, one per side: L (left), R (right) and
 B (base).  Every edge of the grid belongs to exactly one upright triangle,
-so a grid of size m carries exactly 3*m*(m+1)/2 labels.
+so a grid of size m carries exactly 3*m*(m+1)/2 labels.  They belong to
+one field, which the grid reads off them (``fields.field_of``).
 
 Vertices are addressed as (vrow, vpos) with vrow = 0..m and vpos = 0..vrow.
 Upright triangle (r, d) has apex (r-1, d-1), bottom-left (r, d-1) and
@@ -25,9 +26,10 @@ are sorted), which meets every orbit; see ``determining_triangles``.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Iterator, Mapping, NamedTuple
 
-from .fields import RATIONALS, FieldContract, digit_limit_error
+from .fields import RATIONALS, FieldContract, digit_limit_error, field_of
 
 SIDES = ("L", "R", "B")
 
@@ -95,15 +97,15 @@ class Grid:
 
     ``triangles`` maps (r, d) to an (L, R, B) value triple.  ``reductions``
     counts how many reduction steps produced this grid from its ancestor.
+    ``field`` is its labels' field (``field_of``), which all of them share.
     """
 
     __slots__ = ("m", "reductions", "field", "_tri", "_symmetric")
 
     def __init__(self, m: int, triangles: Mapping[tuple[int, int], tuple],
-                 field: FieldContract = RATIONALS, reductions: int = 0):
+                 reductions: int = 0):
         self.m = m
         self.reductions = reductions
-        self.field = field
         self._tri = dict(triangles)
         self._symmetric = None
         self._validate()
@@ -118,11 +120,15 @@ class Grid:
                 for r, d in self._tri):
             raise GridError(f"grid of size {self.m} needs exactly the triangles "
                             f"(r,d), 1 <= d <= r <= {self.m}")
-        zero = self.field.zero
+        fields = set(map(field_of, chain.from_iterable(self._tri.values())))
+        if len(fields) > 1:
+            raise GridError("labels of more than one field")
+        self.field = field = fields.pop()
+        zero = field.zero
         for (r, d), triple in self._tri.items():
             if len(triple) != 3:
                 raise GridError(f"triangle ({r},{d}) needs 3 labels")
-            if self.field.ordered:
+            if field.ordered:
                 # the rationals: a reduced Fraction's denominator is
                 # positive, and an int's numerator is the int itself
                 if not all(v.numerator > 0 for v in triple):
@@ -234,7 +240,7 @@ class Grid:
         if type(reductions) is not int or reductions < 0:
             raise GridError(f'"reductions" must be a non-negative integer, '
                             f'got {reductions!r}')
-        return Grid(m, triangles, field=field, reductions=reductions)
+        return Grid(m, triangles, reductions=reductions)
 
 
 def all_one_grid(n: int) -> Grid:
@@ -250,7 +256,6 @@ def all_one_grid(n: int) -> Grid:
 
 
 def symmetry_complete(sector: Mapping[tuple[int, int], tuple], m: int, *,
-                      field: FieldContract = RATIONALS,
                       reductions: int = 0) -> Grid:
     """Extend label triples on the determining sector to a full symmetric grid.
 
@@ -264,9 +269,10 @@ def symmetry_complete(sector: Mapping[tuple[int, int], tuple], m: int, *,
         for i, value in enumerate(triple):
             existing = labels.setdefault(_orbit_key(r, d, i, m), value)
             if existing != value:
+                fmt = field_of(value).format
                 raise GridError(
                     f"inconsistent symmetry overlap at ({r},{d},{SIDES[i]}): "
-                    f"{field.format(existing)} vs {field.format(value)}")
+                    f"{fmt(existing)} vs {fmt(value)}")
 
     tri = {}
     for r in range(1, m + 1):
@@ -277,6 +283,6 @@ def symmetry_complete(sector: Mapping[tuple[int, int], tuple], m: int, *,
             except KeyError:
                 raise GridError(f"determining region incomplete: triangle "
                                 f"({r},{d}) not reached by any orbit") from None
-    g = Grid(m, tri, field=field, reductions=reductions)
+    g = Grid(m, tri, reductions=reductions)
     g._symmetric = True
     return g

@@ -165,12 +165,14 @@ class Polynomial:
                   ) -> tuple["Polynomial", "Polynomial", "Polynomial"]:
         """(g, self / g, other / g) for the gcd g over the integers.
 
-        Both polynomials must be nonzero.  g is the gcd of the two contents
-        times :meth:`gcd`, so its leading coefficient is positive and the
-        cofactors share neither a polynomial factor nor an integer content.
+        g is the gcd of the two contents times :meth:`gcd`, so its leading
+        coefficient is positive and the cofactors share neither a
+        polynomial factor nor an integer content.  A zero operand splits
+        off the other one whole; two raise ZeroDivisionError.
         """
         if self.is_zero or other.is_zero:
-            raise ValueError("cofactors of the zero polynomial")
+            g = self + other
+            return g, self.divide_exact(g), other.divide_exact(g)
         ca, cb = self.content(), other.content()
         c = int_gcd(ca, cb)
         if self.degree == 0 or other.degree == 0:

@@ -295,11 +295,21 @@ def parse_ratfunc(text: str) -> RationalFunction:
         raise ValueError("expression nested too deeply") from None
 
 
+def _coprime_ratfunc(n: Polynomial, d: Polynomial) -> RationalFunction:
+    """n/d for n, d with no common polynomial factor and at most a common
+    content 2, which it takes out: the canonical form, with no gcd."""
+    if not n or not d:
+        return RationalFunction(n, d)
+    if not any(c & 1 for c in n.coeffs + d.coeffs):
+        n, d = (Polynomial(c // 2 for c in v.coeffs) for v in (n, d))
+    if d.leading < 0:
+        n, d = -n, -d
+    f = object.__new__(RationalFunction)
+    f.numer, f.denom = n, d
+    return f
+
+
 RATFUNCS = FieldContract(
-    name="symbolic",
-    zero=RationalFunction(_ZERO),
-    one=RationalFunction(_ONE),
-    parse=parse_ratfunc,
-    format=str,
-    ordered=False,
-)
+    name="symbolic", zero=RationalFunction(_ZERO), one=RationalFunction(_ONE),
+    parse=parse_ratfunc, format=str, make=RationalFunction,
+    split=Polynomial.cofactors, coprime=_coprime_ratfunc, ordered=False)

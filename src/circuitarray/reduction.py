@@ -26,25 +26,24 @@ determining sector only and hands those triples to ``symmetry_complete``;
 ``_band_step`` calls it once per distinct cell of the chain below.
 ``triangle_legs`` and ``wye`` do not chain field operations, each of which
 would normalise its own result: they form every output over one
-denominator from their inputs' ``numerator`` and ``denominator``, in
-the inputs' own type (``_KINDS``; TypeError for any other).  Both also
+denominator from their inputs' ``numerator`` and ``denominator``, with
+the builders of their field (``fields.field_of``).  Both also
 take a shorter form when two inputs are equal, compared by numerator and
 denominator as the memos compare them.  Inside the uniform center the
 right label equals the base label, so most triangles of the chain have
 R = B: their apex and bottom-left legs are then one value, built once, and
 the wye of legs x = z is the sum 2y + z; the other wyes of the chain have
 legs y = z.  The equal-label forms cancel the equal factor by algebra, and
-``_split`` takes out the factors the two labels' numerators and their
-denominators share (about half of each deep label's bits) before any
-product is formed: by ``math.gcd`` for integers, by
-``Polynomial.cofactors`` for polynomials.  Their results are then built in
-lowest terms with no final gcd, in Z and in Z[x] alike (Knuth, TAOCP
-vol. 2, 4.5.1): what the parts can still share is taken out first, on
-short operands, by ``_split``, and a shared 2 by ``_from_coprime``:
+the field's ``split`` takes out the factors the two labels' numerators and
+their denominators share (about half of each deep label's bits) before
+any product is formed.  Their results are then built in lowest terms with
+no final gcd, in Z and in Z[x] alike (Knuth, TAOCP vol. 2, 4.5.1): what
+the parts can still share is taken out first, on short operands, by
+``split``, and a shared 2 by the field's ``coprime``:
 
     R = B apex            a'b'h' / (g t'')       2 (a' and t'')
-    R = B bottom-right    h'b'^2 α' / (β'g t'')  gcd(α', g): _split
-    wye x = z             N / (gQ'R')            gcd(N, g): _split; 2
+    R = B bottom-right    h'b'^2 α' / (β'g t'')  gcd(α', g): split
+    wye x = z             N / (gQ'R')            gcd(N, g): split; 2
     wye y = z             hq'M / (p'gQ'^2)       nothing
 
 ``delta`` and the operator form ``y + z + y*z/x`` are the textbook
@@ -55,31 +54,29 @@ kernel's placement of the legs, label for label.  ``reduce_once``, through
 ``reduce_k``, in turn checks the chain's cone, runs and memos.
 
 Every band read is one reduction chain, ``_reduce_chain``, from the
-all-one 4C-grid, reading column j after j steps.  ``reduce_array`` (all
-array columns) and ``reduce_diagonal`` (the leftmost diagonal) differ
-only in how many diagonals each column reads.  The symbolic
-diagonal L_s(x) is the same chain with every label 2/3 renamed after step
-1, which is the paper's relabelling of the once-reduced grid's boundary.
-The chain computes exactly the labels of repeated ``reduce_once`` but
-restricts work to the triangles that can influence the requested reads.
-It stores each diagonal of its cone as runs of equal label triples along
-the rows and reduces them with ``_band_step``, which numbers a step's
-distinct triples, interns their star legs and evaluates each distinct
-cell once.  Its memos last one step, so the chain holds one step of
-labels, and key values on each label's ``numerator`` and ``denominator``
-(integers, or hashable polynomials), so the chain runs over both fields.
+once-reduced all-one 4C-grid with a given label on its boundary edges,
+over that label's field, reading column j after j steps.
+``reduce_array`` (all array columns) and ``reduce_diagonal`` (the
+leftmost diagonal) give it the label 2/3 and differ only in how many
+diagonals each column reads; the symbolic diagonal L_s(x) gives it
+1 - 3/x, as the paper does.  The chain computes exactly the labels of
+repeated ``reduce_once`` but restricts work to the triangles that can
+influence the requested reads.  It stores each diagonal of its cone as
+runs of equal label triples along the rows and reduces them with
+``_band_step``, which numbers a step's distinct triples, interns their
+star legs and evaluates each distinct cell once.  Its memos last one
+step, so the chain holds one step of labels, and key values on each
+label's ``numerator`` and ``denominator`` (integers, or hashable
+polynomials), so the chain runs over both fields.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import gcd
 
-from .fields import RATIONALS, FieldContract
+from .fields import field_of
 from .grid import Grid, GridError, determining_triangles, symmetry_complete
-from .polynomial import Polynomial
-from .ratfunc import RationalFunction
 
 
 def delta(x, y, z):
@@ -94,44 +91,44 @@ def wye(x, y, z):
     """Triangle edge opposite the star leg x, given the other legs y and z.
 
     y + z + y*z/x over one denominator: with x = p/P, y = q/Q and z = r/R
-    it is (p(qR + rQ) + qrP) / (pQR), built by the labels' own
-    (numerator, denominator) constructor, which normalises it once and
-    raises ZeroDivisionError for a zero leg x.  Two equal legs (equal
-    numerator and denominator) take shorter forms, built in lowest terms
-    by _from_coprime in both fields; a zero x still raises.
+    it is (p(qR + rQ) + qrP) / (pQR), built by ``make`` of x's field
+    (``field_of``), which normalises it once and raises ZeroDivisionError
+    for a zero leg x.  Two equal legs (equal numerator and denominator)
+    take shorter forms, built in lowest terms by the field's ``coprime``;
+    a zero x still raises.
 
     - x = z: y*z/x cancels to y and the edge is 2y + z, a two-label-wide
-      sum.  With (g, Q', R') = _split(Q, R) it is N/(gQ'R'), N = 2qR' + rQ',
-      and _split(N, g) and then _from_coprime take out the only factors
-      the two sides can still share: gcd(N, g), then a 2 of N and Q'.
-    - y = z: the edge is y(2x + y)/x.  With (h, p', q') = _split(p, q),
-      (g, P', Q') = _split(P, Q) and M = 2p'Q' + q'P' it is
-      hq'M / (p'gQ'^2), and _split(h, p') and _split(M, g) take out the
+      sum.  With (g, Q', R') = split(Q, R) it is N/(gQ'R'), N = 2qR' + rQ',
+      and split(N, g) and then coprime take out the only factors the two
+      sides can still share: gcd(N, g), then a 2 of N and Q'.
+    - y = z: the edge is y(2x + y)/x.  With (h, p', q') = split(p, q),
+      (g, P', Q') = split(P, Q) and M = 2p'Q' + q'P' it is
+      hq'M / (p'gQ'^2), and split(h, p') and split(M, g) take out the
       only factors the two sides can still share.
 
     Every wye of the rational chain takes one of these two forms, fed by
     the legs of the uniform center's equal right and base labels.
     """
-    make, coprime = _kind(x)
+    field = field_of(x)
     p, P = x.numerator, x.denominator
     q, Q = y.numerator, y.denominator
     r, R = z.numerator, z.denominator
     if p == r and P == R:
         if not p:
             raise ZeroDivisionError("wye with a zero leg")
-        g, Q, R = _split(Q, R)
-        _, N, g = _split(2 * q * R + r * Q, g)
-        return coprime(N, g * Q * R)
+        g, Q, R = field.split(Q, R)
+        _, N, g = field.split(2 * q * R + r * Q, g)
+        return field.coprime(N, g * Q * R)
     if q == r and Q == R:
         if not p:
             raise ZeroDivisionError("wye with a zero leg")
-        h, p, q = _split(p, q)
-        g, P, Q = _split(P, Q)
+        h, p, q = field.split(p, q)
+        g, P, Q = field.split(P, Q)
         M = 2 * p * Q + q * P
-        _, h, p = _split(h, p)
-        _, M, g = _split(M, g)
-        return coprime(h * q * M, p * g * Q * Q)
-    return make(p * (q * R + r * Q) + q * r * P, p * Q * R)
+        _, h, p = field.split(h, p)
+        _, M, g = field.split(M, g)
+        return field.coprime(h * q * M, p * g * Q * Q)
+    return field.make(p * (q * R + r * Q) + q * r * P, p * Q * R)
 
 
 def triangle_legs(L, R, B):
@@ -139,91 +136,38 @@ def triangle_legs(L, R, B):
 
     delta(L, R, B), delta(B, L, R) and delta(R, B, L) over one denominator:
     with L = a/α, R = b/β, B = c/γ and S = aβγ + bαγ + cαβ they are abγ/S,
-    caβ/S and bcα/S, each built by the labels' own (numerator, denominator)
-    constructor, which normalises it once and raises ZeroDivisionError for
-    a zero edge sum.  When R = B (equal numerator and denominator), as the
-    uniform center's right and base labels are, S = β(aβ + 2bα): the apex
-    and bottom-left legs are both ab/(aβ + 2bα), built once, and the
-    bottom-right leg is b²α/(β(aβ + 2bα)).
+    caβ/S and bcα/S, each built by ``make`` of L's field, which normalises
+    it once and raises ZeroDivisionError for a zero edge sum.  When R = B
+    (equal numerator and denominator), as the uniform center's right and
+    base labels are, S = β(aβ + 2bα): the apex and bottom-left legs are
+    both ab/(aβ + 2bα), built once, and the bottom-right leg is
+    b²α/(β(aβ + 2bα)).
 
     The R = B form first splits off the factors that a and b, and α and
-    β, share: with (h, a', b') = _split(a, b), (g, α', β') = _split(α, β)
+    β, share: with (h, a', b') = split(a, b), (g, α', β') = split(α, β)
     and t' = a'β' + 2b'α', the edge sum is aβ + 2bα = hgt', and with
-    (k, h', t'') = _split(h, t') the legs are a'b'h' / (g·t'') and
+    (k, h', t'') = split(h, t') the legs are a'b'h' / (g·t'') and
     h'b'²α' / (β'g·t''), whose sides share at most a 2 (a' and t''),
-    which _from_coprime takes out, and exactly gcd(α', g), which
-    _split(α', g) takes out.  Both fields take this one path.
+    which coprime takes out, and exactly gcd(α', g), which split(α', g)
+    takes out.  Both fields take this one path.
     """
-    make, coprime = _kind(L)
+    field = field_of(L)
     a, al = L.numerator, L.denominator
     b, be = R.numerator, R.denominator
     c, ga = B.numerator, B.denominator
     if b == c and be == ga:
         if not a and not b:
             raise ZeroDivisionError("triangle legs with zero edge sum")
-        h, a, b = _split(a, b)
-        g, al, be = _split(al, be)
-        _, h, t = _split(h, a * be + 2 * b * al)
-        apex = coprime(a * b * h, g * t)
-        _, al, g = _split(al, g)
-        return apex, apex, coprime(h * b * b * al, be * g * t)
+        h, a, b = field.split(a, b)
+        g, al, be = field.split(al, be)
+        _, h, t = field.split(h, a * be + 2 * b * al)
+        apex = field.coprime(a * b * h, g * t)
+        _, al, g = field.split(al, g)
+        return apex, apex, field.coprime(h * b * b * al, be * g * t)
+    make = field.make
     abe, bal = a * be, b * al
     s = (abe + bal) * ga + c * al * be
     return make(a * b * ga, s), make(c * abe, s), make(c * bal, s)
-
-
-def _split(u, v):
-    """(g, u/g, v/g) for g the gcd of u and v, which are not both zero:
-    by math.gcd for integers, by Polynomial.cofactors for polynomials,
-    which takes no zero polynomial, so a zero operand there splits off
-    the other one whole."""
-    if type(u) is int:
-        g = gcd(u, v)
-        return g, u // g, v // g
-    if u.is_zero or v.is_zero:
-        g = u + v
-        return g, u.divide_exact(g), v.divide_exact(g)
-    return u.cofactors(v)
-
-
-def _from_coprime(n, d):
-    """n/d for n, d that share at most a factor 2, which it takes out: a
-    Fraction with its slots set as CPython 3.12's ``_from_coprime_ints``
-    sets them, or a RationalFunction with its slots set in canonical form."""
-    if not d:
-        raise ZeroDivisionError("zero denominator")
-    if type(n) is int:
-        if not n:
-            return Fraction(0)
-        if not (n | d) & 1:
-            n, d = n // 2, d // 2
-        if d < 0:
-            n, d = -n, -d
-        f = object.__new__(Fraction)
-        f._numerator, f._denominator = n, d
-        return f
-    if not n:
-        return RationalFunction(n, d)
-    if not any(c & 1 for c in n.coeffs + d.coeffs):
-        n, d = (Polynomial(c // 2 for c in v.coeffs) for v in (n, d))
-    if d.leading < 0:
-        n, d = -n, -d
-    f = object.__new__(RationalFunction)
-    f.numer, f.denom = n, d
-    return f
-
-
-# The kernel's builders by label type, ints being Fraction labels: the
-# normalising (numerator, denominator) constructor and the lowest-terms one.
-_KINDS = {int: (Fraction, _from_coprime), Fraction: (Fraction, _from_coprime),
-          RationalFunction: (RationalFunction, _from_coprime)}
-
-
-def _kind(label):
-    """``_KINDS`` of the label's type; TypeError for a type not in it."""
-    if type(label) not in _KINDS:
-        raise TypeError(f"no reduction kernel for {type(label).__name__}")
-    return _KINDS[type(label)]
 
 
 def _reduce_triangles(tri, m, out_triangles):
@@ -265,11 +209,10 @@ def reduce_once(grid: Grid) -> Grid:
     if grid.is_symmetric():
         sector = _reduce_triangles(grid._tri, grid.m,
                                    determining_triangles(mc))
-        return symmetry_complete(sector, mc, field=grid.field,
-                                 reductions=grid.reductions + 1)
+        return symmetry_complete(sector, mc, reductions=grid.reductions + 1)
     out = [(r, d) for r in range(1, mc + 1) for d in range(1, r + 1)]
     child = _reduce_triangles(grid._tri, grid.m, out)
-    return Grid(mc, child, field=grid.field, reductions=grid.reductions + 1)
+    return Grid(mc, child, reductions=grid.reductions + 1)
 
 
 def reduce_k(grid: Grid, k: int) -> Grid:
@@ -286,13 +229,13 @@ def reduce_k(grid: Grid, k: int) -> Grid:
 def reduce_array(C: int) -> list[dict]:
     """Row-(2j-1) label triples after j reductions, for columns j = 1..C.
 
-    One reduction chain from the all-one 4C-grid (see ``_reduce_chain``).
+    One chain from the once-reduced all-one 4C-grid (``_reduce_chain``).
     Entry j-1 of the result is {d: (L, R, B)} for d = 1..j, the labels of
     row 2j-1 of the j-times-reduced all-one 4j-grid: the cone of that row
     never reaches the bottom boundary row, so a larger start grid gives the
     same labels by the same formulas.
     """
-    return _reduce_chain(C, C, RATIONALS)
+    return _reduce_chain(C, C, Fraction(2, 3))
 
 
 def reduce_diagonal(S: int) -> list:
@@ -301,21 +244,24 @@ def reduce_diagonal(S: int) -> list:
     The same chain as ``reduce_array`` on the all-one 4S-grid, reading only
     diagonal 1 of each column.
     """
-    return [reads[1][0] for reads in _reduce_chain(S, 1, RATIONALS)]
+    return [reads[1][0] for reads in _reduce_chain(S, 1, Fraction(2, 3))]
 
 
-def _reduce_chain(C: int, width: int, field: FieldContract,
-                  boundary=None) -> list[dict]:
+def _reduce_chain(C: int, width: int, boundary) -> list[dict]:
     """Diagonals 1..min(j, width) of row 2j-1 after j reductions, j = 1..C.
 
-    One reduction chain from the all-one 4C-grid.  Column j's read needs,
-    c steps into the chain, rows 2j-1 .. 4j-2c-1 out to diagonal
-    min(j, width) + j - c.  After c reductions the chain keeps only the
-    union of the cones of the columns still open (j >= c): row r
-    (2c-1 <= r <= 4C-2c-1) out to diagonal min(width, k) + k - c
+    One reduction chain, over ``boundary``'s field, from the all-one
+    4C-grid reduced once: the (4C-1)-grid with 1 inside and ``boundary``
+    on its boundary edges, 2/3 for the circuit array and 1 - 3/x for the
+    paper's symbolic family.  Column 1 is read from it.
+
+    Column j's read needs, c steps into the chain, rows 2j-1 .. 4j-2c-1
+    out to diagonal min(j, width) + j - c.  After c reductions the chain
+    keeps only the union of the cones of the columns still open (j >= c):
+    row r (2c-1 <= r <= 4C-2c-1) out to diagonal min(width, k) + k - c
     with k = min(C, (r+1)//2), the widest cone of any j <= C with
     2j-1 <= r.  Column c is read after c steps, at the top row of the cone,
-    which the next step drops.
+    which the next step drops.  The cone never reaches the bottom row.
 
     That bound never decreases as r grows, so diagonal d of the cone is the
     row interval from its first row (``_cone_starts``) to the cone's last
@@ -324,27 +270,23 @@ def _reduce_chain(C: int, width: int, field: FieldContract,
     run, not per triangle: deep in the chain almost every diagonal is one
     run.  Runs are found by comparing values, not assumed, so the labels
     are exactly those of repeated ``reduce_once``.
-
-    With ``boundary`` given, every label equal to 2/3 after step 1 is
-    renamed ``boundary`` before column 1 is read.  One reduction of the
-    all-one grid puts 2/3 exactly on the boundary edges and 1 everywhere
-    else, so this is the once-reduced grid with its boundary relabelled.
-    ``field`` is any field whose labels expose hashable ``numerator`` and
-    ``denominator`` (see ``_band_step``).
     """
     if C < 1:
         raise GridError(f"need at least one column, got {C}")
-    one = field.one
-    two_thirds = (one + one) / (one + one + one)
-    starts, _ = _cone_starts(C, width, 0)
-    band = [([a], [(one, one, one)]) for a in starts]
+    one = field_of(boundary).one
+    starts, last = _cone_starts(C, width, 1)
+    band = []
+    for d, a in enumerate(starts, start=1):
+        L = boundary if d == 1 else one
+        # a diagonal meets the right side, r = d, at most in its first row
+        if a == d < last:
+            band.append(([a, a + 1], [(L, boundary, one), (L, one, one)]))
+        else:
+            band.append(([a], [(L, boundary if a == d else one, one)]))
     columns = []
     for c in range(1, C + 1):
-        band = _band_step(band, 4 * C - c + 1, *_cone_starts(C, width, c))
-        if c == 1 and boundary is not None:
-            band = [(rows, [tuple(boundary if v == two_thirds else v
-                                  for v in t) for t in triples])
-                    for rows, triples in band]
+        if c > 1:
+            band = _band_step(band, 4 * C - c + 1, *_cone_starts(C, width, c))
         columns.append({d: _run_at(band[d - 1], 2 * c - 1)
                         for d in range(1, min(width, c) + 1)})
     return columns

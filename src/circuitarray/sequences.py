@@ -15,11 +15,11 @@ entries whose divisor vanishes and, with cofactor expansion, is the oracle
 the tests hold the table to.
 
 The symbolic pipeline replays the grid reduction over the rational-function
-field: relabel the boundary of a once-reduced all-one grid as 1 - 3/x
-(2/3 corresponds to x = 9), keep reducing, and read the diagonal as closed
-forms L_s(x).  It runs the same one reduction chain as the exact diagonal,
-restricted to the dependency cone of the reads and memoized on canonical
-rational functions.  Substituting x = 9 must reproduce the exact diagonal.
+field: give the once-reduced all-one grid the boundary label 1 - 3/x in
+place of 2/3 (they agree at x = 9), keep reducing, and read the diagonal
+as closed forms L_s(x).  It is the exact diagonal's one reduction chain
+started from that label, which makes it run over rational functions.
+Substituting x = 9 must reproduce the exact diagonal.
 
 Asymptotically, L_s tracks the product A_s = (2/3) * prod_{i=2..s}
 (1 - 1/(2i-1)), which Stirling's formula in turn ties to P_s =
@@ -41,10 +41,10 @@ from functools import cached_property
 
 # perfbench/tracing.py wraps diagonal_sequence at this lookup site; keep the import.
 from .circuit_array import diagonal_sequence  # noqa: F401
-from .fields import FieldContract, format_rational
+from .fields import field_of, format_rational
 from .grid import Grid
 from .polynomial import Polynomial
-from .ratfunc import RATFUNCS, RationalFunction
+from .ratfunc import RationalFunction
 # perfbench/tracing.py wraps reduce_once at this lookup site; keep the import.
 from .reduction import _reduce_chain, reduce_once  # noqa: F401
 from .reports import Report
@@ -250,41 +250,36 @@ def lhrcc_ruled_out(rmax: int, seq: NumeratorSequence) -> Report:
 
 # -- symbolic pipeline --------------------------------------------------------
 
-def symbolic_start_grid(m: int, boundary=None,
-                        field: FieldContract = RATFUNCS) -> Grid:
-    """Size-m grid over ``field`` with boundary labels ``boundary`` (default
-    1 - 3/x) and interior labels 1.
+def symbolic_start_grid(m: int, boundary=None) -> Grid:
+    """Size-m grid with boundary labels ``boundary`` (default 1 - 3/x) and
+    interior labels 1, over ``boundary``'s field.
 
-    This is the once-reduced all-one pattern with the boundary value 2/3
-    relabeled (1 - 3/x equals it at x = 9); ``reductions`` is 1
-    accordingly.
+    This is the once-reduced all-one grid with ``boundary`` in place of
+    its boundary label 2/3 (1 - 3/x equals it at x = 9); ``reductions`` is
+    1 accordingly.
     """
     if boundary is None:
         boundary = 1 - 3 / RationalFunction.x()
-    one = field.one
-    tri = {}
-    for r in range(1, m + 1):
-        for d in range(1, r + 1):
-            L = boundary if d == 1 else one
-            R = boundary if d == r else one
-            B = boundary if r == m else one
-            tri[(r, d)] = (L, R, B)
-    return Grid(m, tri, field=field, reductions=1)
+    one = field_of(boundary).one
+    tri = {(r, d): (boundary if d == 1 else one, boundary if d == r else one,
+                    boundary if r == m else one)
+           for r in range(1, m + 1) for d in range(1, r + 1)}
+    return Grid(m, tri, reductions=1)
 
 
 def symbolic_diagonal(S: int) -> list[RationalFunction]:
     """L_1(x)..L_S(x): the diagonal of the symbolic pipeline.
 
-    L_1 is the relabeled boundary itself; each later L_s is read at
+    L_1 is the boundary label 1 - 3/x itself; each later L_s is read at
     (2s-1, 1, L) after one further reduction.  One reduction chain does all
-    the reads: the diagonal chain of the all-one 4S-grid, started after its
-    first step with the boundary 2/3 relabeled as 1 - 3/x, so it equals
-    reducing ``symbolic_start_grid(4S - 1)`` with ``reduce_once``.
+    the reads: the exact diagonal's chain from 1 - 3/x in place of 2/3,
+    which equals reducing ``symbolic_start_grid(4S - 1)`` with
+    ``reduce_once``.
     """
     if S < 1:
         raise SequenceError(f"need S >= 1, got {S}")
     boundary = 1 - 3 / RationalFunction.x()
-    return [reads[1][0] for reads in _reduce_chain(S, 1, RATFUNCS, boundary)]
+    return [reads[1][0] for reads in _reduce_chain(S, 1, boundary)]
 
 
 def _poly(*coeffs: int) -> Polynomial:

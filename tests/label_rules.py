@@ -9,11 +9,13 @@ bits (a polynomial counts its degree plus its largest coefficient's bits).
 The exact chain's labels peak at about 1.6 c² bits (at most 2 c², at
 c = 1), the symbolic chain's likewise; a kernel that loses a cancellation
 passes the bound within a few steps, long before its chain would reach a
-time bound.  Every exact rational label is in lowest terms with a positive
-denominator, and every rational function in the canonical form its
-constructor gives: the kernel builds its equal-label results without a
-final gcd, from proofs about their parts, and a factor a proof misses
-shows here, wherever a chain stores the label.
+time bound.  Every label is in lowest terms, one rule for every field:
+its field's normalising constructor (``field_of(v).make(n, d)``) gives
+back its numerator and denominator unchanged, which for exact rationals
+means no common factor and a positive denominator, and for rational
+functions the canonical form.  The kernel builds its equal-label results
+without a final gcd, from proofs about their parts, and a factor a proof
+misses shows here, wherever a chain stores the label.
 
 Step c of a chain on the all-one 4C-grid reduces the (4C - c + 1)-grid,
 whose cone ends at row 4C - 2c - 1, so c = m - last - 2 in
@@ -32,10 +34,9 @@ starts a run of its own.
 """
 
 from contextlib import contextmanager
-from math import gcd
 
 from circuitarray import reduction
-from circuitarray.ratfunc import RationalFunction
+from circuitarray.fields import field_of
 
 
 def bits(part):
@@ -66,15 +67,12 @@ def check_step(labels, c, s0=None):
                       f"peaks at {peak} bits, over {rule} = {bound}")
     for v in labels:
         n, d = v.numerator, v.denominator
-        if type(n) is int:
-            if d <= 0 or gcd(n, d) != 1:
-                return peak, (f"lowest terms: step {c} of {where} "
-                              f"stores a label n/d with gcd(n, d) = "
-                              f"{gcd(n, d)} and d {'>' if d > 0 else '<='} 0")
-        elif (w := RationalFunction(n, d)).numer != n or w.denom != d:
-            return peak, (f"canonical form: step {c} of {where} "
-                          f"stores the rational function ({n}) / ({d}), "
-                          f"which RationalFunction(n, d) writes as {w}")
+        field = field_of(v)
+        w = field.make(n, d)
+        if (w.numerator, w.denominator) != (n, d):
+            return peak, (f"lowest terms: step {c} of {where} stores "
+                          f"the {field.name} label ({n}) / ({d}), which "
+                          f"its field's make(n, d) writes as {w}")
     return peak, None
 
 

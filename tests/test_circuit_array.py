@@ -306,7 +306,7 @@ def test_uniform_center_names_the_first_row_where_right_leaves_base(
         for r in (6, 7):
             L, R, B = tri[(r, 2)]
             tri[(r, 2)] = (L, R + 1, B)
-        return Grid(g.m, tri, field=g.field, reductions=g.reductions)
+        return Grid(g.m, tri, reductions=g.reductions)
 
     monkeypatch.setattr(circuit_array, "reduce_k", raised)
     rep = verify_uniform_center(16, 3)

@@ -16,7 +16,6 @@ from circuitarray.graphs import (GraphError, WeightedGraph, _ldl,
                                  r_formula_straight, series, straight_2tree,
                                  verify_2tree_formula, verify_fib_identities,
                                  wye_to_delta)
-from circuitarray.fields import RATIONALS
 from circuitarray.grid import Grid, all_one_grid
 from circuitarray.properties import random_connected_graph, random_grid
 from circuitarray.reduction import reduce_once
@@ -419,7 +418,7 @@ def test_graph_level_reduce_matches_the_equal_label_forms():
     # wye's x = z form; graph surgery shares neither.  The boundary grid
     # of 1 - 3/x0 has R = B inside its uniform center at every step.
     x0 = F(10 ** 30 + 7, 3 ** 20)
-    g = symbolic_start_grid(9, 1 - 3 / x0, RATIONALS)
+    g = symbolic_start_grid(9, 1 - 3 / x0)
     for _ in range(3):
         assert any(R == B for R, B in (t[1:] for t in g._tri.values()))
         assert graph_level_reduce(g) == reduce_once(g)

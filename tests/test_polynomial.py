@@ -85,8 +85,13 @@ class TestPolynomial:
     def test_cofactors_of_a_constant_cancel_contents_only(self):
         assert poly(-6).cofactors(poly(2, 4)) == (poly(2), poly(-3), poly(1, 2))
         assert poly(3, 6).cofactors(poly(5)) == (poly(1), poly(3, 6), poly(5))
-        with pytest.raises(ValueError, match="zero polynomial"):
-            Polynomial().cofactors(poly(1, 1))
+        # a zero operand splits off the other one whole; two cannot split
+        assert Polynomial().cofactors(poly(1, 1)) == \
+            (poly(1, 1), Polynomial(), poly(1))
+        assert poly(-2, 4).cofactors(Polynomial()) == \
+            (poly(-2, 4), poly(1), Polynomial())
+        with pytest.raises(ZeroDivisionError):
+            Polynomial().cofactors(Polynomial())
 
     def test_integer_coefficients_required(self):
         with pytest.raises(TypeError):

@@ -50,7 +50,7 @@ def test_grid_symmetry_fails_when_completion_swaps_sides(monkeypatch):
         inside = set(determining_triangles(m))
         tri = {t: v if t in inside else (v[1], v[0], v[2])
                for t, v in g._tri.items()}
-        return Grid(m, tri, field=g.field, reductions=g.reductions)
+        return Grid(m, tri, reductions=g.reductions)
 
     monkeypatch.setattr(reduction, "symmetry_complete", swapped)
     for seed in SEEDS:

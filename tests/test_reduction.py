@@ -1,5 +1,6 @@
 """Transformation functions, one-step reduction, windowed column reads."""
 
+import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -7,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from circuitarray import reduction
+from circuitarray import fields, reduction
 from circuitarray.circuit_array import reduce_window
 from circuitarray.cli import main
 from circuitarray.fields import RATIONALS, FieldContract
@@ -15,6 +16,7 @@ from circuitarray.graphs import graph_level_reduce
 from circuitarray.grid import Grid, GridError, all_one_grid
 from circuitarray.polynomial import Polynomial
 from circuitarray.ratfunc import RATFUNCS, RationalFunction
+from circuitarray.sequences import symbolic_start_grid
 from circuitarray.reduction import (_band_step, _cone_starts, delta,
                                     reduce_diagonal, reduce_k, reduce_once,
                                     triangle_legs, wye)
@@ -199,9 +201,9 @@ def test_fused_kernel_matches_operator_forms(draw):
         # the wye's x = z form
         _check_kernel(L, R, _copy(R))
         _check_kernel(L, R, _copy(L))
-        # zero operands of the split, where Polynomial.cofactors would
-        # raise ValueError: R = B = 0, and a y = z wye whose 2x + y is 0,
-        # the zero label
+        # zero operands of the split, which splits off the other operand
+        # whole: R = B = 0, and a y = z wye whose 2x + y is 0, the zero
+        # label
         _check_kernel(L, 0 * R, 0 * R)
         _check_kernel(L, -2 * L, -2 * L)
 
@@ -245,21 +247,25 @@ class _Residue:
         return _Residue(self.numerator, other.numerator)
 
 
-_RESIDUES = FieldContract("residue", _Residue(0), _Residue(1), _Residue, str)
+# Every residue but 0 is a unit, so the split takes out no factor
+_RESIDUES = FieldContract("residue", _Residue(0), _Residue(1), _Residue, str,
+                          make=_Residue, split=lambda u, v: (1, u, v),
+                          coprime=_Residue)
 
 
 def test_kernel_builds_results_in_its_labels_type(monkeypatch):
-    # A label type the kernel has no builder for is refused, never
-    # converted; once its constructor is the builder, the chain gives the
-    # exact chain's labels modulo P
-    with pytest.raises(TypeError, match="no reduction kernel for _Residue"):
-        reduction._reduce_chain(20, 1, _RESIDUES)
-    with pytest.raises(TypeError, match="no reduction kernel for _Residue"):
+    # A label type of no field is refused, by the kernel, the chain and a
+    # grid alike, never converted; once its field is in the table, the
+    # chain gives the exact chain's labels modulo P
+    foreign = "no field has labels of type _Residue"
+    with pytest.raises(TypeError, match=foreign):
+        reduction._reduce_chain(20, 1, _Residue(2, 3))
+    with pytest.raises(TypeError, match=foreign):
         wye(*(_Residue(k) for k in (1, 2, 3)))
-    monkeypatch.setitem(reduction._KINDS, _Residue, (_Residue, _Residue))
+    monkeypatch.setitem(fields._FIELDS, _Residue, _RESIDUES)
     for C, width in ((20, 1), (8, 8)):
-        got = reduction._reduce_chain(C, width, _RESIDUES)
-        want = reduction._reduce_chain(C, width, RATIONALS)
+        got = reduction._reduce_chain(C, width, _Residue(2, 3))
+        want = reduction._reduce_chain(C, width, F(2, 3))
         assert [{d: tuple(v.numerator for v in t) for d, t in reads.items()}
                 for reads in got] == \
             [{d: tuple(v.numerator * pow(v.denominator, -1, _Residue.P)
@@ -439,7 +445,7 @@ def test_equal_label_forms_are_built_in_lowest_terms(draw):
 
 
 def test_coprime_builder_is_the_fraction_it_stands_for():
-    # _from_coprime sets Fraction's and RationalFunction's slots; a CPython
+    # The coprime builders set Fraction's and RationalFunction's slots; a CPython
     # that renames Fraction's, or a RationalFunction that renames its own,
     # must fail here, not build broken labels
     assert {"_numerator", "_denominator"} <= set(F.__slots__)
@@ -453,8 +459,8 @@ def test_coprime_builder_is_the_fraction_it_stands_for():
         for sn, sd in ((n, d), (-n, d), (n, -d), (-n, -d)):
             want = F(sn, sd)
             # the one factor the builder takes out: a shared 2
-            for got in (reduction._from_coprime(sn, sd),
-                        reduction._from_coprime(2 * sn, 2 * sd)):
+            for got in (RATIONALS.coprime(sn, sd),
+                        RATIONALS.coprime(2 * sn, 2 * sd)):
                 assert type(got) is F and got == want
                 assert hash(got) == hash(want)
                 assert (got.numerator, got.denominator) == \
@@ -464,22 +470,22 @@ def test_coprime_builder_is_the_fraction_it_stands_for():
         _, n, d = _random_poly(rng).cofactors(_random_poly(rng))
         for sn, sd in ((n, d), (-n, d), (n, -d), (-n, -d)):
             want = RationalFunction(sn, sd)
-            for got in (reduction._from_coprime(sn, sd),
-                        reduction._from_coprime(2 * sn, 2 * sd)):
+            for got in (RATFUNCS.coprime(sn, sd),
+                        RATFUNCS.coprime(2 * sn, 2 * sd)):
                 assert type(got) is RationalFunction
                 assert (got.numer, got.denom) == (want.numer, want.denom)
                 assert hash(got) == hash(want)
                 assert got + 1 / (x + 3) == want + 1 / (x + 3)
     for d in (1, 7, -7, -2):
-        zero = reduction._from_coprime(0, d)
+        zero = RATIONALS.coprime(0, d)
         assert (zero.numerator, zero.denominator) == (0, 1)
-        zero = reduction._from_coprime(Polynomial(), Polynomial([0, d]))
+        zero = RATFUNCS.coprime(Polynomial(), Polynomial([0, d]))
         assert (zero.numer, zero.denom) == (Polynomial(), Polynomial([1]))
     for n in (3, -3, 0):
         with pytest.raises(ZeroDivisionError):
-            reduction._from_coprime(n, 0)
+            RATIONALS.coprime(n, 0)
         with pytest.raises(ZeroDivisionError):
-            reduction._from_coprime(Polynomial([n, 1]), Polynomial())
+            RATFUNCS.coprime(Polynomial([n, 1]), Polynomial())
 
 
 def test_zero_edge_sum_on_the_symbolic_boundary_is_a_usage_error(capsys):
@@ -562,10 +568,13 @@ def test_reduce_over_rational_functions_commutes_with_evaluation():
     rng = random.Random(5)
     x = RationalFunction.x()
     labels = (RATFUNCS.one, x, 1 + x, 2 / (x + 1))
+    # a grid takes its field from its labels
+    assert Grid(1, {(1, 1): (x, x, x)}).field is RATFUNCS
     for m in range(2, 8):
         tri = {(r, d): tuple(rng.choice(labels) for _ in range(3))
                for r in range(1, m + 1) for d in range(1, r + 1)}
-        child = reduce_once(Grid(m, tri, field=RATFUNCS))
+        child = reduce_once(Grid(m, tri))
+        assert child.field is RATFUNCS
         for x0 in (F(2), F(1, 3), F(7, 2)):
             at = Grid(m, {k: tuple(v.eval(x0) for v in t)
                           for k, t in tri.items()})
@@ -612,7 +621,7 @@ def band_step_mismatches(field, seed, max_m):
                     rows.append(r)
                     triples.append(tri[(r, d)])
             band.append((rows, triples))
-        want = reduce_once(Grid(m, tri, field=field))
+        want = reduce_once(Grid(m, tri))
         child = _band_step(band, m, list(range(1, m)), m - 1)
         if len(child) != m - 1:
             bad.append(f"m = {m}: {len(child)} diagonals")
@@ -636,7 +645,7 @@ def test_band_step_matches_reduce_once_on_arbitrary_runs():
 
 
 @pytest.mark.parametrize("C, width, legs, wyes", [
-    (24, 24, 346, 576), (64, 1, 1089, 2048)], ids=["array-24", "diagonal-64"])
+    (24, 24, 345, 575), (64, 1, 1088, 2047)], ids=["array-24", "diagonal-64"])
 def test_chain_memos_are_keyed_by_value(monkeypatch, C, width, legs, wyes):
     # Each chain step calls triangle_legs once for each of its band's
     # distinct triples and wye at most once per input, both compared by
@@ -669,7 +678,7 @@ def test_chain_memos_are_keyed_by_value(monkeypatch, C, width, legs, wyes):
     for fn in calls:
         monkeypatch.setattr(reduction, fn.__name__, counted(fn))
     monkeypatch.setattr(reduction, "_band_step", watched)
-    reduction._reduce_chain(C, width, RATIONALS)
+    reduction._reduce_chain(C, width, F(2, 3))
     assert list(totals.values()) == [legs, wyes]
 
 
@@ -695,11 +704,12 @@ def test_lowest_terms_watch_fires(monkeypatch):
         v._numerator, v._denominator = 2 * n, 2 * d
         return v
 
-    monkeypatch.setitem(reduction._KINDS, F, (F, doubled))
+    monkeypatch.setitem(fields._FIELDS, F,
+                        dataclasses.replace(RATIONALS, coprime=doubled))
     starts, _ = _cone_starts(1, 1, 0)
     with pytest.raises(pytest.fail.Exception,
-                       match=r"lowest terms: step 1 .* gcd\(n, d\) = 2 and"
-                             r" d > 0$"):
+                       match=r"lowest terms: step 1 .* rational label "
+                             r"\(2\) / \(2\), which .* writes as 1$"):
         reduction._band_step([([a], [(F(1),) * 3]) for a in starts], 4,
                              *_cone_starts(1, 1, 1))
 
@@ -712,12 +722,12 @@ def test_canonical_form_watch_fires(monkeypatch):
         v.numer, v.denom = 2 * n, 2 * d
         return v
 
-    monkeypatch.setitem(reduction._KINDS, RationalFunction,
-                        (RationalFunction, doubled))
+    monkeypatch.setitem(fields._FIELDS, RationalFunction,
+                        dataclasses.replace(RATFUNCS, coprime=doubled))
     starts, _ = _cone_starts(1, 1, 0)
     x = RationalFunction.x()
     with pytest.raises(pytest.fail.Exception,
-                       match=r"canonical form: step 1 .* function "
+                       match=r"lowest terms: step 1 .* symbolic label "
                              r"\(2\*x\^1\) / \(2\), .* writes as 1\*x\^1$"):
         reduction._band_step([([a], [(x,) * 3]) for a in starts], 4,
                              *_cone_starts(1, 1, 1))
@@ -766,9 +776,30 @@ def test_reduction_generic_over_symbolic_field():
             tri[(r, d)] = (b if d == 1 else one,
                            b if d == r else one,
                            b if r == m else one)
-    g = Grid(m, tri, field=RATFUNCS, reductions=1)
+    g = Grid(m, tri, reductions=1)
     child = reduce_once(g)
     # away from the corners, both referenced triangles are (b, 1, 1)
     got = child.label(3, 1, "L")
     assert got == 2 * b / (b + 2)
     assert got.eval(9) == F(1, 2)
+
+
+def test_a_rational_start_grid_reduces_over_the_rationals():
+    # No caller names a field: the start grid with a rational boundary is
+    # a rational grid, whose symmetric reduction equals graph surgery
+    g = symbolic_start_grid(9, F(1, 2))
+    child = reduce_once(g)
+    assert child == graph_level_reduce(g)
+    assert {type(v) for _, v in child.items()} == {F}
+    assert g.field is child.field is RATIONALS
+
+
+@pytest.mark.parametrize("label", [1.5, _Residue(2)],
+                         ids=["float", "residue"])
+def test_a_label_of_no_field_is_refused(label):
+    with pytest.raises(TypeError, match=type(label).__name__):
+        Grid(1, {(1, 1): (F(1), label, F(1))})
+    with pytest.raises(TypeError, match=type(label).__name__):
+        wye(label, label, label)
+    with pytest.raises(TypeError, match=type(label).__name__):
+        triangle_legs(label, F(1), F(1))

@@ -8,7 +8,7 @@ import pytest
 from circuitarray import polynomial, sequences
 from circuitarray.circuit_array import diagonal_sequence
 from circuitarray.polynomial import Polynomial
-from circuitarray.ratfunc import RATFUNCS, RationalFunction
+from circuitarray.ratfunc import RationalFunction
 from circuitarray.reduction import _reduce_chain, reduce_once
 from circuitarray.sequences import (NumeratorSequence, SequenceError,
                                     asymptotics_table, bareiss_determinant,
@@ -232,13 +232,13 @@ def full_grid_symbolic_reads(S):
 def test_symbolic_chain_matches_full_grid_reduction():
     # L_s(x) does not depend on the start size once the grid is large
     # enough, so one 27-grid serves every chain length up to 7.  The
-    # diagonal never reads a relabelled right boundary label; the
+    # diagonal never reads a right boundary label 1 - 3/x; the
     # full-width chain does, from its first step on.
     full = full_grid_symbolic_reads(7)
     for S in range(1, 8):
         assert symbolic_diagonal(S) == [r[1][0] for r in full[:S]], S
     boundary = 1 - 3 / RationalFunction.x()
-    assert _reduce_chain(7, 7, RATFUNCS, boundary) == full
+    assert _reduce_chain(7, 7, boundary) == full
 
 
 def test_symbolic_diagonal_pinned_at_x9_through_s12():
