@@ -363,30 +363,29 @@ def verify_uniform_center(n: int, s: int) -> Report:
     report = Report(f"uniform-center n={n} s={s} (m={m})")
     one = Fraction(1)
 
+    def scan(name: str, rows: range, bad) -> None:
+        """Check ``name`` on ``rows``, tagged vacuous when they are none."""
+        report.scan(name + ("" if rows else " (vacuous)"),
+                    (f"row {r}" for r in rows if bad(r)))
+
     for d in range(1, s + 1):
         rows = range(s + d, m - 2 * s + 1)
-        suffix = "" if rows else " (vacuous)"
-        report.scan(f"(a) diagonal {d}: rows {s + d}..{m - 2 * s} equal{suffix}",
-                    (f"row {r}" for r in rows
-                     if g.triangle(r, d) != g.triangle(rows[0], d)))
+        scan(f"(a) diagonal {d}: rows {s + d}..{m - 2 * s} equal", rows,
+             lambda r: g.triangle(r, d) != g.triangle(rows[0], d))
         if rows:
-            report.scan(f"(c) diagonal {d}: right = base inside the band",
-                        (f"row {r}" for r in rows
-                         if g.label(r, d, "R") != g.label(r, d, "B")))
+            scan(f"(c) diagonal {d}: right = base inside the band", rows,
+                 lambda r: g.label(r, d, "R") != g.label(r, d, "B"))
 
-    rows_b = range(2 * s - 1, m - 2 * s + 1)
-    lefts = [g.label(r, s, "L") for r in rows_b]
-    ok = all(v == lefts[0] for v in lefts)
-    report.add(f"(b) diagonal {s}: left labels equal on rows "
-               f"{2 * s - 1}..{m - 2 * s}{'' if lefts else ' (vacuous)'}", ok)
-    if 2 * s - 1 <= m:
-        report.add(f"(b) corner: ({2 * s - 1},{s}) right = left",
-                   g.label(2 * s - 1, s, "R") == g.label(2 * s - 1, s, "L"))
-    ok = all(g.label(r, s, "R") == one for r in range(2 * s, m - 2 * s + 1))
-    report.add(f"(b) diagonal {s}: right labels 1 on rows {2 * s}..{m - 2 * s}", ok)
-    ok = all(g.label(r, s, "B") == one for r in range(2 * s - 1, m - 2 * s))
-    report.add(f"(b) diagonal {s}: base labels 1 on rows "
-               f"{2 * s - 1}..{m - 2 * s - 1}", ok)
+    left = g.label(2 * s - 1, s, "L")  # row 2s - 1 <= m, as m >= 3s
+    scan(f"(b) diagonal {s}: left labels equal on rows {2 * s - 1}..{m - 2 * s}",
+         range(2 * s - 1, m - 2 * s + 1), lambda r: g.label(r, s, "L") != left)
+    report.add(f"(b) corner: ({2 * s - 1},{s}) right = left",
+               g.label(2 * s - 1, s, "R") == left)
+    scan(f"(b) diagonal {s}: right labels 1 on rows {2 * s}..{m - 2 * s}",
+         range(2 * s, m - 2 * s + 1), lambda r: g.label(r, s, "R") != one)
+    scan(f"(b) diagonal {s}: base labels 1 on rows "
+         f"{2 * s - 1}..{m - 2 * s - 1}",
+         range(2 * s - 1, m - 2 * s), lambda r: g.label(r, s, "B") != one)
     return report
 
 

@@ -25,7 +25,7 @@ import sys
 from . import circuit_array as ca
 from . import graphs, properties, sequences
 from .fields import RATIONALS, format_rational
-from .grid import GridError, all_one_grid
+from .grid import all_one_grid
 from .ratfunc import RATFUNCS
 from .reduction import reduce_k
 from .reports import Report
@@ -129,9 +129,9 @@ def _uniform_center_all(smax: int) -> Report:
     for s in range(1, smax + 1):
         for n in (4 * s, 4 * s + 2):
             rep = ca.verify_uniform_center(n, s)
-            merged.add(f"n={n}, s={s}", rep.passed,
-                       "" if rep.passed else "; ".join(
-                           c.name for c in rep.failures()))
+            merged.add(f"n={n}, s={s}", rep.passed, "; ".join(
+                f"{c.name}: {c.detail}" if c.detail else c.name
+                for c in rep.failures()))
     return merged
 
 
@@ -141,15 +141,12 @@ def _uniform_center_all(smax: int) -> Report:
 # ~60 MiB and ~1 s for each of the first steps.
 _REDUCE_MAX_N = 400
 
-# The labels grow with every step: over the rationals the all-one
-# n = 400 grid takes ~6, ~12, ~20, ~26 and ~35 s at 10, 20, 30, 35 and 40
-# steps, and 32 steps take ~22 s and ~85 MiB end to end.
-_REDUCE_MAX_STEPS = 32
-
-# Over rational functions the labels grow with every step: end to end on
-# two cores, n = 400 takes ~31, ~32-36 and ~49 s at 10, 11 and 12 steps,
-# in 108, 113 and 118 MiB.
-_SYMBOLIC_REDUCE_MAX_STEPS = 11
+# The labels grow with every step, so each field caps the steps: over the
+# rationals the all-one n = 400 grid takes ~6, ~12, ~20, ~26 and ~35 s at
+# 10, 20, 30, 35 and 40 steps, and 32 steps take ~22 s and ~85 MiB end to
+# end; over rational functions, end to end on two cores, n = 400 takes ~31,
+# ~32-36 and ~49 s at 10, 11 and 12 steps, in 108, 113 and 118 MiB.
+_REDUCE_MAX_STEPS = {RATIONALS: 32, RATFUNCS: 11}
 
 
 def cmd_reduce(args) -> int:
@@ -160,28 +157,20 @@ def cmd_reduce(args) -> int:
     if not 0 <= args.steps < args.n:
         raise UsageError(f"--steps must be in 0..n-1 = 0..{args.n - 1}, "
                          f"got {args.steps}")
-    if args.field == "rational" and args.steps > _REDUCE_MAX_STEPS:
-        raise UsageError(f"--steps must be <= {_REDUCE_MAX_STEPS} "
-                         f"with --field rational, got {args.steps}")
-    if args.field == "symbolic" and args.steps > _SYMBOLIC_REDUCE_MAX_STEPS:
-        raise UsageError(f"--steps must be <= {_SYMBOLIC_REDUCE_MAX_STEPS} "
-                         f"with --field symbolic, got {args.steps}")
     text = args.boundary
-    if text is None and args.field == "symbolic":
-        text = "1 - 3/x"
-    field = RATIONALS if args.field == "rational" else RATFUNCS
+    # a boundary in x is a rational function, any other one a rational
+    field = RATFUNCS if "x" in (text or "") else RATIONALS
+    cap = _REDUCE_MAX_STEPS[field]
+    if args.steps > cap:
+        raise UsageError(f"--steps must be <= {cap} with field={field.name}, "
+                         f"got {args.steps}")
     try:
         boundary = None if text is None else field.parse(text)
+        g = reduce_k(all_one_grid(args.n) if boundary is None
+                     else sequences.symbolic_start_grid(args.n, boundary),
+                     args.steps)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad --boundary {text!r}: {exc}") from None
-    try:
-        if boundary is None:
-            g = all_one_grid(args.n)
-        else:
-            g = sequences.symbolic_start_grid(args.n, boundary)
-        g = reduce_k(g, args.steps)
-    except GridError as exc:
-        # a boundary with a non-positive label or a zero edge sum
+        # unreadable, or a GridError: a non-positive label or a zero edge sum
         raise UsageError(f"bad --boundary {text!r}: {exc}") from None
     if args.dump_json:
         _write(g.to_json(), args.dump_json)
@@ -230,14 +219,11 @@ def cmd_diag(args) -> int:
     if args.max_s < 1:
         raise UsageError(f"--max-s must be >= 1, got {args.max_s}")
     _check_depth("--max-s", args.max_s, args.max_s)
-    diag = ca.diagonal_sequence(args.max_s)
-    header = ["s", "L"]
-    rows = []
-    for s, v in enumerate(diag, start=1):
-        shown = (format_rational(v) if args.emit == "fractions"
-                 else sequences.render_4dp(v))
-        rows.append([str(s), shown])
-    _write_table(header, rows, args.format, args.out)
+    show = (format_rational if args.emit == "fractions"
+            else sequences.render_4dp)
+    rows = ([str(s), show(v)] for s, v in
+            enumerate(ca.diagonal_sequence(args.max_s), start=1))
+    _write_table(["s", "L"], rows, args.format, args.out)
     return 0
 
 
@@ -432,11 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--dump-json", metavar="PATH", default=None)
-    p.add_argument("--field", choices=("rational", "symbolic"),
-                   default="rational")
     p.add_argument("--boundary", default=None,
-                   help="boundary label: a fraction (rational field) or an "
-                        "expression in x such as \"1-3/x\" (symbolic field); "
+                   help="boundary label, which sets the field: an expression "
+                        "in x such as \"1-3/x\" reduces over rational "
+                        "functions, any other label is an exact fraction; "
                         "marks the start grid as once-reduced")
     p.set_defaults(fn=cmd_reduce)
 

@@ -184,7 +184,9 @@ class Grid:
     @staticmethod
     def from_json(text: str, field: FieldContract = RATIONALS) -> "Grid":
         """Parse ``{"m": M, "reductions": K, "labels": [{"r", "d", "side",
-        "value"}, ...]}`` as written by ``to_json``.
+        "value"}, ...]}`` as written by ``to_json``, reading labels in
+        ``field``: a document of constant labels such as ``"(2) / (3)"``
+        does not show which field it is in.
 
         Any other shape raises a one-line ``GridError`` that names the bad
         field; ``"reductions"`` may be omitted (0).

@@ -19,6 +19,7 @@ read off closed forms that evaluate back to the exact rational pipeline.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .fields import FieldContract
@@ -181,29 +182,22 @@ class RationalFunction:
 _MAX_PARSE_SIZE = 1000
 
 
-def _size(value: RationalFunction) -> int:
-    return max(p.degree + max(map(abs, p.coeffs), default=0).bit_length()
-               for p in (value.numer, value.denom))
+def _size(value) -> int:
+    """Degree plus coefficient bits (of the larger part of a quotient)."""
+    if isinstance(value, RationalFunction):
+        return max(_size(value.numer), _size(value.denom))
+    return value.degree + max(map(abs, value.coeffs), default=0).bit_length()
+
+
+_TOKEN = re.compile(r"\s*(?:(\d+)|([x+\-*/^()])|(\S))")
 
 
 def _tokenize(text: str) -> list:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(int(text[i:j]))
-            i = j
-        elif ch in "x+-*/^()":
-            tokens.append(ch)
-            i += 1
-        else:
-            raise ValueError(f"unexpected character {ch!r} in expression")
+    for number, symbol, other in _TOKEN.findall(text):
+        if other:
+            raise ValueError(f"unexpected character {other!r} in expression")
+        tokens.append(int(number) if number else symbol)
     return tokens
 
 
@@ -286,8 +280,39 @@ class _Parser:
         raise ValueError(f"unexpected token {tok!r}")
 
 
+# ``str`` writes "N" or "(N) / (D)", each polynomial's terms "c" and
+# "c*x^k" joined by " + " and " - ".  The parser's budget charges every sum
+# anew and refuses such text from size 36 on, three symbolic steps deep, so
+# it is read term by term, up to the budget's degree and size.
+_TERM = re.compile(r"(-?\d+)(?:\*x\^(\d+))?")
+
+
+def _read_written(text: str) -> RationalFunction | None:
+    """The value ``str`` writes as ``text``; None for other text."""
+    quotient = re.fullmatch(r"\(([^()]*)\) / \(([^()]*)\)", text)
+    polys = []
+    for part in quotient.groups() if quotient else (text,):
+        terms = [_TERM.fullmatch(t)
+                 for t in part.replace(" - ", " + -").split(" + ")]
+        degree = max(int(t[2] or 0) if t else _MAX_PARSE_SIZE + 1
+                     for t in terms)
+        if degree > _MAX_PARSE_SIZE:
+            return None
+        coeffs = [0] * (degree + 1)
+        for t in terms:
+            coeffs[int(t[2] or 0)] += int(t[1])
+        polys.append(Polynomial(coeffs))
+    if max(map(_size, polys)) > _MAX_PARSE_SIZE:
+        return None
+    return RationalFunction(*polys)
+
+
 def parse_ratfunc(text: str) -> RationalFunction:
-    """Parse an expression in x into a canonical rational function."""
+    """Parse an expression in x into a canonical rational function; text in
+    the form ``str`` writes is read by ``_read_written``."""
+    written = _read_written(text)
+    if written is not None:
+        return written
     try:
         return _Parser(_tokenize(text)).parse()
     except RecursionError:

@@ -50,7 +50,7 @@ class Report:
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.passed]
 
-    def lines(self, verbose: bool = False) -> list[str]:
+    def render(self, verbose: bool = False) -> str:
         out = []
         mark = "PASS" if self.passed else "FAIL"
         out.append(f"[{mark}] {self.title} ({sum(c.passed for c in self.checks)}"
@@ -62,7 +62,4 @@ class Report:
                 out.append(f"    {m} {c.name}{detail}")
         for n in self.notes:
             out.append(f"    note: {n}")
-        return out
-
-    def render(self, verbose: bool = False) -> str:
-        return "\n".join(self.lines(verbose))
+        return "\n".join(out)

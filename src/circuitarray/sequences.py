@@ -241,25 +241,23 @@ def lhrcc_ruled_out(rmax: int, seq: NumeratorSequence) -> Report:
     for order in range(1, rmax + 1):
         size = order + 1
         dets = seq.hankel_table[size]  # windows at starts 2, 3, ...
-        ok = all(d != 0 for d in dets)
-        report.add(f"order {order}: all {len(dets)} windows of size {size} "
-                   f"nonsingular", ok,
-                   "" if ok else f"zero window at start {dets.index(0) + 2}")
+        report.scan(f"order {order}: all {len(dets)} windows of size {size} "
+                    f"nonsingular", (f"zero window at start {start}"
+                                     for start, d in enumerate(dets, 2) if not d))
     return report
 
 
 # -- symbolic pipeline --------------------------------------------------------
 
-def symbolic_start_grid(m: int, boundary=None) -> Grid:
-    """Size-m grid with boundary labels ``boundary`` (default 1 - 3/x) and
-    interior labels 1, over ``boundary``'s field.
+def symbolic_start_grid(m: int, boundary) -> Grid:
+    """Size-m grid with boundary labels ``boundary`` and interior labels 1,
+    over ``boundary``'s field.
 
     This is the once-reduced all-one grid with ``boundary`` in place of
-    its boundary label 2/3 (1 - 3/x equals it at x = 9); ``reductions`` is
-    1 accordingly.
+    its boundary label 2/3; ``reductions`` is 1 accordingly.  The paper's
+    symbolic family takes 1 - 3/x, which equals 2/3 at x = 9 (see
+    ``symbolic_diagonal``).
     """
-    if boundary is None:
-        boundary = 1 - 3 / RationalFunction.x()
     one = field_of(boundary).one
     tri = {(r, d): (boundary if d == 1 else one, boundary if d == r else one,
                     boundary if r == m else one)
@@ -270,10 +268,12 @@ def symbolic_start_grid(m: int, boundary=None) -> Grid:
 def symbolic_diagonal(S: int) -> list[RationalFunction]:
     """L_1(x)..L_S(x): the diagonal of the symbolic pipeline.
 
-    L_1 is the boundary label 1 - 3/x itself; each later L_s is read at
+    The pipeline's boundary label is the paper's 1 - 3/x, built here and
+    nowhere else in the package; ``reduce --boundary 1-3/x`` parses the
+    same label.  L_1 is that label itself; each later L_s is read at
     (2s-1, 1, L) after one further reduction.  One reduction chain does all
     the reads: the exact diagonal's chain from 1 - 3/x in place of 2/3,
-    which equals reducing ``symbolic_start_grid(4S - 1)`` with
+    which equals reducing ``symbolic_start_grid(4S - 1, 1 - 3/x)`` with
     ``reduce_once``.
     """
     if S < 1:
@@ -286,10 +286,6 @@ def _poly(*coeffs: int) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def _x_minus_3() -> Polynomial:
-    return _poly(-3, 1)
-
-
 def diagonal_closed_forms() -> list[tuple[int, Polynomial, int, int]]:
     """Reference closed forms for L_2(x)..L_7(x) (L_1 is the boundary).
 
@@ -299,10 +295,10 @@ def diagonal_closed_forms() -> list[tuple[int, Polynomial, int, int]]:
     follow 3 * 2^(4(s-3)+1) from s = 3 on; canonicalization may divide an
     integer content out of both sides (it does at s = 5 and s = 7).
     """
-    x3 = _x_minus_3()
+    x3 = _poly(-3, 1)
     x1 = _poly(-1, 1)
     t31 = _poly(-1, 3)
-    forms = [
+    return [
         (2, 2 * x3, 3, 1),
         (3, x3 * t31, 6, 2),
         (4, x3 * (3 * (x1 * x3) + 4 * t31 ** 2), 96, 3),
@@ -312,14 +308,13 @@ def diagonal_closed_forms() -> list[tuple[int, Polynomial, int, int]]:
         (7, x3 * (6 * (x1 * x3) * _poly(-2015, 8693, -13549, 7895)
                   + 256 * t31 ** 5), 393216, 6),
     ]
-    return forms
 
 
 def reference_diagonal_formula(s: int) -> RationalFunction:
     """Canonical rational function for the reference closed form of L_s."""
     if s == 1:
         # the boundary label itself: (x - 3) / x
-        return RationalFunction(_x_minus_3(), Polynomial((0, 1)))
+        return RationalFunction(_poly(-3, 1), _poly(0, 1))
     for (ss, numer, const, power) in diagonal_closed_forms():
         if ss == s:
             return RationalFunction(numer, const * _poly(-1, 1) ** power)
@@ -371,7 +366,7 @@ def verify_symbolic_patterns(S: int, diagonal: list[Fraction],
                 report.note(f"s={s}: canonical form carries constant "
                             f"{canonical_const} (integer content "
                             f"{const // canonical_const} cancels)")
-    variant = RationalFunction(_x_minus_3(), _poly(-1, 1))
+    variant = RationalFunction(_poly(-3, 1), _poly(-1, 1))
     report.note(f"s=1: variant (x-3)/(x-1) evaluates to "
                 f"{format_rational(variant.eval(9))} at x=9; the boundary "
                 f"relabel (x-3)/x gives {format_rational(formulas[0].eval(9))}")

@@ -317,6 +317,50 @@ def test_uniform_center_names_the_first_row_where_right_leaves_base(
     assert failed["(c) diagonal 2: right = base inside the band"] == "row 6"
 
 
+@pytest.mark.parametrize("n, s", [(8, 2), (12, 2), (16, 4), (18, 4), (30, 7)])
+def test_uniform_center_tags_every_empty_range(n, s):
+    for c in verify_uniform_center(n, s).checks:
+        if " rows " in c.name:
+            span = c.name.split(" rows ")[1].split(" ")[0]
+            first, last = (int(v) for v in span.split(".."))
+            assert c.name.endswith(" (vacuous)") == (first > last), c.name
+
+
+def test_uniform_center_18_4_keeps_five_nonvacuous_checks():
+    rep = verify_uniform_center(18, 4)
+    assert [c.name for c in rep.checks if "(vacuous)" not in c.name] == [
+        "(a) diagonal 1: rows 5..6 equal",
+        "(c) diagonal 1: right = base inside the band",
+        "(a) diagonal 2: rows 6..6 equal",
+        "(c) diagonal 2: right = base inside the band",
+        "(b) corner: (7,4) right = left"]
+
+
+def test_uniform_center_b_checks_name_their_first_failing_row(monkeypatch):
+    # diagonal 2 of the twice-reduced 12-grid, whose (b) rows are 3..6:
+    # left labels raised on rows 5 and 6, the right label on 6, the base
+    # label on 5
+    reduce = circuit_array.reduce_k
+
+    def raised(grid, k):
+        g = reduce(grid, k)
+        tri = dict(g._tri)
+        for r in (5, 6):
+            L, R, B = tri[(r, 2)]
+            tri[(r, 2)] = (L + 1, R + (r == 6), B + (r == 5))
+        return Grid(g.m, tri, reductions=g.reductions)
+
+    monkeypatch.setattr(circuit_array, "reduce_k", raised)
+    rep = verify_uniform_center(12, 2)
+    failed = {c.name: c.detail for c in rep.failures()
+              if c.name.startswith("(b)")}
+    assert failed == {
+        "(b) diagonal 2: left labels equal on rows 3..6": "row 5",
+        "(b) diagonal 2: right labels 1 on rows 4..6": "row 6",
+        "(b) diagonal 2: base labels 1 on rows 3..5": "row 5",
+    }
+
+
 def test_uniform_center_nonvacuous_band():
     rep = verify_uniform_center(12, 2)
     named = [c.name for c in rep.checks]

@@ -14,12 +14,15 @@ from circuitarray.circuit_array import CircuitArray, build_array
 from circuitarray.cli import (_ARRAY_MAX_COLS, _ARRAY_SUITES, _DIAG_MAX_S,
                              _ORACLE_MAX_GRAPHS, _ORACLE_SUITES,
                              _REDUCE_MAX_STEPS, _SUITES,
-                             _SYMBOLIC_REDUCE_MAX_STEPS,
                              _UNIFORM_CENTER_MAX_S, _write_array,
                              build_parser, main)
+from circuitarray.fields import RATIONALS
 from circuitarray.graphs import WeightedGraph
 from circuitarray.grid import Grid
+from circuitarray.ratfunc import RATFUNCS, RationalFunction
+from circuitarray.reduction import reduce_k
 from circuitarray.reports import Report
+from circuitarray.sequences import symbolic_start_grid
 
 
 def run(capsys, *argv):
@@ -191,9 +194,59 @@ def test_reduce_and_dump(tmp_path, capsys):
 
 def test_reduce_symbolic(capsys):
     code, out = run(capsys, "reduce", "--n", "8", "--steps", "1",
-                    "--field", "symbolic", "--boundary", "1-3/x")
+                    "--boundary", "1-3/x")
     assert code == 0
     assert "x^1" in out
+
+
+@pytest.mark.parametrize("boundary, field", [
+    ("2/3", "rational"), ("5/7", "rational"), (None, "rational"),
+    ("1-3/x", "symbolic"), ("x-x-2", "symbolic"),
+    ("(x-3)*(3*x-1)/(6*(x-1)^2)", "symbolic"),
+])
+def test_reduce_reads_its_field_from_the_boundary(capsys, boundary, field):
+    # no step, as x - x - 2 has a zero edge sum that the first step meets
+    argv = ["reduce", "--n", "6", "--steps", "0"]
+    if boundary is not None:
+        argv.append(f"--boundary={boundary}")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert f"field={field})" in out
+
+
+def test_reduce_boundary_in_x_dumps_the_symbolic_start_grid(tmp_path,
+                                                            capsys):
+    path = tmp_path / "grid.json"
+    code, _ = run(capsys, "reduce", "--n", "9", "--steps", "2", "--boundary",
+                  "1-3/x", "--dump-json", str(path))
+    assert code == 0
+    x = RationalFunction.x()
+    want = reduce_k(symbolic_start_grid(9, 1 - 3 / x), 2)
+    assert path.read_text() == want.to_json() + "\n"
+    assert Grid.from_json(path.read_text(), RATFUNCS) == want
+
+
+@pytest.mark.parametrize("field, boundary", [
+    (RATIONALS, None), (RATIONALS, "5/7"), (RATFUNCS, "1-3/x"),
+    # a boundary the parser would refuse: the cap is read before it
+    (RATFUNCS, "x^-999999999"),
+], ids=["all-one", "5/7", "1-3/x", "x^-999999999"])
+def test_each_fields_step_cap_is_refused_before_any_grid_is_built(
+        capsys, monkeypatch, field, boundary):
+    from circuitarray import cli, sequences
+
+    def built(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(cli, "all_one_grid", built)
+    monkeypatch.setattr(sequences, "symbolic_start_grid", built)
+    cap = _REDUCE_MAX_STEPS[field]
+    argv = ["reduce", "--n", "400", "--steps", str(cap + 1)]
+    if boundary is not None:
+        argv.append(f"--boundary={boundary}")
+    assert usage_error(capsys, argv) == (
+        f"error: --steps must be <= {cap} with field={field.name}, "
+        f"got {cap + 1}\n")
 
 
 def test_diag_fractions_and_decimal(capsys):
@@ -268,6 +321,23 @@ def test_uniform_center_alone_builds_no_array(capsys, monkeypatch):
                     "--max-s", "2")
     assert code == 0 and "uniform-center s = 1..2" in out
     assert calls == []
+
+
+def test_uniform_center_names_each_failing_checks_detail(capsys,
+                                                         monkeypatch):
+    from circuitarray import circuit_array
+
+    def failing_at_6(n, s):
+        rep = Report(f"uniform-center n={n} s={s}")
+        rep.add("(a) band", n != 6, "row 3")
+        rep.add("(b) corner", n != 6)
+        return rep
+
+    monkeypatch.setattr(circuit_array, "verify_uniform_center", failing_at_6)
+    code, out = run(capsys, "array", "verify", "--suite", "uniform-center",
+                    "--max-s", "2")
+    assert code == 1
+    assert "    FAIL n=6, s=1 -- (a) band: row 3; (b) corner\n" in out
 
 
 def test_a_failed_divisibility_is_reported(capsys, monkeypatch):
@@ -451,22 +521,23 @@ def test_malformed_graph_json_is_a_usage_error(tmp_path, capsys, text, field):
 @pytest.mark.parametrize("argv", [
     ["--n", "5", "--steps", "2", "--boundary", "1/0"],
     ["--n", "5", "--steps", "2", "--boundary", "abc"],
-    ["--n", "5", "--steps", "2", "--field", "symbolic", "--boundary", "1/0"],
-    ["--n", "27", "--steps", "2", "--field", "symbolic", "--boundary",
+    ["--n", "5", "--steps", "2", "--boundary", "x-x+1/0"],
+    ["--n", "27", "--steps", "2", "--boundary",
      "3/(x-x)"],
-    ["--n", "4", "--steps", "1", "--field", "symbolic", "--boundary",
+    ["--n", "4", "--steps", "1", "--boundary",
      "(" * 400 + "x" + ")" * 400],
     ["--n", "5", "--steps", "2", "--boundary", "1e999999999"],
-    ["--n", "5", "--steps", "2", "--field", "symbolic", "--boundary",
+    ["--n", "5", "--steps", "2", "--boundary",
      "(1+x)^100000"],
-    ["--n", "5", "--steps", "2", "--field", "symbolic", "--boundary",
-     "2^999999999"],
-    ["--n", "5", "--steps", "2", "--field", "symbolic", "--boundary",
+    ["--n", "5", "--steps", "2", "--boundary", "x-x+2^999999999"],
+    ["--n", "5", "--steps", "2", "--boundary",
      "x^-999999999"],
-    ["--n", "5", "--steps", "2", "--field", "symbolic", "--boundary",
+    ["--n", "5", "--steps", "2", "--boundary",
      "((1+x)^30)^30"],
-    ["--n", "5", "--steps", "2", "--field", "symbolic", "--boundary",
+    ["--n", "5", "--steps", "2", "--boundary",
      "*".join(["(1+x)^499"] * 8)],
+    # many places the written form's " / " could split
+    ["--n", "5", "--steps", "2", "--boundary", "(" + ") / (" * 40000 + "x"],
 ])
 def test_bad_boundary_is_a_usage_error(capsys, argv):
     start = time.perf_counter()
@@ -484,8 +555,8 @@ def test_bad_boundary_is_a_usage_error(capsys, argv):
     (["oracle", "verify", "--graphs", "0"], "--graphs"),
     (["reduce", "--n", "6", "--steps", "1", "--boundary=-2"],
      "triangle (1,1)"),
-    (["reduce", "--n", "6", "--steps", "1", "--field", "symbolic",
-      "--boundary=-2"], "triangle (2,1)"),
+    (["reduce", "--n", "6", "--steps", "1", "--boundary=x-x-2"],
+     "triangle (2,1)"),
     (["reduce", "--n", "401", "--steps", "1"], "--n"),
     (["asymptotics", "--rows", "1..2..3"], "bad row spec '1..2..3'"),
     (["asymptotics", "--rows", "..5"], "bad row spec '..5'"),
@@ -512,19 +583,20 @@ def test_bad_boundary_is_a_usage_error(capsys, argv):
      f"--max-s must be in 1..{_UNIFORM_CENTER_MAX_S}"),
     (["asymptotics", "--rows", "1..3,5..1"], "bad row spec '1..3,5..1'"),
     # refused before the symbolic start grid is built
-    (["reduce", "--n", "400", "--steps", str(_SYMBOLIC_REDUCE_MAX_STEPS + 1),
-      "--field", "symbolic"],
-     f"--steps must be <= {_SYMBOLIC_REDUCE_MAX_STEPS} with --field symbolic"),
+    (["reduce", "--n", "400", "--steps",
+      str(_REDUCE_MAX_STEPS[RATFUNCS] + 1), "--boundary", "1-3/x"],
+     f"--steps must be <= {_REDUCE_MAX_STEPS[RATFUNCS]} with field=symbolic"),
     # a zero label is refused over rational functions as over rationals
-    (["reduce", "--n", "3", "--steps", "2", "--field", "symbolic",
-      "--boundary", "x-x"], "zero resistance label at triangle (1,1)"),
+    (["reduce", "--n", "3", "--steps", "2", "--boundary", "x-x"],
+     "zero resistance label at triangle (1,1)"),
     # a depth or width below 1 is refused, not run as a vacuous pass
     (["verify", "--max-s", "-5"], "--max-s must be >= 1"),
     (["verify", "--max-cols", "-3"], "--max-cols must be >= 1"),
     (["array", "verify", "--max-cols", "-1"], "--max-cols must be >= 1"),
     # refused before the all-one grid is built
-    (["reduce", "--n", "400", "--steps", str(_REDUCE_MAX_STEPS + 1)],
-     f"--steps must be <= {_REDUCE_MAX_STEPS} with --field rational"),
+    (["reduce", "--n", "400", "--steps",
+      str(_REDUCE_MAX_STEPS[RATIONALS] + 1)],
+     f"--steps must be <= {_REDUCE_MAX_STEPS[RATIONALS]} with field=rational"),
     # refused before any random graph is built
     (["oracle", "verify", "--graphs", str(_ORACLE_MAX_GRAPHS + 1)],
      f"--graphs must be <= {_ORACLE_MAX_GRAPHS}"),
@@ -541,6 +613,8 @@ def test_bad_argument_is_a_usage_error(capsys, argv, needle):
     # verify's fixed depths are not flags, and it runs every suite
     ["verify", "--graphs", "5"],
     ["verify", "--suite", "fib"],
+    # the boundary label sets reduce's field
+    ["reduce", "--n", "5", "--steps", "1", "--field", "symbolic"],
 ])
 def test_flags_no_command_reads_are_refused(argv):
     with pytest.raises(SystemExit) as exc:

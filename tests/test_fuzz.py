@@ -17,14 +17,15 @@ from circuitarray.cli import main
 from circuitarray.fields import RATIONALS
 from circuitarray.graphs import GraphError, WeightedGraph, grid_to_graph
 from circuitarray.grid import Grid, GridError, all_one_grid
-from circuitarray.ratfunc import RATFUNCS
+from circuitarray.ratfunc import RATFUNCS, RationalFunction
 from circuitarray.reduction import reduce_once
 from circuitarray.sequences import symbolic_start_grid
 
 ATOMS = ("x", "0", "1", "2", "3")
 JUNK = ("", " ", "(", "x)", "x^", "^2", "1/0", "abc", "1e3", "2.5", "--1",
         "x^-1", "0^-1", "x^x", "3/(x-x)", "nan", "inf", "(" * 400 + "x"
-        + ")" * 400, "-" * 400 + "1")
+        + ")" * 400, "-" * 400 + "1", "(1 + 1*x^999999999) / (1*x^1)",
+        "1 - 1*x^1000", "(0) / (0*x^1)", "(1 - 2*x^1) / (3 + x)")
 VALUES = (None, True, False, -1, 0, 1, 3, 2.5, "", "0", "-1", "1/0", "2/3",
           "x", "L", [], {}, [0], {"r": 1}, 10 ** 5, 10 ** 9, "1e999999999",
           "x^-999999999")
@@ -55,18 +56,23 @@ def reduce_argv(rng):
     else:
         n = rng.randint(1, 6)
         steps = rng.randrange(n)
-    argv = ["reduce", "--n", str(n), "--steps", str(steps),
-            "--field", rng.choice(("rational", "symbolic"))]
+    argv = ["reduce", "--n", str(n), "--steps", str(steps)]
+    # a boundary in x is read over rational functions: for half of the
+    # draws, no boundary becomes 1 - 3/x and one without x is added to x - x
+    symbolic = rng.choice((False, True))
     p = rng.random()
+    text = None
     if p < 0.2:
-        argv.append(f"--boundary={rng.choice(JUNK)}")
+        text = rng.choice(JUNK)
     elif p < 0.3:
-        argv.append(f"--boundary={rng.randint(-3, 4)}/{rng.randint(0, 4)}")
+        text = f"{rng.randint(-3, 4)}/{rng.randint(0, 4)}"
     elif p < 0.4:
-        argv.append(f"--boundary={rng.randint(1, 9)}e{big_exponent(rng)}")
+        text = f"{rng.randint(1, 9)}e{big_exponent(rng)}"
     elif p < 0.9:
-        argv.append(f"--boundary={expression(rng)}")
-    return argv
+        text = expression(rng)
+    if symbolic and "x" not in (text or ""):
+        text = "1-3/x" if text is None else f"x-x+({text})"
+    return argv if text is None else argv + [f"--boundary={text}"]
 
 
 def mutated(rng, doc):
@@ -137,7 +143,8 @@ def test_resistance_graph_json_fuzz(capsys, tmp_path):
 def test_grid_json_fuzz():
     rng = random.Random(12)
     docs = [(json.loads(reduce_once(all_one_grid(3)).to_json()), RATIONALS),
-            (json.loads(symbolic_start_grid(2).to_json()), RATFUNCS)]
+            (json.loads(symbolic_start_grid(2, 1 - 3 / RationalFunction.x())
+                        .to_json()), RATFUNCS)]
     for _ in range(300):
         doc, field = rng.choice(docs)
         try:

@@ -8,7 +8,9 @@ from circuitarray.grid import (SIDES, EdgeRef, Grid, GridError, _orbit_key,
                                all_one_grid, corner_distances,
                                determining_triangles, symmetry_complete,
                                triangle_count, validate_edge_ref)
+from circuitarray.ratfunc import RATFUNCS, RationalFunction
 from circuitarray.reduction import reduce_k, reduce_once
+from circuitarray.sequences import symbolic_start_grid
 
 
 def edges(m):
@@ -183,6 +185,23 @@ def test_json_round_trip():
     h = Grid.from_json(g.to_json())
     assert h == g
     assert '"value"' in g.to_json() and "." not in g.to_json().split("labels")[1]
+
+
+def test_symbolic_json_round_trip():
+    # four steps take the labels to degree plus coefficient bits 61: past
+    # what the expression parser's budget pays for, written out as sums
+    g = reduce_k(symbolic_start_grid(16, 1 - 3 / RationalFunction.x()), 4)
+    assert Grid.from_json(g.to_json(), RATFUNCS) == g
+
+
+def test_symbolic_label_past_the_digit_limit_is_a_one_line_grid_error():
+    value = "(1" + "0" * 4301 + " + 1*x^1) / (1*x^1)"
+    text = ('{"m": 1, "labels": [{"r": 1, "d": 1, "side": "L", "value": "'
+            + value + '"}]}')
+    with pytest.raises(GridError) as exc:
+        Grid.from_json(text, RATFUNCS)
+    assert "more than 4300 digits" in str(exc.value)
+    assert "\n" not in str(exc.value)
 
 
 @pytest.mark.parametrize("text, needle", [

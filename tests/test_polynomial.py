@@ -277,6 +277,23 @@ class TestParser:
             with pytest.raises(ValueError, match="too large"):
                 parse_ratfunc(bad)
 
+    def test_written_form_is_read_back_up_to_the_budget(self):
+        # what str writes is read term by term, not charged sum by sum
+        rng = random.Random(3)
+        for _ in range(40):
+            f = RationalFunction(random_poly(rng, rng.randint(0, 30), 60),
+                                 random_poly(rng, rng.randint(0, 30), 60))
+            assert parse_ratfunc(str(f)) == f, str(f)
+        assert parse_ratfunc("(-3 + 1*x^1) / (1*x^1)") == 1 - 3 / X
+        assert parse_ratfunc("1*x^999") == X ** 999
+        assert parse_ratfunc("-2 - 1*x^2") == -2 - X * X
+        # a degree plus coefficient bits past 1000 meets the budget
+        for bad in ("1*x^1000", "2*x^999", "(1) / (1*x^5000)"):
+            with pytest.raises(ValueError, match="too large"):
+                parse_ratfunc(bad)
+        with pytest.raises(ZeroDivisionError):
+            parse_ratfunc("(1) / (0)")
+
     def test_size_budget_spans_the_whole_expression(self):
         # each factor fits the budget on its own, the product does not
         assert parse_ratfunc("(1+x)^300") == (1 + X) ** 300

@@ -66,6 +66,31 @@ def test_transform_soundness_sample():
     assert rep.passed, rep.render(True)
 
 
+def test_transform_soundness_names_each_kinds_own_first_failure(
+        monkeypatch):
+    # every series merge raises the merged resistance by 1
+    merge = properties.series
+
+    def raised(g, v):
+        x, y = g.neighbors(v)
+        merge(g, v)
+        r = g.resistance_of(x, y)
+        g.remove_edge(x, y)
+        g.add_edge(x, y, r + 1)
+
+    monkeypatch.setattr(properties, "series", raised)
+    rep = transform_soundness_suite(seed=0, graphs=40)
+    checks = {c.name.split(":")[0]: c for c in rep.checks}
+    assert list(checks) == ["delta_to_wye", "wye_to_delta", "series",
+                            "total graphs exercised"]
+    for kind in ("delta_to_wye", "wye_to_delta"):
+        assert (checks[kind].passed, checks[kind].detail) == (True, "")
+    series, total = checks["series"], checks["total graphs exercised"]
+    assert not series.passed and not total.passed
+    assert series.detail.startswith("first failure (1, 'series', ")
+    assert total.detail == series.detail
+
+
 def test_dual_pipeline_sample():
     # seed 0 is test_criterion_02_dual_pipeline
     for seed in (1, 2):

@@ -489,12 +489,12 @@ def test_coprime_builder_is_the_fraction_it_stands_for():
 
 
 def test_zero_edge_sum_on_the_symbolic_boundary_is_a_usage_error(capsys):
-    code = main(["reduce", "--n", "6", "--steps", "1", "--field", "symbolic",
-                 "--boundary=-2"])
+    # x - x - 2 is the constant -2 over rational functions
+    code = main(["reduce", "--n", "6", "--steps", "1", "--boundary=x-x-2"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err == ("error: bad --boundary '-2': zero edge sum at triangle "
-                   "(2,1)\n")
+    assert err == ("error: bad --boundary 'x-x-2': zero edge sum at "
+                   "triangle (2,1)\n")
 
 
 def test_delta_wye_round_trip_at_a_site():

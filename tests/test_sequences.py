@@ -220,7 +220,7 @@ def test_symbolic_diagonal_small():
 def full_grid_symbolic_reads(S):
     """Oracle: reduce the whole symbolic start grid with reduce_once, reading
     diagonals 1..s of row 2s-1 after s-1 further reductions."""
-    g = symbolic_start_grid(4 * S - 1)
+    g = symbolic_start_grid(4 * S - 1, 1 - 3 / RationalFunction.x())
     out = []
     for s in range(1, S + 1):
         if s > 1:
