@@ -315,7 +315,7 @@ def cmd_resistance(args) -> int:
 
 
 # The transform-soundness suite's cost grows linearly in --graphs, in ~17 MiB:
-# 1,000, 10,000 and 20,000 graphs take ~0.4, ~4.5 and ~8.5 s.
+# 1,000, 10,000 and 20,000 graphs take ~0.4, ~3.5-4 and ~6.5 s.
 _ORACLE_MAX_GRAPHS = 20_000
 
 

@@ -87,19 +87,35 @@ def _int_cofactors(u: int, v: int) -> tuple[int, int, int]:
     return g, u // g, v // g
 
 
+def _from_coprime_ints(n: int, d: int) -> Fraction:
+    """n/d for coprime n and d > 0, with no gcd: a Fraction with its slots
+    set as CPython 3.12's ``_from_coprime_ints`` sets them."""
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = n, d
+    return f
+
+
+def _make_fraction(n: int, d: int) -> Fraction:
+    """``Fraction(n, d)`` for ints n and d: one gcd, then the sign fix;
+    ZeroDivisionError when d = 0."""
+    if not d:
+        raise ZeroDivisionError("rational with zero denominator")
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    return _from_coprime_ints(n // g, d // g)
+
+
 def _coprime_fraction(n: int, d: int) -> Fraction:
     """n/d for n, d that share at most a factor 2, which it takes out, with
-    no gcd: a Fraction with its slots set as CPython 3.12's
-    ``_from_coprime_ints`` sets them."""
+    no gcd."""
     if not n or not d:
-        return Fraction(n, d)
+        return _make_fraction(n, d)
     if not (n | d) & 1:
         n, d = n // 2, d // 2
     if d < 0:
         n, d = -n, -d
-    f = object.__new__(Fraction)
-    f._numerator, f._denominator = n, d
-    return f
+    return _from_coprime_ints(n, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +147,7 @@ class FieldContract:
 
 RATIONALS = FieldContract(
     name="rational", zero=Fraction(0), one=Fraction(1), parse=parse_rational,
-    format=format_rational, make=Fraction, split=_int_cofactors,
+    format=format_rational, make=_make_fraction, split=_int_cofactors,
     coprime=_coprime_fraction)
 
 # ratfunc builds RATFUNCS from FieldContract above, so it is imported here.

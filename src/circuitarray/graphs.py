@@ -4,13 +4,14 @@ This module is the package's independent ground truth.  Effective resistance
 is computed from first principles: ground the first vertex of a graph,
 factor its grounded conductance Laplacian exactly as L·D·Lᵀ over the
 rationals, and read r(u, v) = Z_uu + Z_vv - 2 Z_uv off its inverse
-Z = (L·D·Lᵀ)⁻¹.  Only the entries of Z that queries reach are computed,
-by Takahashi's recurrence over the columns of L (selected inversion), and
-each graph keeps its factor and those entries until it is mutated.  So
-every pair of an unchanged graph is answered from one factorization, and
-later queries mostly read entries that earlier ones computed.  Each entry
-of Z is summed as one integer numerator over a running denominator and
-normalised once.
+Z = (L·D·Lᵀ)⁻¹.  The factor and that sum run on integer pairs, with the
+gcds ``Fraction``'s operators take and none of their dispatch.  Only the
+entries of Z that queries reach are computed, by Takahashi's recurrence
+over the columns of L (selected inversion), and each graph keeps its
+factor and those entries until it is mutated.  So every pair of an
+unchanged graph is answered from one factorization, and later queries
+mostly read entries that earlier ones computed.  Each entry of Z is summed
+as one integer numerator over a running denominator and normalised once.
 
 The three equivalent-circuit transformations (series, delta-wye, wye-delta)
 are implemented directly on graphs and edit the graph they are given in
@@ -18,7 +19,8 @@ place (copy it first to keep it); ``graph_level_reduce`` applies them to
 one graph, performing the five-step grid reduction purely as graph surgery.
 Each resistance a transformation or a parallel merge makes is written over
 one denominator from its inputs' numerators and denominators and normalised
-once, by one gcd, instead of through a chain of Fraction operators.
+once, by one gcd, in ``RATIONALS.make``.  Resistances are exact rationals:
+a float or a grid of another field is refused.
 None of this shares code with the closed-form child-edge formulas in
 circuitarray.reduction, which is the point: the two pipelines must agree
 label for label.
@@ -36,6 +38,8 @@ from math import gcd
 from .fields import RATIONALS, digit_limit_error
 from .grid import Grid, GridError
 from .reports import Report
+
+_make, _coprime = RATIONALS.make, RATIONALS.coprime
 
 
 class GraphError(ValueError):
@@ -64,8 +68,11 @@ class WeightedGraph:
     def add_edge(self, u, v, resistance) -> None:
         if u == v:
             raise GraphError(f"self-loop at {u!r} rejected")
-        r = (resistance if type(resistance) is Fraction
-             else Fraction(resistance))
+        kind = type(resistance)
+        if kind not in (Fraction, int, str):
+            raise GraphError(f"resistance must be an int, Fraction or str, "
+                             f"got {kind.__name__}")
+        r = resistance if kind is Fraction else Fraction(resistance)
         if r.numerator <= 0:
             raise GraphError(f"resistance must be positive, got {r}")
         nbrs = self._adj.setdefault(u, {})
@@ -75,7 +82,7 @@ class WeightedGraph:
             # ab/(aβ + bα)
             a, alpha = existing.numerator, existing.denominator
             b, beta = r.numerator, r.denominator
-            r = Fraction(a * b, a * beta + b * alpha)
+            r = _make(a * b, a * beta + b * alpha)
         nbrs[v] = r
         self._adj.setdefault(v, {})[u] = r
         self._factor = None
@@ -247,9 +254,30 @@ def effective_resistance(g: WeightedGraph, u, v) -> Fraction:
     i, j = index.get(u), index.get(v)  # None for the ground vertex
 
     def z(a, b):
-        return 0 if a is None or b is None else _inverse_entry(g._factor, a, b)
+        e = 0 if a is None or b is None else _inverse_entry(g._factor, a, b)
+        return e.numerator, e.denominator
 
-    return z(i, i) + z(j, j) - 2 * z(i, j)
+    n, d = _sum(*z(i, i), *z(j, j))
+    return _coprime(*_sum(n, d, *_product(-2, 1, *z(i, j))))
+
+
+def _product(an: int, ad: int, bn: int, bd: int) -> tuple:
+    """(an/ad)(bn/bd) for two rationals in lowest terms, in lowest terms by
+    the two cross gcds that ``Fraction``'s product takes."""
+    g1, g2 = gcd(an, bd), gcd(bn, ad)
+    return (an // g1) * (bn // g2), (ad // g2) * (bd // g1)
+
+
+def _sum(an: int, ad: int, bn: int, bd: int) -> tuple:
+    """an/ad + bn/bd for two rationals in lowest terms, in lowest terms by
+    Henrici's two gcds, the ones ``Fraction``'s sum takes."""
+    g = gcd(ad, bd)
+    if g == 1:
+        return an * bd + ad * bn, ad * bd
+    s = ad // g
+    t = an * (bd // g) + bn * s
+    g2 = gcd(t, g)
+    return t // g2, s * (bd // g2)
 
 
 def _ldl(g: WeightedGraph) -> tuple:
@@ -261,7 +289,8 @@ def _ldl(g: WeightedGraph) -> tuple:
     each row holds only its entries at and right of the diagonal, and
     elimination updates only that half of each Schur complement.  For a
     connected graph with positive resistances the matrix is positive
-    definite, so no pivoting is needed and every pivot is positive.
+    definite, so no pivoting is needed and every pivot is positive.  Rows
+    hold (numerator, denominator) pairs until L and D are read out.
 
     Returns (index, columns, pivots, Z): the vertex numbering, column k of L
     below the diagonal as {j: L_jk}, the diagonal of D, and an empty memo
@@ -273,25 +302,28 @@ def _ldl(g: WeightedGraph) -> tuple:
     index = {w: k for k, w in enumerate(verts)}
     rows = []
     for k, w in enumerate(verts):
-        row = {k: Fraction(0)}
+        row, diagonal = {}, (0, 1)
         for x, r in g._adj[w].items():
-            c = 1 / r
-            row[k] += c
+            c, cd = r.denominator, r.numerator  # the conductance 1/r
+            diagonal = _sum(*diagonal, c, cd)
             j = index.get(x)
             if j is not None and j > k:
-                row[j] = -c
+                row[j] = -c, cd
+        row[k] = diagonal
         rows.append(row)
     columns, pivots = [], []
     for k, row in enumerate(rows):
-        d = row.pop(k)
-        col = {j: a / d for j, a in row.items()}
-        for j, l in col.items():
+        dn, dd = row.pop(k)
+        # L_jk = a_jk / D_k, and D_k > 0
+        col = {j: _product(an, ad, dd, dn) for j, (an, ad) in row.items()}
+        for j, (ln, ld) in col.items():
             target = rows[j]
-            for i, a in row.items():
+            for i, (an, ad) in row.items():
                 if i >= j:
-                    target[i] = target.get(i, 0) - l * a
-        columns.append(col)
-        pivots.append(d)
+                    target[i] = _sum(*target.get(i, (0, 1)),
+                                     *_product(ln, ld, -an, ad))
+        columns.append({j: _coprime(n, d) for j, (n, d) in col.items()})
+        pivots.append(_coprime(dn, dd))
     return index, columns, pivots, {}
 
 
@@ -336,7 +368,7 @@ def _inverse_entry(factor: tuple, i: int, j: int) -> Fraction:
                 num = num * (td // g) - tn * (den // g)
                 den *= td // g
         if ready:
-            Z[i, j] = Fraction(num, den)
+            Z[i, j] = _make(num, den)
             stack.pop()
     return Z[key]
 
@@ -367,9 +399,9 @@ def delta_to_wye(g: WeightedGraph, triangle, center) -> None:
     g.remove_edge(x, y)
     g.remove_edge(y, z)
     g.remove_edge(x, z)
-    g.add_edge(center, x, Fraction(a * c * beta, s))
-    g.add_edge(center, y, Fraction(a * b * gamma, s))
-    g.add_edge(center, z, Fraction(b * c * alpha, s))
+    g.add_edge(center, x, _make(a * c * beta, s))
+    g.add_edge(center, y, _make(a * b * gamma, s))
+    g.add_edge(center, z, _make(b * c * alpha, s))
 
 
 def wye_to_delta(g: WeightedGraph, center) -> None:
@@ -391,9 +423,9 @@ def wye_to_delta(g: WeightedGraph, center) -> None:
     c, gamma = t.numerator, t.denominator
     k = a * b * gamma + b * c * alpha + c * a * beta
     g.remove_vertex(center)
-    g.add_edge(y, z, Fraction(k, a * beta * gamma))
-    g.add_edge(x, z, Fraction(k, alpha * b * gamma))
-    g.add_edge(x, y, Fraction(k, alpha * beta * c))
+    g.add_edge(y, z, _make(k, a * beta * gamma))
+    g.add_edge(x, z, _make(k, alpha * b * gamma))
+    g.add_edge(x, y, _make(k, alpha * beta * c))
 
 
 def series(g: WeightedGraph, through) -> None:
@@ -410,13 +442,17 @@ def series(g: WeightedGraph, through) -> None:
     a, alpha = p.numerator, p.denominator
     b, beta = q.numerator, q.denominator
     g.remove_vertex(through)
-    g.add_edge(x, y, Fraction(a * beta + b * alpha, alpha * beta))
+    g.add_edge(x, y, _make(a * beta + b * alpha, alpha * beta))
 
 
 # -- grid <-> graph ----------------------------------------------------------
 
 def grid_to_graph(grid: Grid) -> WeightedGraph:
-    """Explicit weighted graph of a grid (vertices are (vrow, vpos) pairs)."""
+    """Explicit weighted graph of a rational grid (vertices are (vrow, vpos)
+    pairs)."""
+    if grid.field is not RATIONALS:
+        raise GraphError(f"the graph oracle takes rational grids, not a "
+                         f"{grid.field.name} grid")
     g = WeightedGraph()
     for r in range(1, grid.m + 1):
         for d in range(1, r + 1):

@@ -1,10 +1,12 @@
 """Exact rational scalar basics."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from circuitarray.fields import RATIONALS, format_rational, parse_rational
+from circuitarray.fields import (RATIONALS, _make_fraction, format_rational,
+                                 parse_rational)
 
 
 def test_parse_and_format_round_trip():
@@ -39,3 +41,29 @@ def test_format_rational_prints_integers_past_the_digit_limit():
 def test_contract_constants():
     assert RATIONALS.zero == 0 and RATIONALS.one == 1
     assert RATIONALS.ordered
+
+
+def test_make_builds_what_fraction_builds():
+    """RATIONALS.make is the one normalising builder: one gcd and a sign
+    fix, with the slots, value and hash that Fraction(n, d) gives."""
+    assert RATIONALS.make is _make_fraction
+    rng = random.Random(35)
+
+    def signed(bits):  # an int of exactly ``bits`` bits, either sign
+        return rng.choice((1, -1)) * (rng.getrandbits(bits) | 1 << (bits - 1))
+
+    pairs = [(0, 1), (0, -7), (0, 3 ** 900), (5, -10), (-6, -4), (1, -1),
+             (2 ** 4000 - 1, -(2 ** 3999))]
+    for _ in range(300):
+        shared = signed(rng.randint(1, 2000))  # ±1 when it has one bit
+        pairs.append((shared * signed(rng.randint(1, 2000)),
+                      shared * signed(rng.randint(1, 2000))))
+    for n, d in pairs:
+        got, want = RATIONALS.make(n, d), F(n, d)
+        assert type(got) is F and got == want
+        assert (got.numerator, got.denominator) == \
+            (want.numerator, want.denominator)
+        assert hash(got) == hash(want)
+    for n in (0, 5, -(3 ** 2000)):
+        with pytest.raises(ZeroDivisionError):
+            RATIONALS.make(n, 0)

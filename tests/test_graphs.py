@@ -3,8 +3,10 @@
 
 import ast
 import random
+from decimal import Decimal
 from fractions import Fraction as F
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from circuitarray.graphs import (GraphError, WeightedGraph, _ldl,
                                  wye_to_delta)
 from circuitarray.grid import Grid, all_one_grid
 from circuitarray.properties import random_connected_graph, random_grid
+from circuitarray.ratfunc import RationalFunction
 from circuitarray.reduction import reduce_once
 from circuitarray.sequences import symbolic_start_grid
 
@@ -86,6 +89,35 @@ def test_factored_resistance_matches_dense_solve():
             # every ordered pair, including those with the ground h.vertices[0]
             for u, v in permutations(h.vertices, 2):
                 assert effective_resistance(h, u, v) == dense_resistance(h, u, v)
+
+
+def test_factor_reproduces_the_grounded_laplacian():
+    """L·D·Lᵀ, multiplied out with Fraction operators, is the grounded
+    conductance Laplacian read from the adjacency, and every entry of L
+    and D is a Fraction in lowest terms."""
+    rng = random.Random(35)
+    cases = [random_connected_graph(rng, 8) for _ in range(20)]
+    for g in cases + [ten_bit_grid_graph(35, 8)]:
+        index, columns, pivots, _ = _ldl(g)
+        for e in chain(pivots, *(col.values() for col in columns)):
+            assert type(e) is F and e.denominator > 0
+            assert gcd(e.numerator, e.denominator) == 1
+        laplacian = {}
+        for w, k in index.items():
+            for x, r in g._adj[w].items():
+                laplacian[k, k] = laplacian.get((k, k), 0) + 1 / r
+                if x in index:
+                    laplacian[k, index[x]] = -1 / r
+
+        def lower(i, k):  # L_ik, with L's unit diagonal
+            return F(1) if i == k else columns[k].get(i, F(0))
+
+        n = len(index)
+        for i in range(n):
+            for j in range(i + 1):
+                product = sum((lower(i, k) * pivots[k] * lower(j, k)
+                               for k in range(j + 1)), F(0))
+                assert product == laplacian.get((i, j), 0)
 
 
 def test_factor_follows_every_mutation():
@@ -207,6 +239,20 @@ def test_nonpositive_resistance_is_refused(resistance, shown):
     with pytest.raises(GraphError) as err:
         g.add_edge(0, 1, resistance)
     assert str(err.value) == f"resistance must be positive, got {shown}"
+    assert g.vertices == []
+
+
+@pytest.mark.parametrize("resistance", [
+    0.1, 2.0, True, None, Decimal("1.5"), 1 + 0j, [F(1)],
+])
+def test_resistance_of_another_type_is_refused(resistance):
+    # a float would enter as its binary fraction: 0.1 is
+    # 3602879701896397/36028797018963968
+    g = WeightedGraph()
+    with pytest.raises(GraphError) as err:
+        g.add_edge(0, 1, resistance)
+    assert str(err.value) == ("resistance must be an int, Fraction or str, "
+                              f"got {type(resistance).__name__}")
     assert g.vertices == []
 
 
@@ -434,6 +480,15 @@ def test_graph_level_reduce_matches_the_equal_label_forms():
                    for (r, d), (L, _, _) in random_grid(rng, n)._tri.items()}
         g = Grid(n, planted)
         assert graph_level_reduce(g) == reduce_once(g)
+
+
+def test_graph_oracle_refuses_a_symbolic_grid():
+    grid = symbolic_start_grid(5, 1 - 3 / RationalFunction.x())
+    for oracle in (grid_to_graph, graph_level_reduce):
+        with pytest.raises(GraphError) as err:
+            oracle(grid)
+        assert str(err.value) == ("the graph oracle takes rational grids, "
+                                  "not a symbolic grid")
 
 
 def test_graph_level_reduce_rejects_1_grid():
